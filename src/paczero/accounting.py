@@ -14,17 +14,16 @@ import math
 from dataclasses import dataclass
 
 from .binary_channel import binary_entropy, channel_mi
-from .engine import Transcript
+from .engine import Transcript, mechanism_from_dict
 from .mechanism import (
-    BRANCH_COIN,
     BRANCH_DISAGREEMENT,
     BRANCH_SURROGATE,
     BRANCH_UNANIMITY,
-    ENTROPY_CAP_FACTOR,
-    MIN_CALIBRATABLE_MI,
     MechanismSpec,
     agreed_sign,
-    is_unanimous,
+    bit_allocation,
+    release_branch,
+    step_budget,
 )
 
 __all__ = [
@@ -112,28 +111,24 @@ def matched_mi_for_dp(eps: float, delta: float, prior: float) -> float:
 
 @dataclass
 class ValidationReport:
+    """Verdict of a transcript audit.  A failed audit re-derives no totals,
+    so its ``cum_mi`` and ``residual_tolerance_mi`` are None."""
+
     ok: bool
     variant: str
     message: str
     first_violation: str | None
     bits_checked: int
-    cum_mi: float
+    cum_mi: float | None
     recorded_cum_mi: float
     mi_total: float
     unanimity_bits: int
-    residual_tolerance_mi: float
+    residual_tolerance_mi: float | None
     non_private: bool = False
 
     def __str__(self) -> str:
         status = "OK" if self.ok else "VIOLATION"
         return f"[{status}] {self.message}"
-
-
-def _spec_from_header(transcript: Transcript) -> MechanismSpec:
-    raw = dict(transcript.header.mechanism)
-    if raw.get("clip") == "inf":
-        raw["clip"] = math.inf
-    return MechanismSpec(**raw)
 
 
 def validate_transcript(
@@ -145,55 +140,43 @@ def validate_transcript(
     remaining steps, split across aggregated directions, capped below the
     sign entropy), confirms each branch decision and the zero-or-all
     consumption dichotomy, re-checks the noise calibration against the
-    recorded sigma, and recomputes the cumulative spend in release order.
-    Unanimity steps taken under the tolerance rather than exact agreement
-    contribute a residual entropy term that is reported separately and
-    never added to the cumulative total.
+    recorded sigma, and recomputes the cumulative spend in release order,
+    checking it against every record and the summary trailer.  A ZPL run is
+    audited as an MI run with a zero budget; a surrogate run only for
+    carrying no accounting.  Every comparison fails closed, so a non-finite
+    field is a violation.  Unanimity steps taken under the tolerance rather
+    than exact agreement contribute a residual entropy term that is reported
+    separately and never added to the cumulative total.
     """
     if spec is None:
-        spec = _spec_from_header(transcript)
-    header = transcript.header
-    horizon, k = header.t_total, spec.k
-    rule = spec.bit_rule()
+        spec = mechanism_from_dict(transcript.header.mechanism)
+    horizon, k = transcript.header.t_total, spec.k
     tau = spec.unanimity_tolerance
+    mi_total = spec.effective_budget()
+    non_private = spec.variant == "surrogate"
+    n_records = len(transcript.records)
 
     def fail(where: str, detail: str) -> ValidationReport:
         return ValidationReport(
             ok=False, variant=spec.variant,
             message=f"{where}: {detail}", first_violation=where,
-            bits_checked=len(transcript.records), cum_mi=math.nan,
-            recorded_cum_mi=transcript.cum_mi, mi_total=spec.mi_total,
+            bits_checked=n_records, cum_mi=None,
+            recorded_cum_mi=transcript.cum_mi, mi_total=mi_total,
             unanimity_bits=transcript.unanimity_bits,
-            residual_tolerance_mi=math.nan,
+            residual_tolerance_mi=None,
         )
 
-    if len(transcript.records) != horizon * k:
+    if n_records != horizon * k:
         return fail(
-            "structure",
-            f"expected {horizon * k} release records, found {len(transcript.records)}",
+            "structure", f"expected {horizon * k} release records, found {n_records}"
         )
 
-    if rule == "surrogate":
-        for idx, rec in enumerate(transcript.records):
-            if rec.branch != BRANCH_SURROGATE or rec.beta_used != 0.0:
-                return fail(f"step {rec.t}", "surrogate record carries accounting")
-        return ValidationReport(
-            ok=True, variant=spec.variant,
-            message="non-private surrogate run; information accounting skipped",
-            first_violation=None, bits_checked=len(transcript.records),
-            cum_mi=0.0, recorded_cum_mi=transcript.cum_mi, mi_total=0.0,
-            unanimity_bits=transcript.unanimity_bits,
-            residual_tolerance_mi=0.0, non_private=True,
-        )
-
-    mi_total = spec.mi_total if rule == "mi" else 0.0
     spent = 0.0
     unanimity_bits = 0
     residual = 0.0
     idx = 0
     for t in range(1, horizon + 1):
-        remaining_step = max(0.0, mi_total - spent)
-        beta_step = remaining_step / (horizon - t + 1) if rule == "mi" else 0.0
+        beta_step = step_budget(mi_total, spent, t, horizon)
         remaining = max(0.0, mi_total - spent)
         for slot in range(k):
             rec = transcript.records[idx]
@@ -201,40 +184,25 @@ def validate_transcript(
             where = f"step {t} slot {slot}"
             if rec.t != t or rec.slot != slot:
                 return fail(where, f"out-of-order record (t={rec.t}, slot={rec.slot})")
+            if non_private:
+                if rec.branch != BRANCH_SURROGATE or rec.beta_used != 0.0:
+                    return fail(where, "surrogate record carries accounting")
+                continue
             q = rec.q_plus
             if q is None or not 0.0 <= q <= 1.0:
                 return fail(where, f"agreement probability {q!r} out of range")
             if rec.y not in (-1.0, 1.0):
                 return fail(where, f"released bit {rec.y!r} is not a sign")
 
-            if rule == "zpl":
-                expected_beta = 0.0
-                expected_branch = (
-                    BRANCH_UNANIMITY if is_unanimous(q, tau) else BRANCH_COIN
-                )
-            else:
-                expected_beta = max(
-                    0.0,
-                    min(
-                        beta_step / k,
-                        ENTROPY_CAP_FACTOR * binary_entropy(q),
-                        remaining,
-                    ),
-                )
-                if is_unanimous(q, tau):
-                    expected_branch = BRANCH_UNANIMITY
-                elif expected_beta <= MIN_CALIBRATABLE_MI:
-                    expected_branch = BRANCH_COIN
-                else:
-                    expected_branch = BRANCH_DISAGREEMENT
-
+            expected_beta = bit_allocation(beta_step, k, q, remaining, spent, mi_total)
+            expected_branch = release_branch(q, expected_beta, tau)
             if rec.branch != expected_branch:
                 return fail(
                     where,
                     f"branch {rec.branch!r} contradicts public prefix "
                     f"(expected {expected_branch!r} at q_plus={q})",
                 )
-            if abs(rec.beta_t - expected_beta) > _REPLAY_TOL:
+            if not abs(rec.beta_t - expected_beta) <= _REPLAY_TOL:
                 return fail(
                     where,
                     f"allocated budget {rec.beta_t!r} does not re-derive "
@@ -243,31 +211,29 @@ def validate_transcript(
             expected_used = expected_beta if expected_branch == BRANCH_DISAGREEMENT else 0.0
             if rec.beta_used not in (0.0, rec.beta_t):
                 return fail(where, "consumption is neither zero nor the allocation")
-            if abs(rec.beta_used - expected_used) > _REPLAY_TOL:
+            if not abs(rec.beta_used - expected_used) <= _REPLAY_TOL:
                 return fail(
                     where,
                     f"consumed {rec.beta_used!r}, public prefix implies {expected_used!r}",
                 )
 
+            if expected_branch != BRANCH_DISAGREEMENT:
+                if rec.sigma is not None or rec.y_tilde is not None:
+                    return fail(where, f"{expected_branch} release carries noise fields")
             if expected_branch == BRANCH_UNANIMITY:
                 unanimity_bits += 1
                 residual += binary_entropy(q)
                 if rec.y != float(agreed_sign(q)):
                     return fail(where, "unanimity release differs from the agreed sign")
-                if rec.sigma is not None or rec.y_tilde is not None:
-                    return fail(where, "unanimity release carries noise fields")
-            elif expected_branch == BRANCH_COIN:
-                if rec.sigma is not None or rec.y_tilde is not None:
-                    return fail(where, "coin release carries noise fields")
-            else:
-                if rec.sigma is None or rec.sigma <= 0.0:
-                    return fail(where, f"disagreement release lacks a noise level")
-                if rec.y_tilde is None:
+            elif expected_branch == BRANCH_DISAGREEMENT:
+                if rec.sigma is None or not 0.0 < rec.sigma < math.inf:
+                    return fail(where, "disagreement release lacks a noise level")
+                if rec.y_tilde is None or not math.isfinite(rec.y_tilde):
                     return fail(where, "disagreement release lacks the pre-quantized value")
                 if rec.y != (1.0 if rec.y_tilde >= 0.0 else -1.0):
                     return fail(where, "released sign mismatches the pre-quantized value")
                 calibrated = channel_mi(q, rec.sigma)
-                if abs(calibrated - rec.beta_t) > _CALIBRATION_TOL:
+                if not abs(calibrated - rec.beta_t) <= _CALIBRATION_TOL:
                     return fail(
                         where,
                         f"noise level carries {calibrated} nats, allocation was {rec.beta_t}",
@@ -275,7 +241,7 @@ def validate_transcript(
 
             spent += rec.beta_used
             remaining = max(0.0, remaining - rec.beta_used)
-            if abs(rec.cum_mi - spent) > _REPLAY_TOL:
+            if not abs(rec.cum_mi - spent) <= _REPLAY_TOL:
                 return fail(
                     where,
                     f"running total {rec.cum_mi!r} mismatches re-derived {spent!r}",
@@ -283,20 +249,33 @@ def validate_transcript(
             if rec.unanimity_count != unanimity_bits:
                 return fail(where, "unanimity counter mismatches re-derived count")
 
-    if rule == "zpl" and spent != 0.0:
-        return fail("total", f"zero-leakage run reports positive spend {spent!r}")
-    if spent > mi_total:
+    if not spent <= mi_total:
         return fail(
             "total", f"cumulative information {spent!r} exceeds the budget {mi_total!r}"
         )
+    if not (
+        abs(transcript.cum_mi - spent) <= _REPLAY_TOL
+        and transcript.unanimity_bits == unanimity_bits
+        and transcript.total_bits == n_records
+    ):
+        return fail(
+            "summary",
+            f"trailer totals (cum_mi={transcript.cum_mi!r}, unanimity_bits="
+            f"{transcript.unanimity_bits!r}, total_bits={transcript.total_bits!r}) "
+            f"mismatch the re-derived ({spent!r}, {unanimity_bits}, {n_records})",
+        )
 
-    return ValidationReport(
-        ok=True, variant=spec.variant,
-        message=(
+    if non_private:
+        message = "non-private surrogate run; information accounting skipped"
+    else:
+        message = (
             f"transcript sound: {spent:.6g} of {mi_total:.6g} nats spent over "
-            f"{len(transcript.records)} releases ({unanimity_bits} unanimous)"
-        ),
-        first_violation=None, bits_checked=len(transcript.records),
+            f"{n_records} releases ({unanimity_bits} unanimous)"
+        )
+    return ValidationReport(
+        ok=True, variant=spec.variant, message=message,
+        first_violation=None, bits_checked=n_records,
         cum_mi=spent, recorded_cum_mi=transcript.cum_mi, mi_total=mi_total,
         unanimity_bits=unanimity_bits, residual_tolerance_mi=residual,
+        non_private=non_private,
     )

@@ -18,7 +18,14 @@ import numpy as np
 
 from . import rng as rngmod
 from .accounting import mia_posterior_bound
-from .engine import TrainConfig, Transcript, apply_update, train, _two_point_all
+from .engine import (
+    TrainConfig,
+    Transcript,
+    _two_point_all,
+    mechanism_from_dict,
+    step_update,
+    train,
+)
 from .mechanism import (
     BRANCH_DISAGREEMENT,
     MechanismSpec,
@@ -37,13 +44,6 @@ __all__ = [
 ]
 
 
-def _spec_from_header(transcript: Transcript) -> MechanismSpec:
-    raw = dict(transcript.header.mechanism)
-    if raw.get("clip") == "inf":
-        raw["clip"] = math.inf
-    return MechanismSpec(**raw)
-
-
 def replay_posterior(
     transcript: Transcript, design: SubsetDesign, task: LossTask | None = None
 ) -> np.ndarray:
@@ -56,7 +56,7 @@ def replay_posterior(
     mechanism's internal posterior bit for bit on an honest transcript.
     """
     header = transcript.header
-    spec = _spec_from_header(transcript)
+    spec = mechanism_from_dict(header.mechanism)
     if spec.variant == "surrogate":
         raise ValueError("surrogate releases have no calibrated posterior to replay")
     if design.content_hash() != header.design_hash:
@@ -70,7 +70,7 @@ def replay_posterior(
     records = transcript.records
     idx = 0
     for t in range(1, header.t_total + 1):
-        moved = None
+        ys, directions = [], []
         for slot in range(spec.k):
             rec = records[idx]
             idx += 1
@@ -85,11 +85,9 @@ def replay_posterior(
                 posterior = posterior.updated_by_observation(
                     rec.y_tilde, signs, rec.sigma
                 )
-            contribution = rec.y * z
-            moved = contribution if moved is None else moved + contribution
-        theta = apply_update(
-            theta, config.eta(t), config.weight_decay, 1.0, moved / spec.k
-        )
+            ys.append(rec.y)
+            directions.append(z)
+        theta = step_update(theta, config, t, ys, directions)
     return posterior.probabilities()
 
 
@@ -152,12 +150,11 @@ def empirical_mia_experiment(
         truth = bool(design.membership[target, secret])
         successes += guess == truth
     rate = successes / trials
-    budget = mech_spec.mi_total if mech_spec.bit_rule() == "mi" else 0.0
     return MiaExperimentResult(
         trials=trials,
         successes=successes,
         empirical_rate=rate,
-        bound=mia_posterior_bound(budget, 0.5),
+        bound=mia_posterior_bound(mech_spec.effective_budget(), 0.5),
         prior=0.5,
         standard_error=0.5 / math.sqrt(trials),
     )

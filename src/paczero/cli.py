@@ -10,7 +10,6 @@ PACZERO_OUTPUT_ROOT environment variable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -97,8 +96,11 @@ def _out_dir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     return root / config.label
 
 
-def _fail(invariant: str) -> int:
-    print(f"FAILED invariant: {invariant}", file=sys.stderr)
+def _verdict(violation: str | None) -> int:
+    """Exit code 0 without a violation; otherwise name it on stderr."""
+    if violation is None:
+        return 0
+    print(f"FAILED invariant: {violation}", file=sys.stderr)
     return 1
 
 
@@ -110,50 +112,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     print(summary.csv_text(), end="")
     print(f"artifacts: {out}")
-    violation = summary.first_violation()
-    if violation is not None:
-        return _fail(violation)
-    return 0
+    return _verdict(summary.first_violation())
 
 
-def _cmd_sweep_mi(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    result = harness.sweep_mi_plateau(
-        config, budgets=tuple(args.budgets), out_dir=_out_dir(args, config)
-    )
+    out = _out_dir(args, config)
+    if args.command == "sweep-mi":
+        result = harness.sweep_mi_plateau(config, budgets=tuple(args.budgets), out_dir=out)
+    elif args.command == "sweep-t":
+        result = harness.sweep_t_ladder(config, rungs=tuple(args.rungs), out_dir=out)
+    elif args.command == "sweep-k":
+        result = harness.sweep_k(config, ks=tuple(args.ks), out_dir=out)
+    else:
+        result = harness.sweep_decomposition(config, out_dir=out)
     print(result.csv_text(), end="")
-    print(f"test-metric spread: {result.notes['test_spread']:.6g}")
-    if not result.notes["within_budget"]:
-        return _fail("cumulative information exceeded the nominal budget")
-    return 0
-
-
-def _cmd_sweep_t(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    result = harness.sweep_t_ladder(
-        config, rungs=tuple(args.rungs), out_dir=_out_dir(args, config)
-    )
-    print(result.csv_text(), end="")
-    drift = result.notes["drift_at_4x"]
-    if drift is not None:
-        print(f"test drift at 4x best rung: {drift:+.6g}")
-    return 0
-
-
-def _cmd_sweep_decomp(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    result = harness.sweep_decomposition(config, out_dir=_out_dir(args, config))
-    print(result.csv_text(), end="")
-    return 0
-
-
-def _cmd_sweep_k(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    result = harness.sweep_k(
-        config, ks=tuple(args.ks), out_dir=_out_dir(args, config)
-    )
-    print(result.csv_text(), end="")
-    return 0
+    if args.command == "sweep-mi":
+        print(f"test-metric spread: {result.notes['test_spread']:.6g}")
+    if args.command == "sweep-t" and result.notes["drift_at_4x"] is not None:
+        print(f"test drift at 4x best rung: {result.notes['drift_at_4x']:+.6g}")
+    return _verdict(result.violation)
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
@@ -167,7 +145,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         f"bound={result.bound:.4f} se={result.standard_error:.4f}"
     )
     if not result.sound():
-        return _fail("empirical attack rate exceeded the posterior bound + 3 SE")
+        return _verdict("empirical attack rate exceeded the posterior bound + 3 SE")
     return 0
 
 
@@ -176,9 +154,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     harness.load_design(transcript)
     report = validate_transcript(transcript)
     print(report)
-    if not report.ok:
-        return _fail(report.first_violation or report.message)
-    return 0
+    return _verdict(None if report.ok else report.first_violation or report.message)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -192,10 +168,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "sweep-mi": _cmd_sweep_mi,
-    "sweep-t": _cmd_sweep_t,
-    "sweep-decomp": _cmd_sweep_decomp,
-    "sweep-k": _cmd_sweep_k,
+    "sweep-mi": _cmd_sweep,
+    "sweep-t": _cmd_sweep,
+    "sweep-decomp": _cmd_sweep,
+    "sweep-k": _cmd_sweep,
     "attack": _cmd_attack,
     "validate": _cmd_validate,
     "bounds": _cmd_bounds,
@@ -207,9 +183,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, SchemaError) as exc:
-        return _fail(str(exc))
+        return _verdict(str(exc))
     except FileNotFoundError as exc:
-        return _fail(f"missing file: {exc.filename or exc}")
+        return _verdict(f"missing file: {exc.filename or exc}")
 
 
 if __name__ == "__main__":

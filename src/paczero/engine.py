@@ -31,9 +31,9 @@ __all__ = [
     "Transcript",
     "TrainResult",
     "TwoPointNumericsError",
-    "clip_scalar",
-    "two_point_scalar",
+    "mechanism_from_dict",
     "apply_update",
+    "step_update",
     "train",
 ]
 
@@ -81,29 +81,11 @@ class TrainConfig:
         return self.learning_rate / (1.0 + self.lr_decay * (t - 1))
 
 
-def clip_scalar(g, c: float):
-    """sign(g) * min(|g|, c); identity when c = inf.  Works elementwise."""
-    if not c > 0.0:
-        raise ValueError("clip bound must be positive (may be inf)")
-    return np.clip(g, -c, c)
-
-
-def two_point_scalar(
-    task: LossTask, theta: np.ndarray, i: int, z: np.ndarray, mu: float
-) -> float:
-    """Symmetric-difference estimate of the directional derivative of
-    record i's loss at theta along z."""
-    if mu <= 0.0:
-        raise ValueError("smoothing mu must be positive")
-    up = task.per_sample_loss(theta + mu * z, i)
-    down = task.per_sample_loss(theta - mu * z, i)
-    value = (up - down) / (2.0 * mu)
-    if not math.isfinite(value):
-        raise TwoPointNumericsError(i, float(np.linalg.norm(theta)))
-    return value
-
-
 def _two_point_all(task: LossTask, theta, z, mu: float) -> np.ndarray:
+    """Symmetric-difference estimates of every record's directional
+    derivative at theta along z."""
+    if not mu > 0.0:
+        raise ValueError("smoothing mu must be positive")
     up = task.per_sample_losses(theta + mu * z)
     down = task.per_sample_losses(theta - mu * z)
     values = (up - down) / (2.0 * mu)
@@ -120,6 +102,17 @@ def apply_update(
 ) -> np.ndarray:
     """theta' = (1 - eta*weight_decay) * theta - eta * y * z; pure."""
     return (1.0 - eta * weight_decay) * np.asarray(theta, dtype=float) - eta * y * z
+
+
+def step_update(
+    theta: np.ndarray, config: TrainConfig, t: int, ys: list[float], directions: list
+) -> np.ndarray:
+    """Step t of the trajectory: move along the mean of the released values
+    times their directions.  Training and replay share it."""
+    moved = directions[0] * ys[0]
+    for y, z in zip(ys[1:], directions[1:]):
+        moved = moved + y * z
+    return apply_update(theta, config.eta(t), config.weight_decay, 1.0, moved / len(ys))
 
 
 @dataclass(frozen=True)
@@ -176,6 +169,15 @@ def _mechanism_dict(spec: MechanismSpec) -> dict:
     return d
 
 
+def mechanism_from_dict(raw: dict) -> MechanismSpec:
+    """Inverse of the header encoding: a spec from its field mapping, with
+    an unbounded clip spelled "inf" (or YAML's ".inf")."""
+    raw = dict(raw)
+    if raw.get("clip") in ("inf", ".inf"):
+        raw["clip"] = math.inf
+    return MechanismSpec(**raw)
+
+
 def train(
     task: LossTask,
     config: TrainConfig,
@@ -224,12 +226,7 @@ def train(
         ]
         ys, step_records = mechanism.step(t, scalars)
         records.extend(step_records)
-        moved = directions[0] * ys[0]
-        for y, z in zip(ys[1:], directions[1:]):
-            moved = moved + y * z
-        theta = apply_update(
-            theta, config.eta(t), config.weight_decay, 1.0, moved / mech_spec.k
-        )
+        theta = step_update(theta, config, t, ys, directions)
         if t % config.dev_eval_interval == 0 or t == config.steps:
             metric = task.eval_metric(theta, "dev")
             dev_evals.append((t, metric))

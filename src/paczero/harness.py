@@ -15,7 +15,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -31,7 +30,14 @@ from .accounting import (
     mia_posterior_bound,
     validate_transcript,
 )
-from .engine import TrainConfig, Transcript, TranscriptHeader, TrainResult, train
+from .engine import (
+    TrainConfig,
+    Transcript,
+    TranscriptHeader,
+    TrainResult,
+    mechanism_from_dict,
+    train,
+)
 from .mechanism import MechanismSpec, StepRecord, SubsetDesign, build_balanced_design
 from .tasks import LossTask, make_task
 
@@ -59,15 +65,10 @@ SUMMARY_COLUMNS = (
     "variant", "budget", "T", "seed", "dev", "test", "f", "cum_mi", "wallclock"
 )
 
-_HEADER_KEYS = {
-    "type", "format_version", "variant", "task_name", "task_params", "train",
-    "mechanism", "n_records", "n_subsets", "t_total", "k", "run_seed",
-    "design_seed", "design_hash",
+_HEADER_KEYS = {f.name for f in dataclasses.fields(TranscriptHeader)} | {
+    "type", "format_version",
 }
-_RELEASE_KEYS = {
-    "type", "t", "slot", "branch", "q_plus", "sigma", "y", "y_tilde",
-    "beta_t", "beta_used", "cum_mi", "unanimity_count",
-}
+_RELEASE_KEYS = {f.name for f in dataclasses.fields(StepRecord)} | {"type"}
 _SUMMARY_KEYS = {"type", "cum_mi", "unanimity_bits", "total_bits", "dev_evals"}
 
 
@@ -116,11 +117,8 @@ class ExperimentConfig:
         task = raw.get("task")
         if not isinstance(task, dict) or "name" not in task:
             raise ConfigError("task: must be a mapping with a 'name' key")
-        mech_raw = dict(raw.get("mechanism") or {})
-        if mech_raw.get("clip") in ("inf", ".inf"):
-            mech_raw["clip"] = math.inf
         try:
-            mechanism = MechanismSpec(**mech_raw)
+            mechanism = mechanism_from_dict(raw.get("mechanism") or {})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"mechanism: {exc}") from exc
         try:
@@ -180,6 +178,18 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    path.write_text(_dump_line(obj) + "\n")
+
+
+def _csv_text(columns, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def transcript_lines(transcript: Transcript) -> list[str]:
     header = dataclasses.asdict(transcript.header)
     header["type"] = "header"
@@ -207,6 +217,14 @@ def write_transcript(path: str | Path, transcript: Transcript) -> None:
     Path(path).write_text("\n".join(transcript_lines(transcript)) + "\n")
 
 
+def _reject_non_finite(token: str):
+    raise SchemaError(f"non-finite number {token} in transcript")
+
+
+def _parse_line(line: str) -> dict:
+    return json.loads(line, parse_constant=_reject_non_finite)
+
+
 def _require_keys(obj: dict, expected: set[str], where: str) -> None:
     got = set(obj)
     if got != expected:
@@ -221,11 +239,12 @@ def _require_keys(obj: dict, expected: set[str], where: str) -> None:
 
 def load_transcript(path: str | Path) -> Transcript:
     """Parse a transcript file, rejecting any line that deviates from the
-    documented schema (exact field sets per line type)."""
+    documented schema (exact field sets per line type) or that holds a
+    NaN or infinite number."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SchemaError("empty transcript file")
-    header_obj = json.loads(lines[0])
+    header_obj = _parse_line(lines[0])
     if header_obj.get("type") != "header":
         raise SchemaError("first line must be the header")
     _require_keys(header_obj, _HEADER_KEYS, "header")
@@ -237,14 +256,14 @@ def load_transcript(path: str | Path) -> Transcript:
 
     if len(lines) < 2:
         raise SchemaError("missing summary line")
-    summary_obj = json.loads(lines[-1])
+    summary_obj = _parse_line(lines[-1])
     if summary_obj.get("type") != "summary":
         raise SchemaError("last line must be the summary")
     _require_keys(summary_obj, _SUMMARY_KEYS, "summary")
 
     records = []
     for n, line in enumerate(lines[1:-1], start=2):
-        obj = json.loads(line)
+        obj = _parse_line(line)
         if obj.get("type") != "release":
             raise SchemaError(f"line {n}: expected a release record")
         _require_keys(obj, _RELEASE_KEYS, f"line {n}")
@@ -316,28 +335,18 @@ class ExperimentSummary:
         return float(np.mean(values)), sd
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in self.rows:
-            writer.writerow(row.csv_values())
         pooled = [self.rows[0].variant, _format_float(self.rows[0].budget),
                   self.rows[0].steps, "pooled"]
         for attr in ("dev", "test", "free_fraction", "cum_mi", "wallclock"):
             mean, sd = self.pooled(attr)
             pooled.append(f"{mean:.6g}±{sd:.3g}")
-        writer.writerow(pooled)
-        return buf.getvalue()
+        return _csv_text(SUMMARY_COLUMNS, [row.csv_values() for row in self.rows] + [pooled])
 
     def first_violation(self) -> str | None:
         for row in self.rows:
             if row.validation is not None and not row.validation.ok:
                 return row.validation.message
         return None
-
-
-def _budget_of(spec: MechanismSpec) -> float:
-    return spec.mi_total if spec.bit_rule() == "mi" else 0.0
 
 
 def run_experiment(
@@ -359,7 +368,7 @@ def run_experiment(
         report = validate_transcript(transcript) if validate else None
         row = RunRow(
             variant=config.mechanism.variant,
-            budget=_budget_of(config.mechanism),
+            budget=config.mechanism.effective_budget(),
             steps=cfg.steps,
             seed=seed,
             dev=task.eval_metric(result.params, "dev"),
@@ -375,26 +384,20 @@ def run_experiment(
             seed_dir = Path(out_dir) / f"seed_{seed}"
             seed_dir.mkdir(parents=True, exist_ok=True)
             write_transcript(seed_dir / "transcript.jsonl", transcript)
-            (seed_dir / "secret.json").write_text(
-                _dump_line({"secret_index": result.secret_index}) + "\n"
-            )
-            (seed_dir / "metrics.json").write_text(
-                _dump_line(
-                    {
-                        "dev": row.dev,
-                        "test": row.test,
-                        "free_fraction": row.free_fraction,
-                        "cum_mi": row.cum_mi,
-                        "dev_best_step": result.dev_best_step,
-                        "validation_ok": None if report is None else report.ok,
-                    }
-                )
-                + "\n"
+            _write_json(seed_dir / "secret.json", {"secret_index": result.secret_index})
+            _write_json(
+                seed_dir / "metrics.json",
+                {
+                    "dev": row.dev,
+                    "test": row.test,
+                    "free_fraction": row.free_fraction,
+                    "cum_mi": row.cum_mi,
+                    "dev_best_step": result.dev_best_step,
+                    "validation_ok": None if report is None else report.ok,
+                },
             )
             if report is not None:
-                (seed_dir / "validation.json").write_text(
-                    _dump_line(dataclasses.asdict(report)) + "\n"
-                )
+                _write_json(seed_dir / "validation.json", dataclasses.asdict(report))
     summary = ExperimentSummary(config=config, rows=rows, results=results)
     if out_dir is not None:
         (Path(out_dir) / "summary.csv").write_text(summary.csv_text())
@@ -411,13 +414,44 @@ class SweepResult:
     columns: tuple[str, ...]
     rows: list[list]
     notes: dict = field(default_factory=dict)
+    # first validation violation among the sweep's runs
+    violation: str | None = None
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(self.columns)
-        writer.writerows(self.rows)
-        return buf.getvalue()
+        return _csv_text(self.columns, self.rows)
+
+    def save(self, out_dir: Path | None, filename: str) -> "SweepResult":
+        if out_dir is not None:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            (Path(out_dir) / filename).write_text(self.csv_text())
+        return self
+
+
+def _sweep(
+    config: ExperimentConfig,
+    name: str,
+    label_column: str,
+    specs: list[tuple[object, MechanismSpec]],
+    csv_name: str,
+    out_dir: Path | None,
+) -> SweepResult:
+    """Run the experiment once per (label, spec) and pool each run's seeds
+    into one row; ``notes`` maps every label to its pooled metrics.  Every
+    run is validated, so an overspent budget surfaces as a violation."""
+    rows, notes, violation = [], {}, None
+    for label, spec in specs:
+        summary = run_experiment(replace(config, mechanism=spec), out_dir=None)
+        dev, test, f = (
+            summary.pooled(attr)[0] for attr in ("dev", "test", "free_fraction")
+        )
+        max_cum_mi = max(r.cum_mi for r in summary.rows)
+        violation = violation or summary.first_violation()
+        rows.append([label] + [_format_float(x) for x in (dev, test, f, max_cum_mi)])
+        notes[label] = {"dev": dev, "test": test, "f": f, "max_cum_mi": max_cum_mi}
+    return SweepResult(
+        name=name, columns=(label_column, "dev", "test", "f", "max_cum_mi"),
+        rows=rows, notes=notes, violation=violation,
+    ).save(out_dir, csv_name)
 
 
 def sweep_mi_plateau(
@@ -427,32 +461,18 @@ def sweep_mi_plateau(
 ) -> SweepResult:
     """Same recipe across total budgets; reports per-budget pooled metrics
     and the spread (max minus min) of the pooled test metric."""
-    rows = []
-    means = []
-    budget_ok = True
-    for budget in budgets:
-        spec = replace(config.mechanism, variant="paczero_mi", mi_total=budget)
-        summary = run_experiment(replace(config, mechanism=spec), out_dir=None)
-        dev_m, _ = summary.pooled("dev")
-        test_m, _ = summary.pooled("test")
-        f_m, _ = summary.pooled("free_fraction")
-        cum_m = max(r.cum_mi for r in summary.rows)
-        budget_ok &= all(r.cum_mi <= budget for r in summary.rows)
-        means.append(test_m)
-        rows.append([
-            _format_float(budget), _format_float(dev_m), _format_float(test_m),
-            _format_float(f_m), _format_float(cum_m),
-        ])
-    spread = max(means) - min(means)
-    result = SweepResult(
-        name="mi_plateau",
-        columns=("budget", "dev", "test", "f", "max_cum_mi"),
-        rows=rows,
-        notes={"test_spread": spread, "within_budget": budget_ok},
-    )
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "sweep_mi.csv").write_text(result.csv_text())
+    specs = [
+        (_format_float(b), replace(config.mechanism, variant="paczero_mi", mi_total=b))
+        for b in budgets
+    ]
+    result = _sweep(config, "mi_plateau", "budget", specs, "sweep_mi.csv", out_dir)
+    tests = [pooled["test"] for pooled in result.notes.values()]
+    result.notes = {
+        "test_spread": max(tests) - min(tests),
+        "within_budget": all(
+            result.notes[label]["max_cum_mi"] <= spec.mi_total for label, spec in specs
+        ),
+    }
     return result
 
 
@@ -464,12 +484,10 @@ def sweep_t_ladder(
     """One trajectory per seed out to max(rungs); dev/test evaluated at the
     parameters held at each rung (no checkpoint selection)."""
     rungs = tuple(sorted(rungs))
-    horizon = rungs[-1]
-    task = None
     per_rung: dict[int, list[tuple[float, float]]] = {r: [] for r in rungs}
     long_config = replace(
         config,
-        train=replace(config.train, steps=horizon, load_best_dev=False),
+        train=replace(config.train, steps=rungs[-1], load_best_dev=False),
     )
     summary = run_experiment(long_config, out_dir=None, snapshot_steps=rungs)
     task = long_config.make_task()
@@ -492,7 +510,7 @@ def sweep_t_ladder(
     drift = None
     if best_rung * 4 in rung_test_means:
         drift = rung_test_means[best_rung * 4] - rung_test_means[best_rung]
-    result = SweepResult(
+    return SweepResult(
         name="t_ladder",
         columns=("T", "dev", "test"),
         rows=rows,
@@ -501,11 +519,8 @@ def sweep_t_ladder(
             "drift_at_4x": drift,
             "test_means": rung_test_means,
         },
-    )
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "sweep_t.csv").write_text(result.csv_text())
-    return result
+        violation=summary.first_violation(),
+    ).save(out_dir, "sweep_t.csv")
 
 
 _DECOMP_VARIANTS = (
@@ -520,33 +535,13 @@ def sweep_decomposition(
 ) -> SweepResult:
     """Private variants against the non-private release ladder on the same
     task, seeds, and schedule."""
-    rows = []
-    notes = {}
-    for variant, mode in _DECOMP_VARIANTS:
-        if variant == "surrogate":
-            spec = replace(
-                config.mechanism, variant=variant, surrogate_mode=mode, k=1,
-            )
-            label = mode
-        else:
-            spec = replace(config.mechanism, variant=variant, surrogate_mode=None, k=1)
-            label = variant
-        summary = run_experiment(replace(config, mechanism=spec), out_dir=None)
-        dev_m, _ = summary.pooled("dev")
-        test_m, _ = summary.pooled("test")
-        f_m, _ = summary.pooled("free_fraction")
-        rows.append([
-            label, _format_float(dev_m), _format_float(test_m), _format_float(f_m),
-        ])
-        notes[label] = {"dev": dev_m, "test": test_m, "f": f_m}
-    result = SweepResult(
-        name="decomposition", columns=("release", "dev", "test", "f"),
-        rows=rows, notes=notes,
+    specs = [
+        (mode or variant, replace(config.mechanism, variant=variant, surrogate_mode=mode, k=1))
+        for variant, mode in _DECOMP_VARIANTS
+    ]
+    return _sweep(
+        config, "decomposition", "release", specs, "sweep_decomp.csv", out_dir
     )
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "sweep_decomp.csv").write_text(result.csv_text())
-    return result
 
 
 def sweep_k(
@@ -562,27 +557,11 @@ def sweep_k(
     )
     if inner not in ("paczero_mi", "paczero_zpl"):
         raise ConfigError("k sweep needs a private variant")
-    rows = []
-    for k in ks:
-        spec = replace(
-            config.mechanism, variant="k_aggregate", inner_variant=inner, k=k,
-        )
-        summary = run_experiment(replace(config, mechanism=spec), out_dir=None)
-        dev_m, _ = summary.pooled("dev")
-        test_m, _ = summary.pooled("test")
-        f_m, _ = summary.pooled("free_fraction")
-        cum_m = max(r.cum_mi for r in summary.rows)
-        rows.append([
-            k, _format_float(dev_m), _format_float(test_m), _format_float(f_m),
-            _format_float(cum_m),
-        ])
-    result = SweepResult(
-        name="k_ladder", columns=("k", "dev", "test", "f", "max_cum_mi"), rows=rows,
-    )
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "sweep_k.csv").write_text(result.csv_text())
-    return result
+    specs = [
+        (k, replace(config.mechanism, variant="k_aggregate", inner_variant=inner, k=k))
+        for k in ks
+    ]
+    return _sweep(config, "k_ladder", "k", specs, "sweep_k.csv", out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,9 @@ __all__ = [
     "agreement_probability",
     "is_unanimous",
     "agreed_sign",
-    "adaptive_budget",
+    "step_budget",
+    "bit_allocation",
+    "release_branch",
     "mi_step",
     "zpl_step",
     "surrogate_release",
@@ -77,7 +79,6 @@ class SubsetDesign:
 
     membership: np.ndarray
     seed: int
-    secret_index: int | None = None
 
     def __post_init__(self):
         m = self.membership
@@ -229,9 +230,6 @@ class BudgetLedger:
         record.cum_mi = self.mi_spent
         record.unanimity_count = self.unanimity_bits
 
-    def free_fraction(self) -> float:
-        return self.unanimity_bits / self.total_bits if self.total_bits else 0.0
-
 
 @dataclass(frozen=True)
 class MechanismSpec:
@@ -278,6 +276,11 @@ class MechanismSpec:
             return "zpl"
         return "surrogate"
 
+    def effective_budget(self) -> float:
+        """Total information the run may spend: the MI budget, else zero
+        (a ZPL run is an MI run whose every allocation is zero)."""
+        return self.mi_total if self.bit_rule() == "mi" else 0.0
+
     def resolved_subsets(self) -> int:
         if self.n_subsets is not None:
             return self.n_subsets
@@ -318,13 +321,49 @@ def agreed_sign(q_plus: float) -> int:
     return 1 if q_plus >= 0.5 else -1
 
 
-def adaptive_budget(ledger: BudgetLedger, t: int, horizon: int, q_plus: float) -> float:
-    """Spread the unspent budget over the remaining steps, then cap below
-    the sign entropy so the channel inversion stays feasible."""
+def step_budget(mi_total: float, mi_spent: float, t: int, horizon: int) -> float:
+    """Allocation of step t: the unspent budget spread evenly over the
+    steps left in the horizon."""
     if not 1 <= t <= horizon:
         raise ValueError(f"step {t} outside horizon 1..{horizon}")
-    beta = ledger.remaining() / (horizon - t + 1)
-    return min(beta, ENTROPY_CAP_FACTOR * binary_entropy(q_plus))
+    return max(0.0, mi_total - mi_spent) / (horizon - t + 1)
+
+
+def bit_allocation(
+    beta_step: float,
+    k: int,
+    q_plus: float,
+    remaining: float,
+    spent: float,
+    total: float,
+) -> float:
+    """Allocation of one released bit: the step allocation split over its k
+    directions, capped below the sign entropy so the channel inversion stays
+    feasible and by the budget still unspent in this step.  The bit is
+    stepped down past float rounding so that ``spent + beta`` never exceeds
+    ``total``."""
+    beta = max(
+        0.0, min(beta_step / k, ENTROPY_CAP_FACTOR * binary_entropy(q_plus), remaining)
+    )
+    if spent + beta > total:
+        beta = max(0.0, min(beta, total - spent))
+    while beta > 0.0 and spent + beta > total:
+        beta = math.nextafter(beta, 0.0)
+    return beta
+
+
+def release_branch(q_plus: float, beta_t: float, tau: float = TAU_DEFAULT) -> str:
+    """Which release a bit makes: the agreed sign on unanimity, a fair coin
+    when the allocation is too small to calibrate, else the noisy sign."""
+    if is_unanimous(q_plus, tau):
+        return BRANCH_UNANIMITY
+    if beta_t <= MIN_CALIBRATABLE_MI:
+        return BRANCH_COIN
+    return BRANCH_DISAGREEMENT
+
+
+def _fair_coin(rng: np.random.Generator) -> float:
+    return -1.0 if rng.integers(2) == 0 else 1.0
 
 
 def mi_step(
@@ -344,28 +383,23 @@ def mi_step(
     pre-quantization observation.
     """
     q_plus = agreement_probability(posterior, signs)
-    if is_unanimous(q_plus, tau):
+    branch = release_branch(q_plus, beta_t, tau)
+    sigma = y_tilde = None
+    if branch == BRANCH_UNANIMITY:
         y = float(agreed_sign(q_plus))
-        record = StepRecord(
-            t=0, slot=0, branch=BRANCH_UNANIMITY, q_plus=q_plus, sigma=None,
-            y=y, y_tilde=None, beta_t=beta_t, beta_used=0.0,
-        )
-        return y, posterior, record
-    if beta_t <= MIN_CALIBRATABLE_MI:
-        y = -1.0 if rng.integers(2) == 0 else 1.0
-        record = StepRecord(
-            t=0, slot=0, branch=BRANCH_COIN, q_plus=q_plus, sigma=None,
-            y=y, y_tilde=None, beta_t=beta_t, beta_used=0.0,
-        )
-        return y, posterior, record
-    sigma = invert_channel_mi(q_plus, beta_t)
-    y_tilde = float(signs[secret_index]) + sigma * float(rng.standard_normal())
-    y = 1.0 if y_tilde >= 0.0 else -1.0
+    elif branch == BRANCH_COIN:
+        y = _fair_coin(rng)
+    else:
+        sigma = invert_channel_mi(q_plus, beta_t)
+        y_tilde = float(signs[secret_index]) + sigma * float(rng.standard_normal())
+        y = 1.0 if y_tilde >= 0.0 else -1.0
+        posterior = posterior.updated_by_observation(y_tilde, signs, sigma)
     record = StepRecord(
-        t=0, slot=0, branch=BRANCH_DISAGREEMENT, q_plus=q_plus, sigma=sigma,
-        y=y, y_tilde=y_tilde, beta_t=beta_t, beta_used=beta_t,
+        t=0, slot=0, branch=branch, q_plus=q_plus, sigma=sigma, y=y,
+        y_tilde=y_tilde, beta_t=beta_t,
+        beta_used=beta_t if branch == BRANCH_DISAGREEMENT else 0.0,
     )
-    return y, posterior.updated_by_observation(y_tilde, signs, sigma), record
+    return y, posterior, record
 
 
 def zpl_step(
@@ -375,20 +409,10 @@ def zpl_step(
     rng: np.random.Generator,
     tau: float = TAU_DEFAULT,
 ) -> tuple[float, Posterior, StepRecord]:
-    """Zero-leakage release: agreed sign on unanimity, otherwise a fair
-    coin that never reads the secret, so the posterior never moves."""
-    q_plus = agreement_probability(posterior, signs)
-    if is_unanimous(q_plus, tau):
-        y = float(agreed_sign(q_plus))
-        branch = BRANCH_UNANIMITY
-    else:
-        y = -1.0 if rng.integers(2) == 0 else 1.0
-        branch = BRANCH_COIN
-    record = StepRecord(
-        t=0, slot=0, branch=branch, q_plus=q_plus, sigma=None,
-        y=y, y_tilde=None, beta_t=0.0, beta_used=0.0,
-    )
-    return y, posterior, record
+    """Zero-leakage release: the MI release at zero allocation, i.e. the
+    agreed sign on unanimity, otherwise a fair coin that never reads the
+    secret, so the posterior never moves."""
+    return mi_step(posterior, signs, secret_index, 0.0, rng, tau)
 
 
 def surrogate_release(
@@ -403,7 +427,7 @@ def surrogate_release(
     if mode not in SURROGATE_MODES:
         raise ValueError(f"unknown surrogate mode {mode!r}")
     if mode == "random_sign":
-        return -1.0 if rng.integers(2) == 0 else 1.0
+        return _fair_coin(rng)
     clipped = np.clip(np.asarray(scalars, dtype=float), -clip, clip)
     if mode in ("raw_full", "quant_full"):
         value = float(clipped.sum() / clipped.size)
@@ -424,31 +448,29 @@ def k_aggregate_step(
     rng: np.random.Generator,
     tau: float = TAU_DEFAULT,
     remaining: float = math.inf,
+    spent: float = 0.0,
+    total: float = math.inf,
 ) -> tuple[list[float], Posterior, list[StepRecord]]:
     """Release one bit per aggregated direction, splitting the step budget
     evenly and threading a single shared posterior through the sub-releases.
-    Total consumption never exceeds beta_step (or the remaining budget)."""
+    Total consumption never exceeds beta_step (or the remaining budget), and
+    ``spent`` plus the consumption never exceeds ``total``.  The ZPL inner
+    variant is the MI release with nothing to allocate."""
     if inner_variant not in INNER_VARIANTS:
         raise ValueError(f"unknown inner variant {inner_variant!r}")
     n_slots = len(signs_per_slot)
     if n_slots < 1:
         raise ValueError("need at least one direction")
+    if inner_variant == "paczero_zpl":
+        beta_step = remaining = 0.0
     ys: list[float] = []
     records: list[StepRecord] = []
     for slot, signs in enumerate(signs_per_slot):
-        if inner_variant == "paczero_zpl":
-            y, posterior, record = zpl_step(posterior, signs, secret_index, rng, tau)
-        else:
-            q_plus = agreement_probability(posterior, signs)
-            beta_bit = beta_step / n_slots
-            beta_bit = min(
-                beta_bit, ENTROPY_CAP_FACTOR * binary_entropy(q_plus), remaining
-            )
-            beta_bit = max(beta_bit, 0.0)
-            y, posterior, record = mi_step(
-                posterior, signs, secret_index, beta_bit, rng, tau
-            )
-            remaining = max(0.0, remaining - record.beta_used)
+        q_plus = agreement_probability(posterior, signs)
+        beta_bit = bit_allocation(beta_step, n_slots, q_plus, remaining, spent, total)
+        y, posterior, record = mi_step(posterior, signs, secret_index, beta_bit, rng, tau)
+        remaining = max(0.0, remaining - record.beta_used)
+        spent += record.beta_used
         record.slot = slot
         ys.append(y)
         records.append(record)
@@ -482,8 +504,7 @@ class ReleaseMechanism:
         self.rng = rng
         self.secret_index = secret_index
         self.posterior = Posterior.uniform(design.n_subsets)
-        total = spec.mi_total if spec.bit_rule() == "mi" else 0.0
-        self.ledger = BudgetLedger(mi_total=total)
+        self.ledger = BudgetLedger(mi_total=spec.effective_budget())
 
     def step(self, t: int, scalars_per_slot: list[np.ndarray]) -> tuple[list[float], list[StepRecord]]:
         if len(scalars_per_slot) != self.spec.k:
@@ -505,16 +526,13 @@ class ReleaseMechanism:
         signs_per_slot = [
             subset_signs(s, self.design, self.spec.clip) for s in scalars_per_slot
         ]
-        rule = self.spec.bit_rule()
-        if rule == "mi":
-            beta_step = self.ledger.remaining() / (self.horizon - t + 1)
-        else:
-            beta_step = 0.0
-        inner = "paczero_zpl" if rule == "zpl" else "paczero_mi"
+        # a ZPL ledger holds no budget, so the MI rule releases its coins
+        ledger = self.ledger
         ys, self.posterior, records = k_aggregate_step(
-            self.posterior, signs_per_slot, self.secret_index, beta_step,
-            inner, self.rng, self.spec.unanimity_tolerance,
-            remaining=self.ledger.remaining(),
+            self.posterior, signs_per_slot, self.secret_index,
+            step_budget(ledger.mi_total, ledger.mi_spent, t, self.horizon),
+            "paczero_mi", self.rng, self.spec.unanimity_tolerance,
+            remaining=ledger.remaining(), spent=ledger.mi_spent, total=ledger.mi_total,
         )
         for record in records:
             record.t = t

@@ -17,7 +17,6 @@ MECHANISM_STREAM = 102
 DESIGN_STREAM = 103
 SECRET_STREAM = 104
 TRIAL_STREAM = 105
-INIT_STREAM = 106
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -9,8 +9,8 @@ task seed alone; parameters are plain float64 vectors.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +33,6 @@ class LossTask:
         """Loss of every training record at theta, shape (n_records,)."""
         raise NotImplementedError
 
-    def per_sample_loss(self, theta: np.ndarray, i: int) -> float:
-        if not 0 <= i < self.n_records:
-            raise IndexError(f"record index {i} outside 0..{self.n_records - 1}")
-        return float(self.per_sample_losses(theta)[i])
-
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
         """Evaluation score in [0, 1] on a held-out split."""
         raise NotImplementedError
@@ -46,8 +41,19 @@ class LossTask:
         raise NotImplementedError
 
     def spec_dict(self) -> dict:
-        """Constructor arguments, sufficient to rebuild the task."""
-        raise NotImplementedError
+        """Constructor arguments, sufficient to rebuild the task; every task
+        keeps each argument under its own name."""
+        params = inspect.signature(type(self).__init__).parameters
+        return {name: getattr(self, name) for name in params if name != "self"}
+
+    def _split(self, split: str) -> tuple[np.ndarray, np.ndarray]:
+        """Inputs and labels of a dev/test/train split, for tasks that hold
+        labelled samples."""
+        return {
+            "dev": (self.x_dev, self.y_dev),
+            "test": (self.x_test, self.y_test),
+            "train": (self.x_train, self.y_train),
+        }[split]
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -126,28 +132,13 @@ class BlobsTask(LossTask):
         return np.logaddexp(0.0, -self._margins(theta, self.x_train, self.y_train))
 
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
-        xs, ys = {
-            "dev": (self.x_dev, self.y_dev),
-            "test": (self.x_test, self.y_test),
-            "train": (self.x_train, self.y_train),
-        }[split]
+        xs, ys = self._split(split)
         scores = xs @ np.asarray(theta, dtype=float)[:-1] + theta[-1]
         predicted = np.where(scores >= 0.0, 1.0, -1.0)
         return float(np.mean(predicted == ys))
 
     def init_params(self) -> np.ndarray:
         return np.zeros(self.dim)
-
-    def spec_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "input_dim": self.input_dim,
-            "seed": self.seed,
-            "separation": self.separation,
-            "margin": self.margin,
-            "axis_noise": self.axis_noise,
-            "perp_noise": self.perp_noise,
-        }
 
 
 class XorMlpTask(LossTask):
@@ -210,11 +201,7 @@ class XorMlpTask(LossTask):
         return np.logaddexp(0.0, -self.y_train * self._forward(theta, self.x_train))
 
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
-        xs, ys = {
-            "dev": (self.x_dev, self.y_dev),
-            "test": (self.x_test, self.y_test),
-            "train": (self.x_train, self.y_train),
-        }[split]
+        xs, ys = self._split(split)
         predicted = np.where(self._forward(theta, xs) >= 0.0, 1.0, -1.0)
         return float(np.mean(predicted == ys))
 
@@ -224,15 +211,6 @@ class XorMlpTask(LossTask):
         w1 = rng.standard_normal((d, h)) / math.sqrt(d)
         w2 = rng.standard_normal(h) / math.sqrt(h)
         return np.concatenate([w1.ravel(), np.zeros(h), w2, np.zeros(1)])
-
-    def spec_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "input_dim": self.input_dim,
-            "hidden": self.hidden,
-            "seed": self.seed,
-            "corner_noise": self.corner_noise,
-        }
 
 
 class QuadraticTask(LossTask):
@@ -281,15 +259,6 @@ class QuadraticTask(LossTask):
 
     def init_params(self) -> np.ndarray:
         return np.ones(self.dim)
-
-    def spec_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "dim": self.dim,
-            "seed": self.seed,
-            "target_spread": self.target_spread,
-            "identical_targets": self.identical_targets,
-        }
 
 
 _TASKS = {"blobs": BlobsTask, "xor_mlp": XorMlpTask, "quadratic": QuadraticTask}

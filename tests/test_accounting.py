@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -201,3 +203,48 @@ class TestValidateTranscript:
         report = validate_transcript(result.transcript)
         assert report.ok
         assert report.non_private
+
+    def test_nan_fields_rejected(self, mi_run):
+        # NaN compares false both ways, so a check written as "a - b > tol"
+        # would wave every poisoned field through
+        bad = copy.deepcopy(mi_run.transcript)
+        for rec in bad.records:
+            rec.cum_mi = math.nan
+            if rec.branch != "disagreement":
+                rec.beta_t = math.nan
+        report = validate_transcript(bad)
+        assert not report.ok
+        assert report.first_violation == "step 1 slot 0"
+
+    def test_trailer_must_match_records(self, mi_run):
+        bad = copy.deepcopy(mi_run.transcript)
+        bad.cum_mi = 0.0
+        bad.total_bits = 7
+        report = validate_transcript(bad)
+        assert not report.ok
+        assert report.first_violation == "summary"
+        bad = copy.deepcopy(mi_run.transcript)
+        bad.cum_mi = 0.0
+        report = validate_transcript(bad)
+        assert not report.ok and report.first_violation == "summary"
+
+    def test_failed_report_is_json_safe(self, mi_run):
+        bad = copy.deepcopy(mi_run.transcript)
+        bad.records = bad.records[:-1]
+        report = validate_transcript(bad)
+        assert not report.ok
+        json.dumps(dataclasses.asdict(report), allow_nan=False)
+
+    def test_k_aggregate_rounding_stays_within_budget(self):
+        # float rounding in the per-bit split carries this run's running
+        # total one ulp past the budget unless the bit is stepped down
+        task = make_task("xor_mlp", n_records=32)
+        cfg = TrainConfig(steps=40, learning_rate=0.05, seed=3)
+        spec = MechanismSpec(
+            variant="k_aggregate", inner_variant="paczero_mi", k=2,
+            mi_total=0.33, n_subsets=8, clip=1.0,
+        )
+        result = train(task, cfg, spec)
+        assert result.transcript.cum_mi <= 0.33
+        report = validate_transcript(result.transcript)
+        assert report.ok, report.message

@@ -7,15 +7,17 @@ from paczero import rng as rngmod
 from paczero.engine import (
     TrainConfig,
     TwoPointNumericsError,
+    _two_point_all,
     apply_update,
-    clip_scalar,
     train,
-    two_point_scalar,
 )
 from paczero.mechanism import (
     BRANCH_UNANIMITY,
     MechanismSpec,
+    SubsetDesign,
     build_balanced_design,
+    subset_signs,
+    surrogate_release,
 )
 from paczero.tasks import BlobsTask, QuadraticTask, XorMlpTask, make_task
 import helpers
@@ -55,21 +57,37 @@ class TestTrainConfig:
 
 
 class TestClipScalar:
+    """The per-sample clip the releases apply before averaging."""
+
     def test_hand_cases(self):
-        assert clip_scalar(5.0, 3.0) == 3.0
-        assert clip_scalar(-5.0, 3.0) == -3.0
-        assert clip_scalar(0.1, math.inf) == 0.1
-        assert clip_scalar(-0.0, 1.0) == 0.0
+        # raw_half over the secret subset {record 0} releases its clipped value
+        design = SubsetDesign(membership=np.array([[True, False], [False, True]]), seed=0)
+        rng = np.random.default_rng(0)
+        for value, c, expected in ((5.0, 3.0, 3.0), (-5.0, 3.0, -3.0),
+                                   (0.1, math.inf, 0.1), (-0.0, 1.0, 0.0)):
+            got = surrogate_release("raw_half", np.array([value, 9.0]), design, 0, c, rng)
+            assert got == expected
 
     def test_elementwise(self):
-        out = clip_scalar(np.array([4.0, -0.5, -7.0]), 2.0)
-        assert out.tolist() == [2.0, -0.5, -2.0]
+        # records {0, 2} form subset 0, records {1, 3} subset 1
+        design = SubsetDesign(
+            membership=np.array([[True, False], [False, True], [True, False], [False, True]]),
+            seed=0,
+        )
+        scalars = np.array([4.0, -0.5, -7.0, 0.0])
+        rng = np.random.default_rng(0)
+        # clip 2 maps the scalars to [2, -0.5, -2, 0] before the full mean
+        assert surrogate_release("raw_full", scalars, design, 0, 2.0, rng) == -0.5 / 4
+        # subset 0 averages 2 and -2 to 0 (sign +1) only once clipped
+        assert subset_signs(scalars, design, 2.0).tolist() == [1, -1]
+        assert subset_signs(scalars, design, math.inf).tolist() == [-1, -1]
 
     def test_nonpositive_bound_rejected(self):
+        design = build_balanced_design(4, 2, seed=0)
         with pytest.raises(ValueError):
-            clip_scalar(1.0, 0.0)
+            subset_signs(np.ones(4), design, 0.0)
         with pytest.raises(ValueError):
-            clip_scalar(1.0, -2.0)
+            subset_signs(np.ones(4), design, -2.0)
 
 
 class TestTwoPoint:
@@ -79,37 +97,37 @@ class TestTwoPoint:
         rng = np.random.default_rng(1)
         theta = rng.standard_normal(6)
         z = rng.standard_normal(6)
-        for i in range(4):
-            got = two_point_scalar(task, theta, i, z, 1e-3)
-            assert got == pytest.approx(float(theta @ z), abs=1e-9)
+        got = _two_point_all(task, theta, z, 1e-3)
+        assert got == pytest.approx(np.full(4, float(theta @ z)), abs=1e-9)
 
     def test_exact_on_quadratic_random_targets(self):
         task = QuadraticTask(n_records=5, dim=4, seed=7, target_spread=2.0)
         rng = np.random.default_rng(2)
         theta = rng.standard_normal(4)
         z = rng.standard_normal(4)
-        for i in range(5):
-            expected = float((theta - task.targets[i]) @ z)
-            assert two_point_scalar(task, theta, i, z, 1e-4) == pytest.approx(
-                expected, abs=1e-8
-            )
+        expected = (theta - task.targets) @ z
+        assert _two_point_all(task, theta, z, 1e-4) == pytest.approx(expected, abs=1e-8)
 
     def test_zero_theta_zero_direction(self):
         task = QuadraticTask(n_records=2, dim=3, target_spread=0.0)
-        assert two_point_scalar(task, np.zeros(3), 0, np.zeros(3), 1e-3) == 0.0
+        assert _two_point_all(task, np.zeros(3), np.zeros(3), 1e-3).tolist() == [0.0, 0.0]
 
     def test_nonpositive_smoothing_rejected(self):
         task = QuadraticTask(n_records=2, dim=3)
         with pytest.raises(ValueError):
-            two_point_scalar(task, np.zeros(3), 0, np.ones(3), 0.0)
+            _two_point_all(task, np.zeros(3), np.ones(3), 0.0)
         with pytest.raises(ValueError):
-            two_point_scalar(task, np.zeros(3), 0, np.ones(3), -1e-3)
+            _two_point_all(task, np.zeros(3), np.ones(3), -1e-3)
 
     def test_overflow_reports_context(self):
+        # only record 1's target is far enough out for its loss to overflow
         task = QuadraticTask(n_records=3, dim=2, target_spread=0.0)
-        theta = np.full(2, 1e200)
-        with np.errstate(over="ignore"), pytest.raises(TwoPointNumericsError) as exc_info:
-            two_point_scalar(task, theta, 1, np.ones(2), 1e-3)
+        task.targets[1] = -1e160
+        theta = np.full(2, 1e150)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            TwoPointNumericsError
+        ) as exc_info:
+            _two_point_all(task, theta, np.ones(2), 1e-3)
         err = exc_info.value
         assert err.record_index == 1
         assert err.theta_norm == pytest.approx(float(np.linalg.norm(theta)))
@@ -121,10 +139,10 @@ class TestTwoPoint:
         for _ in range(100):
             theta = rng.standard_normal(task.dim) * 0.5
             z = rng.standard_normal(task.dim)
-            i = int(rng.integers(task.n_records))
-            approx = two_point_scalar(task, theta, i, z, 1e-3)
-            exact = helpers.analytic_blobs_directional(task, theta, i, z)
-            worst = max(worst, abs(approx - exact))
+            approx = _two_point_all(task, theta, z, 1e-3)
+            for i in range(task.n_records):
+                exact = helpers.analytic_blobs_directional(task, theta, i, z)
+                worst = max(worst, abs(approx[i] - exact))
         assert worst <= 1e-4
 
 
@@ -182,7 +200,7 @@ class TestTrainLoop:
 
         z = rngmod.direction(60, 1, 0, task.dim)
         scalar = float((task.init_params() - task.targets[0]) @ z)
-        s = 1.0 if clip_scalar(scalar, 1.0) >= 0.0 else -1.0
+        s = 1.0 if scalar >= 0.0 else -1.0
         assert rec.y == s
         expected = task.init_params() - 0.1 * s * z
         assert result.final_params == pytest.approx(expected, abs=1e-12)
@@ -353,13 +371,6 @@ class TestTasks:
         task = XorMlpTask(n_records=32, seed=1)
         assert task.dim > 3  # needs a hidden layer
         assert 0.0 <= task.eval_metric(task.init_params(), "dev") <= 1.0
-
-    def test_per_sample_loss_bounds_check(self):
-        task = QuadraticTask(n_records=4, dim=2)
-        with pytest.raises(IndexError):
-            task.per_sample_loss(np.zeros(2), 4)
-        with pytest.raises(IndexError):
-            task.per_sample_loss(np.zeros(2), -1)
 
     def test_theta_shape_check(self):
         task = QuadraticTask(n_records=4, dim=2)

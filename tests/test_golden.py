@@ -79,8 +79,8 @@ PINS = {
     "xor_mlp-zpl_stray_budget-M128-s1": "a9cae6ead5a94cad2ac7360dbb95f3521c579ed76e78351d3e9f71e4107a9c95",
     "xor_mlp-k2_mi-M8-s0": "3446e52c486e53e7f7223010bf9c41716f0899f3ed4b12293027634c16f54277",
     "xor_mlp-k2_mi-M8-s1": "16b0b5610f346c875715333bb8a20d6f44aaf57d0e18a6be39955c5d19ef3043",
-    "xor_mlp-k2_mi-M128-s0": "0194a8e7bf9786f086f59441916356ead03d0d64c7fe39096b003a6415d1a27c",
-    "xor_mlp-k2_mi-M128-s1": "e572163819e51c19d1be5e11afbab946e7f24935d2d4059734bb397308bbaf0b",
+    "xor_mlp-k2_mi-M128-s0": "5a38c6cc7d2140ef25a100c853c351a5490aa91a55d0eab7e3e7253f682a4fc6",
+    "xor_mlp-k2_mi-M128-s1": "80e880449d8855ff83bc8bb4af45efa2c7f067455a93bfaa33eda2d35c343229",
     "xor_mlp-k2_zpl-M8-s0": "f2f620c767e7b91cc434adfa151f5d323d49f4ad0cd919738916b0c902921352",
     "xor_mlp-k2_zpl-M8-s1": "0388a65be7c2090745f0eeb057ab7ef7f69a47760ac1c2e6e533acfdb6f1e6d2",
     "xor_mlp-k2_zpl-M128-s0": "b6fedd153f8918dd382711297169f8aa67724f543c770a47930d91e83fdc2e33",
@@ -140,3 +140,9 @@ def digest(transcript) -> str:
 def test_transcript_digest(case):
     transcript = run_case(case)
     assert digest(transcript) == PINS[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_transcript_validates(case):
+    report = validate_transcript(run_case(case))
+    assert report.ok, report.message

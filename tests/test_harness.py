@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paczero import cli
+from paczero import cli, harness
+from paczero.accounting import validate_transcript
 from paczero.harness import (
     BOUNDS_DISCLAIMER,
     ConfigError,
@@ -214,6 +216,21 @@ class TestTranscriptIO:
         with pytest.raises(SchemaError, match="version"):
             load_transcript(self.write_tampered(out, tmp_path, bump_version))
 
+    def test_non_finite_number_rejected(self, small_summary, tmp_path):
+        _, out, _ = small_summary
+        for token in ("NaN", "Infinity", "-Infinity"):
+
+            def poison(lines):
+                obj = json.loads(lines[1])
+                lines[1] = json.dumps(obj).replace(
+                    f'"beta_t": {json.dumps(obj["beta_t"])}', f'"beta_t": {token}'
+                )
+                assert token in lines[1]
+                return lines
+
+            with pytest.raises(SchemaError, match="non-finite"):
+                load_transcript(self.write_tampered(out, tmp_path, poison))
+
     def test_empty_file_rejected(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -322,6 +339,20 @@ class TestSweeps:
         assert [row[0] for row in result.rows] == [1, 2]
         for row in result.rows:
             assert float(row[4]) <= 0.25 * (1 + 1e-6)
+
+    def test_sweeps_record_no_violation_on_honest_runs(self):
+        config = ExperimentConfig.from_dict(base_raw(seeds=[0]))
+        assert sweep_k(config, ks=(1, 2)).violation is None
+        assert sweep_mi_plateau(config, budgets=(0.01,)).violation is None
+
+    def test_decomposition_reports_max_cum_mi(self):
+        config = ExperimentConfig.from_dict(base_raw(seeds=[0]))
+        result = sweep_decomposition(config)
+        assert result.columns == ("release", "dev", "test", "f", "max_cum_mi")
+        spent = {row[0]: float(row[4]) for row in result.rows}
+        assert spent["paczero_zpl"] == 0.0 and spent["raw_full"] == 0.0
+        assert 0.0 < spent["paczero_mi"] <= 0.25
+        assert result.violation is None
 
     def test_k_ladder_rejects_surrogate(self):
         raw = base_raw(
@@ -440,3 +471,40 @@ class TestCli:
         assert code == 0
         assert "test-metric spread" in out
         assert (tmp_path / "runs" / "unit" / "sweep_mi.csv").exists()
+
+    def test_run_command_reports_failed_validation(self, tmp_path, capsys, monkeypatch):
+        # a failing report re-derives no totals; writing validation.json
+        # must still succeed so the command can name the invariant
+        def validate_tampered(transcript):
+            transcript = copy.deepcopy(transcript)
+            transcript.records[0].y = 0.5
+            return validate_transcript(transcript)
+
+        monkeypatch.setattr(harness, "validate_transcript", validate_tampered)
+        path = write_config(tmp_path, base_raw(seeds=[0]))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert "FAILED invariant: step 1 slot 0" in capsys.readouterr().err
+        report = json.loads(
+            (tmp_path / "runs" / "unit" / "seed_0" / "validation.json").read_text()
+        )
+        assert report["ok"] is False
+        assert report["cum_mi"] is None
+
+    @pytest.mark.parametrize(
+        "command", [["sweep-mi", "--budgets", "0.1"], ["sweep-k", "--ks", "1"], ["sweep-decomp"]]
+    )
+    def test_sweep_commands_fail_on_violation(self, tmp_path, capsys, monkeypatch, command):
+        def validate_tampered(transcript):
+            transcript = copy.deepcopy(transcript)
+            transcript.total_bits += 1
+            return validate_transcript(transcript)
+
+        monkeypatch.setattr(harness, "validate_transcript", validate_tampered)
+        raw = base_raw(seeds=[0])
+        raw["train"]["steps"] = 4
+        path = write_config(tmp_path, raw)
+        code = cli.main([command[0], "--config", str(path), "--out", str(tmp_path / "runs")]
+                        + command[1:])
+        assert code == 1
+        assert "FAILED invariant: summary" in capsys.readouterr().err

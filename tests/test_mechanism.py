@@ -18,13 +18,15 @@ from paczero.mechanism import (
     ReleaseMechanism,
     StepRecord,
     SubsetDesign,
-    adaptive_budget,
     agreed_sign,
     agreement_probability,
+    bit_allocation,
     build_balanced_design,
     is_unanimous,
     k_aggregate_step,
     mi_step,
+    release_branch,
+    step_budget,
     subset_signs,
     surrogate_release,
     zpl_step,
@@ -189,30 +191,58 @@ class TestBranching:
         assert agreed_sign(0.01) == -1
 
 
+def allocate(ledger: BudgetLedger, t: int, horizon: int, q_plus: float, k: int = 1) -> float:
+    """First bit of step t under the rule the mechanism and validator share."""
+    beta_step = step_budget(ledger.mi_total, ledger.mi_spent, t, horizon)
+    return bit_allocation(
+        beta_step, k, q_plus, ledger.remaining(), ledger.mi_spent, ledger.mi_total
+    )
+
+
 class TestAdaptiveBudget:
     def test_first_step_allocation(self):
         ledger = BudgetLedger(mi_total=0.68)
-        beta = adaptive_budget(ledger, 1, 1000, 0.5)
+        beta = allocate(ledger, 1, 1000, 0.5)
         assert beta == pytest.approx(0.00068, abs=1e-15)
 
     def test_exhausted_budget_allocates_zero(self):
         ledger = BudgetLedger(mi_total=0.1, mi_spent=0.1)
-        assert adaptive_budget(ledger, 5, 10, 0.5) == 0.0
+        assert allocate(ledger, 5, 10, 0.5) == 0.0
 
     def test_late_run_allocation(self):
         ledger = BudgetLedger(mi_total=0.33, mi_spent=0.30)
-        beta = adaptive_budget(ledger, 991, 1000, 0.9)
+        beta = allocate(ledger, 991, 1000, 0.9)
         # (0.33-0.30)/10, below the cap 0.999*h(0.9) = 0.3247578904...
         assert beta == pytest.approx(0.003, abs=1e-12)
 
     def test_entropy_cap_binds(self):
         ledger = BudgetLedger(mi_total=10.0)
-        beta = adaptive_budget(ledger, 1, 1, 0.9)
+        beta = allocate(ledger, 1, 1, 0.9)
         assert beta == pytest.approx(0.999 * 0.3250829733914482, abs=1e-12)
 
     def test_step_outside_horizon_rejected(self):
         with pytest.raises(ValueError):
-            adaptive_budget(BudgetLedger(mi_total=1.0), 11, 10, 0.5)
+            allocate(BudgetLedger(mi_total=1.0), 11, 10, 0.5)
+
+    def test_k_way_split(self):
+        ledger = BudgetLedger(mi_total=0.4)
+        assert allocate(ledger, 1, 100, 0.5, k=4) == 0.001
+
+    def test_rounding_never_overspends(self):
+        # 0.33 - 0.03 rounds up to 0.30000000000000004, and adding it back
+        # to 0.03 lands one ulp above the budget; the bit steps down instead
+        ledger = BudgetLedger(mi_total=0.33, mi_spent=0.03)
+        assert ledger.remaining() == 0.30000000000000004
+        assert 0.03 + ledger.remaining() > 0.33
+        beta = allocate(ledger, 10, 10, 0.5)
+        assert 0.03 + beta <= 0.33
+        assert beta == pytest.approx(0.3, abs=1e-15)
+
+    def test_release_branch(self):
+        assert release_branch(1.0, 0.1) == BRANCH_UNANIMITY
+        assert release_branch(0.5, 0.0) == BRANCH_COIN
+        assert release_branch(0.5, 1e-15) == BRANCH_COIN
+        assert release_branch(0.5, 1e-3) == BRANCH_DISAGREEMENT
 
 
 class TestMiStep:
@@ -503,6 +533,16 @@ class TestMechanismSpec:
             variant="paczero_mi", mi_total=0.1, n_subsets=8
         ).resolved_subsets() == 8
 
+    def test_effective_budget(self):
+        assert MechanismSpec(variant="paczero_mi", mi_total=0.1).effective_budget() == 0.1
+        assert MechanismSpec(variant="paczero_zpl", mi_total=0.1).effective_budget() == 0.0
+        assert MechanismSpec(
+            variant="k_aggregate", mi_total=0.1, k=2, inner_variant="paczero_zpl"
+        ).effective_budget() == 0.0
+        assert MechanismSpec(
+            variant="surrogate", surrogate_mode="raw_full", mi_total=0.1
+        ).effective_budget() == 0.0
+
     def test_bit_rule(self):
         assert MechanismSpec(variant="paczero_mi", mi_total=0.1).bit_rule() == "mi"
         assert MechanismSpec(variant="paczero_zpl").bit_rule() == "zpl"
@@ -540,7 +580,8 @@ class TestBudgetLedger:
                     y=1.0, y_tilde=None, beta_t=used, beta_used=used,
                 )
             )
-        assert ledger.free_fraction() == pytest.approx(2 / 3)
+        # the counts the transcript's free fraction is taken from
+        assert (ledger.unanimity_bits, ledger.total_bits) == (2, 3)
         assert ledger.remaining() == pytest.approx(0.9)
 
 
