@@ -19,7 +19,6 @@ from .mechanism import (
     BRANCH_DISAGREEMENT,
     BRANCH_SURROGATE,
     BRANCH_UNANIMITY,
-    MechanismSpec,
     agreed_sign,
     bit_allocation,
     release_branch,
@@ -131,9 +130,7 @@ class ValidationReport:
         return f"[{status}] {self.message}"
 
 
-def validate_transcript(
-    transcript: Transcript, spec: MechanismSpec | None = None
-) -> ValidationReport:
+def validate_transcript(transcript: Transcript) -> ValidationReport:
     """Audit a finished run from its public transcript.
 
     Re-derives every per-bit allocation (remaining budget spread over the
@@ -146,10 +143,10 @@ def validate_transcript(
     carrying no accounting.  Every comparison fails closed, so a non-finite
     field is a violation.  Unanimity steps taken under the tolerance rather
     than exact agreement contribute a residual entropy term that is reported
-    separately and never added to the cumulative total.
+    separately and never added to the cumulative total.  A record layout
+    that ``Transcript.steps`` rejects is a "structure" violation.
     """
-    if spec is None:
-        spec = mechanism_from_dict(transcript.header.mechanism)
+    spec = mechanism_from_dict(transcript.header.mechanism)
     horizon, k = transcript.header.t_total, spec.k
     tau = spec.unanimity_tolerance
     mi_total = spec.effective_budget()
@@ -166,24 +163,19 @@ def validate_transcript(
             residual_tolerance_mi=None,
         )
 
-    if n_records != horizon * k:
-        return fail(
-            "structure", f"expected {horizon * k} release records, found {n_records}"
-        )
+    try:
+        steps = transcript.steps()
+    except ValueError as exc:
+        return fail("structure", str(exc))
 
     spent = 0.0
     unanimity_bits = 0
     residual = 0.0
-    idx = 0
-    for t in range(1, horizon + 1):
+    for t, records in enumerate(steps, start=1):
         beta_step = step_budget(mi_total, spent, t, horizon)
         remaining = max(0.0, mi_total - spent)
-        for slot in range(k):
-            rec = transcript.records[idx]
-            idx += 1
-            where = f"step {t} slot {slot}"
-            if rec.t != t or rec.slot != slot:
-                return fail(where, f"out-of-order record (t={rec.t}, slot={rec.slot})")
+        for rec in records:
+            where = f"step {t} slot {rec.slot}"
             if non_private:
                 if rec.branch != BRANCH_SURROGATE or rec.beta_used != 0.0:
                     return fail(where, "surrogate record carries accounting")

@@ -23,7 +23,7 @@ from .engine import (
     Transcript,
     _two_point_all,
     mechanism_from_dict,
-    step_update,
+    public_trajectory,
     train,
 )
 from .mechanism import (
@@ -50,10 +50,10 @@ def replay_posterior(
     """Reconstruct the observer's posterior over the secret index from
     public information only.
 
-    Replays the parameter trajectory implied by the released values and the
-    seeded directions, recomputes every candidate sign vector, and applies
-    exactly the Bayes updates the noisy releases induce.  Matches the
-    mechanism's internal posterior bit for bit on an honest transcript.
+    Folds the Bayes updates the noisy releases induce over the public
+    trajectory, recomputing the candidate sign vectors only on disagreement
+    steps.  Matches the mechanism's internal posterior bit for bit on an
+    honest transcript; raises ValueError on a malformed record layout.
     """
     header = transcript.header
     spec = mechanism_from_dict(header.mechanism)
@@ -63,31 +63,17 @@ def replay_posterior(
         raise ValueError("design does not match the transcript's design hash")
     if task is None:
         task = make_task(header.task_name, **header.task_params)
-    config = TrainConfig(**header.train)
 
-    theta = task.init_params()
+    smoothing = TrainConfig(**header.train).smoothing
     posterior = Posterior.uniform(design.n_subsets)
-    records = transcript.records
-    idx = 0
-    for t in range(1, header.t_total + 1):
-        ys, directions = [], []
-        for slot in range(spec.k):
-            rec = records[idx]
-            idx += 1
-            if rec.t != t or rec.slot != slot:
-                raise ValueError(
-                    f"transcript records out of order at step {t} slot {slot}"
-                )
-            z = rngmod.direction(header.run_seed, t, slot, task.dim)
+    for theta, records, directions in public_trajectory(transcript, task):
+        for rec, z in zip(records, directions):
             if rec.branch == BRANCH_DISAGREEMENT:
-                scalars = _two_point_all(task, theta, z, config.smoothing)
+                scalars = _two_point_all(task, theta, z, smoothing)
                 signs = subset_signs(scalars, design, spec.clip)
                 posterior = posterior.updated_by_observation(
                     rec.y_tilde, signs, rec.sigma
                 )
-            ys.append(rec.y)
-            directions.append(z)
-        theta = step_update(theta, config, t, ys, directions)
     return posterior.probabilities()
 
 

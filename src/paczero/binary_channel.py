@@ -157,7 +157,8 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
     MI is strictly decreasing in sigma, so the root is found by bisection
     in log(sigma) on a bracket expanded by decades until it straddles beta.
     Stops when the MI mismatch is below 1e-10 nats or the log-sigma bracket
-    is narrower than 1e-12.
+    is narrower than 1e-12, and raises ChannelError if neither happens
+    within 200 bisection steps.
     """
     if not 0.0 <= q_plus <= 1.0:
         raise ChannelError(f"q_plus out of range: {q_plus!r}")
@@ -190,7 +191,6 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
             )
 
     log_lo, log_hi = math.log(lo), math.log(hi)
-    sigma = math.exp(0.5 * (log_lo + log_hi))
     for _ in range(200):
         sigma = math.exp(0.5 * (log_lo + log_hi))
         mi = channel_mi(q_plus, sigma)
@@ -202,4 +202,6 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
             log_hi = math.log(sigma)
         if log_hi - log_lo < LOG_SIGMA_WIDTH_TOL:
             return math.exp(0.5 * (log_lo + log_hi))
-    return sigma
+    raise ChannelError(
+        f"bisection for {beta} nats at q_plus={q_plus} did not converge in 200 steps"
+    )

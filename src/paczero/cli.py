@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import harness
@@ -29,11 +28,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         metavar="KEY.PATH=VALUE", help="override a nested config value",
     )
     parser.add_argument("--out", default=None, help="artifact root directory")
-    parser.add_argument(
-        "--pac-load-best-dev", dest="load_best_dev",
-        action=argparse.BooleanOptionalAction, default=None,
-        help="return the best-dev checkpoint instead of the final iterate",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="train per seed, persist artifacts, validate")
     _add_config_args(p)
-    p.add_argument("--no-validate", action="store_true",
-                   help="skip transcript re-derivation")
 
     p = sub.add_parser("sweep-mi", help="same recipe across total budgets")
     _add_config_args(p)
@@ -82,15 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig.from_yaml(args.config, args.overrides)
-    if getattr(args, "load_best_dev", None) is not None:
-        config = replace(
-            config, train=replace(config.train, load_best_dev=args.load_best_dev)
-        )
-    return config
-
-
 def _out_dir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     root = harness.output_root(args.out or config.output_dir)
     return root / config.label
@@ -105,18 +88,16 @@ def _verdict(violation: str | None) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = ExperimentConfig.from_yaml(args.config, args.overrides)
     out = _out_dir(args, config)
-    summary = harness.run_experiment(
-        config, out_dir=out, validate=not args.no_validate
-    )
+    summary = harness.run_experiment(config, out_dir=out)
     print(summary.csv_text(), end="")
     print(f"artifacts: {out}")
     return _verdict(summary.first_violation())
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = ExperimentConfig.from_yaml(args.config, args.overrides)
     out = _out_dir(args, config)
     if args.command == "sweep-mi":
         result = harness.sweep_mi_plateau(config, budgets=tuple(args.budgets), out_dir=out)
@@ -135,7 +116,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = ExperimentConfig.from_yaml(args.config, args.overrides)
     result = empirical_mia_experiment(
         config.make_task(), config.mechanism, config.train,
         trials=args.trials, seed=args.attack_seed,

@@ -32,8 +32,8 @@ __all__ = [
     "TrainResult",
     "TwoPointNumericsError",
     "mechanism_from_dict",
-    "apply_update",
     "step_update",
+    "public_trajectory",
     "train",
 ]
 
@@ -97,22 +97,39 @@ def _two_point_all(task: LossTask, theta, z, mu: float) -> np.ndarray:
     return values
 
 
-def apply_update(
-    theta: np.ndarray, eta: float, weight_decay: float, y: float, z: np.ndarray
-) -> np.ndarray:
-    """theta' = (1 - eta*weight_decay) * theta - eta * y * z; pure."""
-    return (1.0 - eta * weight_decay) * np.asarray(theta, dtype=float) - eta * y * z
-
-
 def step_update(
     theta: np.ndarray, config: TrainConfig, t: int, ys: list[float], directions: list
 ) -> np.ndarray:
-    """Step t of the trajectory: move along the mean of the released values
-    times their directions.  Training and replay share it."""
+    """Step t of the trajectory, pure: decay theta and move it against the
+    mean of the released values times their directions."""
     moved = directions[0] * ys[0]
     for y, z in zip(ys[1:], directions[1:]):
         moved = moved + y * z
-    return apply_update(theta, config.eta(t), config.weight_decay, 1.0, moved / len(ys))
+    eta = config.eta(t)
+    return (1.0 - eta * config.weight_decay) * np.asarray(theta, dtype=float) - eta * (
+        moved / len(ys)
+    )
+
+
+def public_trajectory(transcript: Transcript, task: LossTask):
+    """Rebuild the parameter trajectory from the transcript alone.
+
+    Yields t_total + 1 triples (theta, records, directions): the i-th holds
+    theta after i steps, with the records and seeded directions of the step
+    it probes next; the last holds the final theta and two empty lists.
+    Matches training bit for bit on an honest transcript.
+    """
+    header = transcript.header
+    config = TrainConfig(**header.train)
+    theta = task.init_params()
+    for t, records in enumerate(transcript.steps(), start=1):
+        directions = [
+            rngmod.direction(header.run_seed, t, slot, task.dim)
+            for slot in range(header.k)
+        ]
+        yield theta, records, directions
+        theta = step_update(theta, config, t, [rec.y for rec in records], directions)
+    yield theta, [], []
 
 
 @dataclass(frozen=True)
@@ -149,6 +166,27 @@ class Transcript:
     def free_fraction(self) -> float:
         return self.unanimity_bits / self.total_bits if self.total_bits else 0.0
 
+    def steps(self) -> list[list[StepRecord]]:
+        """The records grouped by step in slot order.  Raises ValueError
+        unless the header's k is the mechanism's and the records are exactly
+        t_total x k in (t, slot) order."""
+        header, records, k = self.header, self.records, self.header.k
+        if k != header.mechanism.get("k"):
+            raise ValueError(f"header k={k!r} disagrees with the mechanism's")
+        if len(records) != header.t_total * k:
+            raise ValueError(
+                f"expected {header.t_total * k} release records, found {len(records)}"
+            )
+        groups = [records[i:i + k] for i in range(0, len(records), k)]
+        for t, group in enumerate(groups, start=1):
+            for slot, rec in enumerate(group):
+                if rec.t != t or rec.slot != slot:
+                    raise ValueError(
+                        f"out-of-order record at step {t} slot {slot} "
+                        f"(t={rec.t}, slot={rec.slot})"
+                    )
+        return groups
+
 
 @dataclass
 class TrainResult:
@@ -160,7 +198,6 @@ class TrainResult:
     dev_best_metric: float
     final_params: np.ndarray
     final_posterior: np.ndarray | None = None
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def _mechanism_dict(spec: MechanismSpec) -> dict:
@@ -184,7 +221,6 @@ def train(
     mech_spec: MechanismSpec,
     design: SubsetDesign | None = None,
     secret_index: int | None = None,
-    snapshot_steps: tuple[int, ...] = (),
 ) -> TrainResult:
     """Run the full release-and-update loop.
 
@@ -214,7 +250,6 @@ def train(
     records: list[StepRecord] = []
     dev_evals: list[tuple[int, float]] = []
     best_metric, best_step, best_theta = -math.inf, 0, theta.copy()
-    snapshots: dict[int, np.ndarray] = {}
 
     for t in range(1, config.steps + 1):
         directions = [
@@ -232,8 +267,6 @@ def train(
             dev_evals.append((t, metric))
             if metric > best_metric:
                 best_metric, best_step, best_theta = metric, t, theta.copy()
-        if t in snapshot_steps:
-            snapshots[t] = theta.copy()
 
     header = TranscriptHeader(
         variant=mech_spec.variant,
@@ -271,5 +304,4 @@ def train(
         dev_best_metric=best_metric,
         final_params=theta,
         final_posterior=internal,
-        snapshots=snapshots,
     )

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -36,6 +37,7 @@ from .engine import (
     TranscriptHeader,
     TrainResult,
     mechanism_from_dict,
+    public_trajectory,
     train,
 )
 from .mechanism import MechanismSpec, StepRecord, SubsetDesign, build_balanced_design
@@ -217,12 +219,16 @@ def write_transcript(path: str | Path, transcript: Transcript) -> None:
     Path(path).write_text("\n".join(transcript_lines(transcript)) + "\n")
 
 
-def _reject_non_finite(token: str):
-    raise SchemaError(f"non-finite number {token} in transcript")
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise SchemaError(f"non-finite number {token} in transcript")
+    return value
 
 
 def _parse_line(line: str) -> dict:
-    return json.loads(line, parse_constant=_reject_non_finite)
+    # NaN/Infinity arrive as constants, overflowing literals (1e999) as floats
+    return json.loads(line, parse_constant=_finite_float, parse_float=_finite_float)
 
 
 def _require_keys(obj: dict, expected: set[str], where: str) -> None:
@@ -308,7 +314,7 @@ class RunRow:
     free_fraction: float
     cum_mi: float
     wallclock: float
-    validation: ValidationReport | None = None
+    validation: ValidationReport
 
     def csv_values(self) -> list:
         return [
@@ -344,16 +350,13 @@ class ExperimentSummary:
 
     def first_violation(self) -> str | None:
         for row in self.rows:
-            if row.validation is not None and not row.validation.ok:
+            if not row.validation.ok:
                 return row.validation.message
         return None
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    out_dir: Path | None = None,
-    validate: bool = True,
-    snapshot_steps: tuple[int, ...] = (),
+    config: ExperimentConfig, out_dir: Path | None = None
 ) -> ExperimentSummary:
     """Train once per seed, evaluate, validate, and optionally persist."""
     task = config.make_task()
@@ -362,10 +365,10 @@ def run_experiment(
     for seed in config.seeds:
         cfg = replace(config.train, seed=seed)
         start = time.perf_counter()
-        result = train(task, cfg, config.mechanism, snapshot_steps=snapshot_steps)
+        result = train(task, cfg, config.mechanism)
         wallclock = time.perf_counter() - start
         transcript = result.transcript
-        report = validate_transcript(transcript) if validate else None
+        report = validate_transcript(transcript)
         row = RunRow(
             variant=config.mechanism.variant,
             budget=config.mechanism.effective_budget(),
@@ -393,11 +396,10 @@ def run_experiment(
                     "free_fraction": row.free_fraction,
                     "cum_mi": row.cum_mi,
                     "dev_best_step": result.dev_best_step,
-                    "validation_ok": None if report is None else report.ok,
+                    "validation_ok": report.ok,
                 },
             )
-            if report is not None:
-                _write_json(seed_dir / "validation.json", dataclasses.asdict(report))
+            _write_json(seed_dir / "validation.json", dataclasses.asdict(report))
     summary = ExperimentSummary(config=config, rows=rows, results=results)
     if out_dir is not None:
         (Path(out_dir) / "summary.csv").write_text(summary.csv_text())
@@ -482,21 +484,19 @@ def sweep_t_ladder(
     out_dir: Path | None = None,
 ) -> SweepResult:
     """One trajectory per seed out to max(rungs); dev/test evaluated at the
-    parameters held at each rung (no checkpoint selection)."""
+    parameters held at each rung (no checkpoint selection), as rebuilt from
+    the run's transcript."""
     rungs = tuple(sorted(rungs))
     per_rung: dict[int, list[tuple[float, float]]] = {r: [] for r in rungs}
-    long_config = replace(
-        config,
-        train=replace(config.train, steps=rungs[-1], load_best_dev=False),
-    )
-    summary = run_experiment(long_config, out_dir=None, snapshot_steps=rungs)
+    long_config = replace(config, train=replace(config.train, steps=rungs[-1]))
+    summary = run_experiment(long_config, out_dir=None)
     task = long_config.make_task()
     for result in summary.results:
-        for rung in rungs:
-            theta = result.snapshots[rung]
-            per_rung[rung].append(
-                (task.eval_metric(theta, "dev"), task.eval_metric(theta, "test"))
-            )
+        for t, (theta, _, _) in enumerate(public_trajectory(result.transcript, task)):
+            if t in per_rung:
+                per_rung[t].append(
+                    (task.eval_metric(theta, "dev"), task.eval_metric(theta, "test"))
+                )
     rows = []
     rung_test_means = {}
     for rung in rungs:

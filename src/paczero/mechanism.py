@@ -383,6 +383,11 @@ def mi_step(
     pre-quantization observation.
     """
     q_plus = agreement_probability(posterior, signs)
+    return _release(posterior, signs, q_plus, secret_index, beta_t, rng, tau)
+
+
+def _release(posterior, signs, q_plus, secret_index, beta_t, rng, tau):
+    """``mi_step`` given the bit's agreement probability ``q_plus``."""
     branch = release_branch(q_plus, beta_t, tau)
     sigma = y_tilde = None
     if branch == BRANCH_UNANIMITY:
@@ -468,7 +473,9 @@ def k_aggregate_step(
     for slot, signs in enumerate(signs_per_slot):
         q_plus = agreement_probability(posterior, signs)
         beta_bit = bit_allocation(beta_step, n_slots, q_plus, remaining, spent, total)
-        y, posterior, record = mi_step(posterior, signs, secret_index, beta_bit, rng, tau)
+        y, posterior, record = _release(
+            posterior, signs, q_plus, secret_index, beta_bit, rng, tau
+        )
         remaining = max(0.0, remaining - record.beta_used)
         spent += record.beta_used
         record.slot = slot

@@ -193,6 +193,21 @@ class TestValidateTranscript:
         report = validate_transcript(bad)
         assert not report.ok
 
+    def test_header_k_must_match_mechanism(self, mi_run):
+        bad = copy.deepcopy(mi_run.transcript)
+        bad.header = dataclasses.replace(bad.header, k=2)
+        report = validate_transcript(bad)
+        assert not report.ok
+        assert report.first_violation == "structure"
+
+    def test_out_of_order_record_rejected(self, mi_run):
+        bad = copy.deepcopy(mi_run.transcript)
+        bad.records[3], bad.records[4] = bad.records[4], bad.records[3]
+        report = validate_transcript(bad)
+        assert not report.ok
+        assert report.first_violation == "structure"
+        assert "step 4 slot 0" in report.message
+
     def test_surrogate_marked_non_private(self):
         task = make_task("blobs", n_records=32)
         cfg = TrainConfig(steps=10, learning_rate=0.05, seed=5)

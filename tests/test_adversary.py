@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -87,6 +89,19 @@ class TestReplayPosterior:
         )
         with pytest.raises(ValueError):
             replay_posterior(swapped, result.design, task)
+
+    @pytest.mark.parametrize("tamper", ["truncated", "extra_record", "header_k"])
+    def test_malformed_layout_rejected(self, tamper):
+        task, result = run_blobs("paczero_mi", seed=21, steps=10)
+        bad = copy.deepcopy(result.transcript)
+        if tamper == "truncated":
+            bad.records.pop()
+        elif tamper == "extra_record":
+            bad.records.append(copy.copy(bad.records[-1]))
+        else:
+            bad.header = dataclasses.replace(bad.header, k=2)
+        with pytest.raises(ValueError):
+            replay_posterior(bad, result.design, task)
 
 
 class TestMembershipAttack:

@@ -14,6 +14,7 @@ from paczero.binary_channel import (
     channel_mi_oracle,
     invert_channel_mi,
 )
+from paczero import binary_channel
 import helpers
 
 LN2 = 0.6931471805599453
@@ -160,3 +161,11 @@ class TestInversion:
             invert_channel_mi(0.0, 0.1)
         with pytest.raises(DegenerateChannelError):
             invert_channel_mi(1.0, 0.1)
+
+    def test_exhausted_bisection_raises(self, monkeypatch):
+        # no mismatch meets a negative tolerance and no bracket narrows
+        # below zero width, so the loop can only run out
+        monkeypatch.setattr(binary_channel, "MI_MATCH_TOL", -1.0)
+        monkeypatch.setattr(binary_channel, "LOG_SIGMA_WIDTH_TOL", 0.0)
+        with pytest.raises(ChannelError, match="did not converge"):
+            invert_channel_mi(0.5, 0.1)

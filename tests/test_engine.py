@@ -1,14 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from paczero import engine
 from paczero import rng as rngmod
 from paczero.engine import (
     TrainConfig,
     TwoPointNumericsError,
     _two_point_all,
-    apply_update,
+    public_trajectory,
+    step_update,
     train,
 )
 from paczero.mechanism import (
@@ -146,35 +149,43 @@ class TestTwoPoint:
         assert worst <= 1e-4
 
 
+def single_step(theta, eta, weight_decay, y, z):
+    """One single-direction ``step_update`` at step size eta.  step_update
+    reads only ``eta(t)`` and ``weight_decay`` from its config, so a stub
+    stands in for TrainConfig, which rejects eta = 0."""
+    config = SimpleNamespace(eta=lambda t: eta, weight_decay=weight_decay)
+    return step_update(theta, config, 1, [y], [z])
+
+
 class TestApplyUpdate:
     def test_hand_case(self):
         theta = np.array([1.0, 0.0])
-        out = apply_update(theta, 0.1, 0.5, 1.0, np.array([0.0, -2.0]))
+        out = single_step(theta, 0.1, 0.5, 1.0, np.array([0.0, -2.0]))
         # (1 - 0.1*0.5)*[1,0] - 0.1*1.0*[0,-2] = [0.95, 0.2]
         assert out.tolist() == [0.95, 0.2]
 
     def test_no_decay_is_plain_step(self):
         theta = np.array([2.0, -1.0])
         z = np.array([1.0, 3.0])
-        assert apply_update(theta, 0.2, 0.0, 1.0, z).tolist() == (theta - 0.2 * z).tolist()
-        assert apply_update(theta, 0.2, 0.0, -1.0, z).tolist() == (theta + 0.2 * z).tolist()
+        assert single_step(theta, 0.2, 0.0, 1.0, z).tolist() == (theta - 0.2 * z).tolist()
+        assert single_step(theta, 0.2, 0.0, -1.0, z).tolist() == (theta + 0.2 * z).tolist()
 
     def test_zero_eta_is_identity(self):
         theta = np.array([3.0, 4.0])
-        out = apply_update(theta, 0.0, 0.7, 1.0, np.array([9.0, 9.0]))
+        out = single_step(theta, 0.0, 0.7, 1.0, np.array([9.0, 9.0]))
         assert out.tolist() == [3.0, 4.0]
 
     def test_pure(self):
         theta = np.array([1.0, 1.0])
-        apply_update(theta, 0.5, 0.0, 1.0, np.array([1.0, 1.0]))
+        single_step(theta, 0.5, 0.0, 1.0, np.array([1.0, 1.0]))
         assert theta.tolist() == [1.0, 1.0]
 
     def test_affine_in_theta(self):
         a = np.array([1.0, 2.0])
         b = np.array([-3.0, 0.5])
         z = np.array([0.2, 0.4])
-        lhs = apply_update(0.5 * a + 0.5 * b, 0.1, 0.3, 1.0, z)
-        rhs = 0.5 * apply_update(a, 0.1, 0.3, 1.0, z) + 0.5 * apply_update(
+        lhs = single_step(0.5 * a + 0.5 * b, 0.1, 0.3, 1.0, z)
+        rhs = 0.5 * single_step(a, 0.1, 0.3, 1.0, z) + 0.5 * single_step(
             b, 0.1, 0.3, 1.0, z
         )
         assert lhs == pytest.approx(rhs, abs=1e-15)
@@ -273,12 +284,29 @@ class TestTrainLoop:
         assert np.array_equal(final_run.params, final_run.final_params)
         assert np.array_equal(final_run.final_params, result.final_params)
 
-    def test_snapshots(self):
+    def test_snapshots(self, monkeypatch):
+        # the public replay rebuilds every iterate of training bit for bit
         task = QuadraticTask(n_records=8, dim=4)
         cfg = TrainConfig(steps=10, seed=3, dev_eval_interval=5)
-        result = train(task, cfg, mi_spec(n_subsets=4), snapshot_steps=(3, 10))
-        assert sorted(result.snapshots) == [3, 10]
-        assert result.snapshots[10] == pytest.approx(result.final_params)
+        trained = []
+        real_update = engine.step_update
+        monkeypatch.setattr(
+            engine, "step_update",
+            lambda *args: trained.append(real_update(*args)) or trained[-1],
+        )
+        result = train(task, cfg, mi_spec(n_subsets=4))
+        monkeypatch.undo()
+        replayed = list(public_trajectory(result.transcript, task))
+        assert len(replayed) == len(trained) + 1 == 11
+        thetas = [theta for theta, _, _ in replayed]
+        assert thetas[3].tobytes() == trained[2].tobytes()
+        assert thetas[-1].tobytes() == result.final_params.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(thetas[1:], trained))
+        theta, records, directions = replayed[0]
+        assert theta.tobytes() == task.init_params().tobytes()
+        assert records == result.transcript.records[:1]
+        assert directions[0].tobytes() == rngmod.direction(3, 1, 0, task.dim).tobytes()
+        assert replayed[-1][1:] == ([], [])
 
     def test_k2_averages_slot_updates(self):
         task = QuadraticTask(n_records=16, dim=6, seed=8, identical_targets=True)

@@ -218,7 +218,7 @@ class TestTranscriptIO:
 
     def test_non_finite_number_rejected(self, small_summary, tmp_path):
         _, out, _ = small_summary
-        for token in ("NaN", "Infinity", "-Infinity"):
+        for token in ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"):
 
             def poison(lines):
                 obj = json.loads(lines[1])

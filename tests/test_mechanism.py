@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paczero import mechanism
 from paczero.binary_channel import binary_entropy, channel_mi, invert_channel_mi
 from paczero.mechanism import (
     BRANCH_COIN,
@@ -621,6 +622,23 @@ class TestReleaseMechanism:
             assert len(ys) == len(recs) == 1
         assert mech.ledger.mi_spent <= 0.1
         assert mech.ledger.total_bits == 10
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_agreement_probability_per_bit(self, monkeypatch, k):
+        calls = []
+        real = mechanism.agreement_probability
+        monkeypatch.setattr(
+            mechanism, "agreement_probability",
+            lambda *args: calls.append(1) or real(*args),
+        )
+        if k == 1:
+            mech = self.make()
+        else:
+            mech = self.make(variant="k_aggregate", mi_total=0.1, k=2)
+        rng = np.random.default_rng(5)
+        for t in range(1, 11):
+            mech.step(t, [rng.standard_normal(16) for _ in range(k)])
+        assert len(calls) == 10 * k
 
     def test_surrogate_step_has_no_accounting(self):
         mech = self.make(variant="surrogate", surrogate_mode="quant_full")
