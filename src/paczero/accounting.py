@@ -11,14 +11,14 @@ decision from public information alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .binary_channel import binary_entropy, channel_mi
 from .engine import Transcript, mechanism_from_dict
 from .mechanism import (
     BRANCH_DISAGREEMENT,
-    BRANCH_SURROGATE,
     BRANCH_UNANIMITY,
+    BudgetLedger,
     agreed_sign,
     bit_allocation,
     release_branch,
@@ -108,6 +108,15 @@ def matched_mi_for_dp(eps: float, delta: float, prior: float) -> float:
     return kl_binary(bound, prior)
 
 
+# StepRecord fields the audit re-derives from the public prefix, and those
+# it takes as recorded (y is re-derived on unanimity and bound to y_tilde's
+# sign on a disagreement, but a coin's y is trusted).
+REDERIVED_FIELDS = (
+    "t", "slot", "branch", "sigma", "beta_t", "beta_used", "cum_mi", "unanimity_count",
+)
+TRUSTED_FIELDS = ("q_plus", "y", "y_tilde")
+
+
 @dataclass
 class ValidationReport:
     """Verdict of a transcript audit.  A failed audit re-derives no totals,
@@ -124,27 +133,34 @@ class ValidationReport:
     unanimity_bits: int
     residual_tolerance_mi: float | None
     non_private: bool = False
+    rederived: tuple[str, ...] = REDERIVED_FIELDS
+    trusted: tuple[str, ...] = TRUSTED_FIELDS
 
     def __str__(self) -> str:
         status = "OK" if self.ok else "VIOLATION"
         return f"[{status}] {self.message}"
 
 
+def _same(recorded, expected) -> bool:
+    """Fail-closed equality: a float within _REPLAY_TOL of a float, anything
+    else equal and of the same type."""
+    if isinstance(expected, float):
+        return isinstance(recorded, float) and abs(recorded - expected) <= _REPLAY_TOL
+    return type(recorded) is type(expected) and recorded == expected
+
+
 def validate_transcript(transcript: Transcript) -> ValidationReport:
     """Audit a finished run from its public transcript.
 
-    Re-derives every per-bit allocation (remaining budget spread over the
-    remaining steps, split across aggregated directions, capped below the
-    sign entropy), confirms each branch decision and the zero-or-all
-    consumption dichotomy, re-checks the noise calibration against the
-    recorded sigma, and recomputes the cumulative spend in release order,
-    checking it against every record and the summary trailer.  A ZPL run is
-    audited as an MI run with a zero budget; a surrogate run only for
-    carrying no accounting.  Every comparison fails closed, so a non-finite
-    field is a violation.  Unanimity steps taken under the tolerance rather
-    than exact agreement contribute a residual entropy term that is reported
-    separately and never added to the cumulative total.  A record layout
-    that ``Transcript.steps`` rejects is a "structure" violation.
+    A layout or record shape that ``Transcript.steps`` rejects is a
+    "structure" violation.  Each record must then equal, failing closed,
+    the one its public prefix implies: branch, allocation, consumption and
+    (on unanimity) the agreed sign re-derived, running totals as charged
+    to a fresh ``BudgetLedger``.  Each noise level must carry its
+    allocation and the trailer must match the ledger.  ZPL is audited as
+    MI with a zero budget, a surrogate run for carrying no accounting.
+    Unanimity under the tolerance rather than exact agreement adds a
+    residual entropy term, reported apart from the cumulative total.
     """
     spec = mechanism_from_dict(transcript.header.mechanism)
     horizon, k = transcript.header.t_total, spec.k
@@ -168,92 +184,48 @@ def validate_transcript(transcript: Transcript) -> ValidationReport:
     except ValueError as exc:
         return fail("structure", str(exc))
 
-    spent = 0.0
-    unanimity_bits = 0
+    ledger = BudgetLedger(mi_total=mi_total)
     residual = 0.0
     for t, records in enumerate(steps, start=1):
-        beta_step = step_budget(mi_total, spent, t, horizon)
-        remaining = max(0.0, mi_total - spent)
+        beta_step = step_budget(mi_total, ledger.mi_spent, t, horizon)
+        remaining = ledger.remaining()
         for rec in records:
+            expected = replace(rec, beta_t=0.0, beta_used=0.0)
+            if not non_private:
+                q = rec.q_plus
+                beta = bit_allocation(beta_step, k, q, remaining, ledger.mi_spent, mi_total)
+                expected.branch = release_branch(q, beta, tau)
+                expected.beta_t = beta
+                if expected.branch == BRANCH_DISAGREEMENT:
+                    expected.beta_used = beta
+                elif expected.branch == BRANCH_UNANIMITY:
+                    expected.y = float(agreed_sign(q))
+                    residual += binary_entropy(q)
+                remaining = max(0.0, remaining - expected.beta_used)
+            ledger.charge(expected)
             where = f"step {t} slot {rec.slot}"
-            if non_private:
-                if rec.branch != BRANCH_SURROGATE or rec.beta_used != 0.0:
-                    return fail(where, "surrogate record carries accounting")
-                continue
-            q = rec.q_plus
-            if q is None or not 0.0 <= q <= 1.0:
-                return fail(where, f"agreement probability {q!r} out of range")
-            if rec.y not in (-1.0, 1.0):
-                return fail(where, f"released bit {rec.y!r} is not a sign")
-
-            expected_beta = bit_allocation(beta_step, k, q, remaining, spent, mi_total)
-            expected_branch = release_branch(q, expected_beta, tau)
-            if rec.branch != expected_branch:
-                return fail(
-                    where,
-                    f"branch {rec.branch!r} contradicts public prefix "
-                    f"(expected {expected_branch!r} at q_plus={q})",
-                )
-            if not abs(rec.beta_t - expected_beta) <= _REPLAY_TOL:
-                return fail(
-                    where,
-                    f"allocated budget {rec.beta_t!r} does not re-derive "
-                    f"(expected {expected_beta!r})",
-                )
-            expected_used = expected_beta if expected_branch == BRANCH_DISAGREEMENT else 0.0
-            if rec.beta_used not in (0.0, rec.beta_t):
-                return fail(where, "consumption is neither zero nor the allocation")
-            if not abs(rec.beta_used - expected_used) <= _REPLAY_TOL:
-                return fail(
-                    where,
-                    f"consumed {rec.beta_used!r}, public prefix implies {expected_used!r}",
-                )
-
-            if expected_branch != BRANCH_DISAGREEMENT:
-                if rec.sigma is not None or rec.y_tilde is not None:
-                    return fail(where, f"{expected_branch} release carries noise fields")
-            if expected_branch == BRANCH_UNANIMITY:
-                unanimity_bits += 1
-                residual += binary_entropy(q)
-                if rec.y != float(agreed_sign(q)):
-                    return fail(where, "unanimity release differs from the agreed sign")
-            elif expected_branch == BRANCH_DISAGREEMENT:
-                if rec.sigma is None or not 0.0 < rec.sigma < math.inf:
-                    return fail(where, "disagreement release lacks a noise level")
-                if rec.y_tilde is None or not math.isfinite(rec.y_tilde):
-                    return fail(where, "disagreement release lacks the pre-quantized value")
-                if rec.y != (1.0 if rec.y_tilde >= 0.0 else -1.0):
-                    return fail(where, "released sign mismatches the pre-quantized value")
-                calibrated = channel_mi(q, rec.sigma)
+            for name, want in vars(expected).items():
+                got = getattr(rec, name)
+                if not _same(got, want):
+                    return fail(where, f"{name} {got!r} does not re-derive (expected {want!r})")
+            if expected.branch == BRANCH_DISAGREEMENT:
+                calibrated = channel_mi(rec.q_plus, rec.sigma)
                 if not abs(calibrated - rec.beta_t) <= _CALIBRATION_TOL:
                     return fail(
                         where,
                         f"noise level carries {calibrated} nats, allocation was {rec.beta_t}",
                     )
 
-            spent += rec.beta_used
-            remaining = max(0.0, remaining - rec.beta_used)
-            if not abs(rec.cum_mi - spent) <= _REPLAY_TOL:
-                return fail(
-                    where,
-                    f"running total {rec.cum_mi!r} mismatches re-derived {spent!r}",
-                )
-            if rec.unanimity_count != unanimity_bits:
-                return fail(where, "unanimity counter mismatches re-derived count")
-
+    spent, unanimity_bits = ledger.mi_spent, ledger.unanimity_bits
     if not spent <= mi_total:
         return fail(
             "total", f"cumulative information {spent!r} exceeds the budget {mi_total!r}"
         )
-    if not (
-        abs(transcript.cum_mi - spent) <= _REPLAY_TOL
-        and transcript.unanimity_bits == unanimity_bits
-        and transcript.total_bits == n_records
-    ):
+    trailer = (transcript.cum_mi, transcript.unanimity_bits, transcript.total_bits)
+    if not all(map(_same, trailer, (spent, unanimity_bits, ledger.total_bits))):
         return fail(
             "summary",
-            f"trailer totals (cum_mi={transcript.cum_mi!r}, unanimity_bits="
-            f"{transcript.unanimity_bits!r}, total_bits={transcript.total_bits!r}) "
+            f"trailer totals (cum_mi, unanimity_bits, total_bits) = {trailer!r} "
             f"mismatch the re-derived ({spent!r}, {unanimity_bits}, {n_records})",
         )
 

@@ -135,6 +135,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     harness.load_design(transcript)
     report = validate_transcript(transcript)
     print(report)
+    print(f"re-derived: {', '.join(report.rederived)}; trusted: {', '.join(report.trusted)}")
     return _verdict(None if report.ok else report.first_violation or report.message)
 
 

@@ -168,23 +168,32 @@ class Transcript:
 
     def steps(self) -> list[list[StepRecord]]:
         """The records grouped by step in slot order.  Raises ValueError
-        unless the header's k is the mechanism's and the records are exactly
-        t_total x k in (t, slot) order."""
+        unless the header's copies of k, variant, run seed and subset count
+        agree with its configs, the records are exactly t_total x k in
+        (t, slot) order, and each has the shape of a release of the variant
+        (``StepRecord.shape_fault``)."""
         header, records, k = self.header, self.records, self.header.k
-        if k != header.mechanism.get("k"):
-            raise ValueError(f"header k={k!r} disagrees with the mechanism's")
+        spec = mechanism_from_dict(header.mechanism)
+        recorded = (k, header.variant, header.run_seed, header.n_subsets)
+        configured = (spec.k, spec.variant, header.train.get("seed"), spec.resolved_subsets())
+        if recorded != configured:
+            raise ValueError(
+                f"header (k, variant, run_seed, n_subsets) = {recorded!r} "
+                f"disagrees with its configs' {configured!r}"
+            )
         if len(records) != header.t_total * k:
             raise ValueError(
                 f"expected {header.t_total * k} release records, found {len(records)}"
             )
+        private = spec.variant != "surrogate"
         groups = [records[i:i + k] for i in range(0, len(records), k)]
         for t, group in enumerate(groups, start=1):
             for slot, rec in enumerate(group):
-                if rec.t != t or rec.slot != slot:
-                    raise ValueError(
-                        f"out-of-order record at step {t} slot {slot} "
-                        f"(t={rec.t}, slot={rec.slot})"
-                    )
+                fault = rec.shape_fault(private)
+                if fault is None and (rec.t != t or rec.slot != slot):
+                    fault = f"out of order (t={rec.t}, slot={rec.slot})"
+                if fault is not None:
+                    raise ValueError(f"record at step {t} slot {slot}: {fault}")
         return groups
 
 

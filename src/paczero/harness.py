@@ -18,6 +18,7 @@ import json
 import math
 import os
 import time
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -40,7 +41,9 @@ from .engine import (
     public_trajectory,
     train,
 )
-from .mechanism import MechanismSpec, StepRecord, SubsetDesign, build_balanced_design
+from .mechanism import (
+    DesignError, MechanismSpec, StepRecord, SubsetDesign, build_balanced_design,
+)
 from .tasks import LossTask, make_task
 
 __all__ = [
@@ -67,11 +70,12 @@ SUMMARY_COLUMNS = (
     "variant", "budget", "T", "seed", "dev", "test", "f", "cum_mi", "wallclock"
 )
 
-_HEADER_KEYS = {f.name for f in dataclasses.fields(TranscriptHeader)} | {
-    "type", "format_version",
+# each line type's fields and JSON types (Transcript.steps types the releases)
+_HEADER_FIELDS = typing.get_type_hints(TranscriptHeader) | {"type": str, "format_version": int}
+_RELEASE_FIELDS = dict.fromkeys([f.name for f in dataclasses.fields(StepRecord)] + ["type"])
+_SUMMARY_FIELDS = {
+    "type": str, "cum_mi": float, "unanimity_bits": int, "total_bits": int, "dev_evals": list,
 }
-_RELEASE_KEYS = {f.name for f in dataclasses.fields(StepRecord)} | {"type"}
-_SUMMARY_KEYS = {"type", "cum_mi", "unanimity_bits", "total_bits", "dev_evals"}
 
 
 class ConfigError(ValueError):
@@ -231,8 +235,8 @@ def _parse_line(line: str) -> dict:
     return json.loads(line, parse_constant=_finite_float, parse_float=_finite_float)
 
 
-def _require_keys(obj: dict, expected: set[str], where: str) -> None:
-    got = set(obj)
+def _require_fields(obj: dict, fields: dict, where: str) -> None:
+    got, expected = set(obj), set(fields)
     if got != expected:
         extra, missing = sorted(got - expected), sorted(expected - got)
         problems = []
@@ -241,45 +245,55 @@ def _require_keys(obj: dict, expected: set[str], where: str) -> None:
         if missing:
             problems.append(f"missing fields {missing}")
         raise SchemaError(f"{where}: " + "; ".join(problems))
+    for key, kind in fields.items():
+        if kind is not None and type(obj[key]) is not kind:
+            raise SchemaError(f"{where}: field {key!r} must be a {kind.__name__}")
 
 
 def load_transcript(path: str | Path) -> Transcript:
     """Parse a transcript file, rejecting any line that deviates from the
-    documented schema (exact field sets per line type) or that holds a
-    NaN or infinite number."""
+    documented schema (exact field sets per line type, header and summary
+    field types, configs that decode) or that holds a NaN or infinite
+    number.  Release records are checked by ``Transcript.steps``."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SchemaError("empty transcript file")
     header_obj = _parse_line(lines[0])
     if header_obj.get("type") != "header":
         raise SchemaError("first line must be the header")
-    _require_keys(header_obj, _HEADER_KEYS, "header")
+    _require_fields(header_obj, _HEADER_FIELDS, "header")
     if header_obj["format_version"] != FORMAT_VERSION:
         raise SchemaError(f"unsupported format version {header_obj['format_version']}")
     header_obj.pop("type")
     header_obj.pop("format_version")
     header = TranscriptHeader(**header_obj)
+    try:
+        mechanism_from_dict(header.mechanism)
+        TrainConfig(**header.train)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"header: {exc}") from exc
 
-    if len(lines) < 2:
-        raise SchemaError("missing summary line")
     summary_obj = _parse_line(lines[-1])
     if summary_obj.get("type") != "summary":
         raise SchemaError("last line must be the summary")
-    _require_keys(summary_obj, _SUMMARY_KEYS, "summary")
+    _require_fields(summary_obj, _SUMMARY_FIELDS, "summary")
+    dev_evals = summary_obj["dev_evals"]
+    if not all(type(e) is list and list(map(type, e)) == [int, float] for e in dev_evals):
+        raise SchemaError("summary: dev_evals must be [step, metric] pairs")
 
     records = []
     for n, line in enumerate(lines[1:-1], start=2):
         obj = _parse_line(line)
         if obj.get("type") != "release":
             raise SchemaError(f"line {n}: expected a release record")
-        _require_keys(obj, _RELEASE_KEYS, f"line {n}")
+        _require_fields(obj, _RELEASE_FIELDS, f"line {n}")
         obj.pop("type")
         records.append(StepRecord(**obj))
 
     return Transcript(
         header=header,
         records=records,
-        dev_evals=[(int(t), float(m)) for t, m in summary_obj["dev_evals"]],
+        dev_evals=[(t, m) for t, m in dev_evals],
         cum_mi=summary_obj["cum_mi"],
         unanimity_bits=summary_obj["unanimity_bits"],
         total_bits=summary_obj["total_bits"],
@@ -289,12 +303,12 @@ def load_transcript(path: str | Path) -> Transcript:
 def load_design(transcript: Transcript) -> SubsetDesign:
     """Regenerate the public design from its recorded seed and verify the
     content hash recorded in the header."""
-    design = build_balanced_design(
-        transcript.header.n_records,
-        transcript.header.n_subsets,
-        transcript.header.design_seed,
-    )
-    if design.content_hash() != transcript.header.design_hash:
+    header = transcript.header
+    try:
+        design = build_balanced_design(header.n_records, header.n_subsets, header.design_seed)
+    except (ValueError, DesignError) as exc:
+        raise SchemaError(f"header: {exc}") from exc
+    if design.content_hash() != header.design_hash:
         raise SchemaError("regenerated design does not match the recorded hash")
     return design
 

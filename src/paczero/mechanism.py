@@ -60,6 +60,7 @@ BRANCH_UNANIMITY = "unanimity"
 BRANCH_DISAGREEMENT = "disagreement"
 BRANCH_COIN = "zpl_coin"
 BRANCH_SURROGATE = "surrogate"
+_PRIVATE_BRANCHES = (BRANCH_UNANIMITY, BRANCH_COIN, BRANCH_DISAGREEMENT)
 
 
 class DesignError(RuntimeError):
@@ -198,6 +199,34 @@ class StepRecord:
     beta_used: float
     cum_mi: float = 0.0
     unanimity_count: int = 0
+
+    def shape_fault(self, private: bool) -> str | None:
+        """Why this record cannot be a private (else surrogate) release at
+        all, on field types and presence alone (NaN is a value); else None."""
+        if not all(type(v) is int for v in (self.t, self.slot, self.unanimity_count)):
+            return "t, slot and unanimity_count must be integers"
+        floats = (self.y, self.beta_t, self.beta_used, self.cum_mi)
+        if not all(isinstance(v, float) for v in floats):
+            return "y, beta_t, beta_used and cum_mi must be floats"
+        if not private:
+            if self.branch != BRANCH_SURROGATE or self.q_plus is not None:
+                return "surrogate record carries private release fields"
+        elif self.branch not in _PRIVATE_BRANCHES:
+            return f"branch {self.branch!r} is not a private release"
+        elif not (isinstance(self.q_plus, float) and 0.0 <= self.q_plus <= 1.0):
+            return f"agreement probability {self.q_plus!r} is not a float in [0, 1]"
+        elif self.y not in (-1.0, 1.0):
+            return f"released bit {self.y!r} is not a sign"
+        if self.branch != BRANCH_DISAGREEMENT:
+            if self.sigma is not None or self.y_tilde is not None:
+                return f"{self.branch} release carries noise fields"
+            return None
+        if not (isinstance(self.sigma, float) and 0.0 < self.sigma < math.inf
+                and isinstance(self.y_tilde, float) and math.isfinite(self.y_tilde)):
+            return "disagreement needs a finite positive sigma and a finite y_tilde"
+        if self.y != (1.0 if self.y_tilde >= 0.0 else -1.0):
+            return "released sign mismatches the pre-quantized value"
+        return None
 
 
 @dataclass

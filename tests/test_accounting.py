@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from paczero.accounting import (
+    REDERIVED_FIELDS,
+    TRUSTED_FIELDS,
     dp_eps_to_mia_bound,
     kl_binary,
     matched_mi_for_dp,
@@ -14,7 +16,7 @@ from paczero.accounting import (
     validate_transcript,
 )
 from paczero.engine import TrainConfig, train
-from paczero.mechanism import MechanismSpec
+from paczero.mechanism import MechanismSpec, StepRecord
 from paczero.tasks import make_task
 import helpers
 
@@ -208,6 +210,36 @@ class TestValidateTranscript:
         assert report.first_violation == "structure"
         assert "step 4 slot 0" in report.message
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("y_tilde", 10**400, id="y_tilde-overflowing-int"),
+            pytest.param("cum_mi", 10**400, id="cum_mi-overflowing-int"),
+            ("q_plus", "0.5"), ("sigma", "1"), ("y_tilde", None), ("t", True),
+            ("unanimity_count", 1.0),
+        ],
+    )
+    def test_malformed_record_is_structure(self, mi_run, field, value):
+        # each of these made the validator raise, or slip past it, before
+        # the record shape was checked for every reader
+        bad = copy.deepcopy(mi_run.transcript)
+        victim = next(r for r in bad.records if r.branch == "disagreement")
+        where = f"step {victim.t} slot 0"
+        setattr(victim, field, value)
+        report = validate_transcript(bad)
+        assert not report.ok
+        assert report.first_violation == "structure"
+        assert where in report.message
+
+    @pytest.mark.parametrize("field", ["variant", "run_seed", "n_subsets"])
+    def test_header_copies_must_match_configs(self, mi_run, field):
+        bad = copy.deepcopy(mi_run.transcript)
+        value = {"variant": "paczero_zpl", "run_seed": 6, "n_subsets": 16}[field]
+        bad.header = dataclasses.replace(bad.header, **{field: value})
+        report = validate_transcript(bad)
+        assert not report.ok
+        assert report.first_violation == "structure"
+
     def test_surrogate_marked_non_private(self):
         task = make_task("blobs", n_records=32)
         cfg = TrainConfig(steps=10, learning_rate=0.05, seed=5)
@@ -263,3 +295,65 @@ class TestValidateTranscript:
         assert result.transcript.cum_mi <= 0.33
         report = validate_transcript(result.transcript)
         assert report.ok, report.message
+
+
+@pytest.fixture(scope="module")
+def k2_run():
+    task = make_task("blobs", n_records=32)
+    cfg = TrainConfig(steps=40, learning_rate=0.05, seed=5)
+    spec = MechanismSpec(
+        variant="k_aggregate", inner_variant="paczero_mi", k=2,
+        mi_total=0.25, n_subsets=8, clip=1.0,
+    )
+    return train(task, cfg, spec)
+
+
+@pytest.fixture(scope="module")
+def surrogate_run():
+    task = make_task("blobs", n_records=32)
+    cfg = TrainConfig(steps=10, learning_rate=0.05, seed=5)
+    spec = MechanismSpec(variant="surrogate", surrogate_mode="raw_half", clip=1.0)
+    return train(task, cfg, spec)
+
+
+def _tampered(rec: StepRecord, field: str):
+    """A value of ``field`` that differs from the recorded one and keeps
+    its type where the field has one."""
+    value = getattr(rec, field)
+    if value is None:
+        return 1.0
+    if field == "branch":
+        cycle = ["unanimity", "zpl_coin", "disagreement", "unanimity"]
+        return cycle[cycle.index(value) + 1] if value in cycle else "unanimity"
+    if isinstance(value, int):
+        return value + 1
+    return value * 1.5 + 1e-3
+
+
+class TestMutations:
+    """Every re-derived field, tampered on one record of each branch an
+    honest transcript holds, fails validation."""
+
+    def test_report_lists_every_field_once(self, mi_run):
+        report = validate_transcript(mi_run.transcript)
+        assert report.rederived == REDERIVED_FIELDS
+        assert report.trusted == TRUSTED_FIELDS
+        assert "q_plus" in report.trusted
+        names = sorted(report.rederived + report.trusted)
+        assert names == sorted(f.name for f in dataclasses.fields(StepRecord))
+
+    @pytest.mark.parametrize("run", ["mi_run", "zpl_run", "k2_run", "surrogate_run"])
+    def test_each_rederived_field_tamper_rejected(self, run, request):
+        result = request.getfixturevalue(run)
+        honest = validate_transcript(result.transcript)
+        assert honest.ok, honest.message
+        first_of_branch = {}
+        for n, rec in enumerate(result.transcript.records):
+            first_of_branch.setdefault(rec.branch, n)
+        for field in honest.rederived:
+            for branch, n in first_of_branch.items():
+                bad = copy.deepcopy(result.transcript)
+                rec = bad.records[n]
+                setattr(rec, field, _tampered(rec, field))
+                report = validate_transcript(bad)
+                assert not report.ok, (run, field, branch)

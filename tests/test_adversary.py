@@ -90,16 +90,27 @@ class TestReplayPosterior:
         with pytest.raises(ValueError):
             replay_posterior(swapped, result.design, task)
 
-    @pytest.mark.parametrize("tamper", ["truncated", "extra_record", "header_k"])
+    @pytest.mark.parametrize(
+        "tamper",
+        ["truncated", "extra_record", "header_k", "run_seed", "y_tilde_none", "sigma_string"],
+    )
     def test_malformed_layout_rejected(self, tamper):
         task, result = run_blobs("paczero_mi", seed=21, steps=10)
         bad = copy.deepcopy(result.transcript)
+        noisy = next(r for r in bad.records if r.branch == "disagreement")
         if tamper == "truncated":
             bad.records.pop()
         elif tamper == "extra_record":
             bad.records.append(copy.copy(bad.records[-1]))
-        else:
+        elif tamper == "header_k":
             bad.header = dataclasses.replace(bad.header, k=2)
+        elif tamper == "run_seed":
+            # would rebuild a trajectory other than the one trained
+            bad.header = dataclasses.replace(bad.header, run_seed=bad.header.run_seed + 1)
+        elif tamper == "y_tilde_none":
+            noisy.y_tilde = None
+        else:
+            noisy.sigma = "1"
         with pytest.raises(ValueError):
             replay_posterior(bad, result.design, task)
 

@@ -270,6 +270,8 @@ class TestRunExperiment:
         assert metrics["dev"] == summary.rows[0].dev
         assert metrics["test"] == summary.rows[0].test
         assert metrics["validation_ok"] is True
+        report = json.loads((out / "seed_0" / "validation.json").read_text())
+        assert "beta_t" in report["rederived"] and "q_plus" in report["trusted"]
 
     def test_secret_stays_out_of_public_artifacts(self, small_summary):
         config, out, _ = small_summary
@@ -418,7 +420,9 @@ class TestCli:
         capsys.readouterr()
         transcript_path = tmp_path / "runs" / "unit" / "seed_0" / "transcript.jsonl"
         assert cli.main(["validate", str(transcript_path)]) == 0
-        assert "OK" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "OK" in out
+        assert "re-derived: t, slot, branch" in out and "trusted: q_plus" in out
 
     def test_validate_command_rejects_tampered_release(self, tmp_path, capsys):
         path = write_config(tmp_path, base_raw(seeds=[0]))
@@ -438,6 +442,44 @@ class TestCli:
         assert cli.main(["validate", str(transcript_path)]) == 1
         err = capsys.readouterr().err
         assert "FAILED invariant" in err
+
+    @pytest.mark.parametrize(
+        "line, path, value",
+        [
+            pytest.param("header", ["mechanism", "variant"], "florp", id="unknown-variant"),
+            pytest.param("header", ["mechanism", "mi_total"], "0.25", id="string-mi_total"),
+            pytest.param("header", ["train", "florp"], 1, id="unknown-train-key"),
+            pytest.param("header", ["n_records"], "16", id="string-n_records"),
+            pytest.param("header", ["variant"], "paczero_zpl", id="header-variant"),
+            pytest.param("header", ["run_seed"], 1, id="header-run_seed"),
+            pytest.param("header", ["n_subsets"], 7, id="header-n_subsets-odd"),
+            pytest.param("header", ["n_subsets"], 16, id="header-n_subsets-even"),
+            pytest.param("summary", ["dev_evals", 0], "ab", id="string-dev_evals-entry"),
+            pytest.param("summary", ["cum_mi"], "0.25", id="string-summary-cum_mi"),
+            pytest.param("release", ["q_plus"], "0.5", id="string-q_plus"),
+            pytest.param("release", ["sigma"], "1", id="string-sigma"),
+            pytest.param("release", ["y_tilde"], None, id="missing-y_tilde"),
+            pytest.param("release", ["y_tilde"], 10**400, id="overflowing-y_tilde"),
+            pytest.param("release", ["cum_mi"], 10**400, id="overflowing-cum_mi"),
+        ],
+    )
+    def test_validate_names_every_malformed_file(self, small_summary, tmp_path, capsys,
+                                                 line, path, value):
+        # each of these once escaped as a traceback or validated [OK]
+        _, out, _ = small_summary
+        lines = (out / "seed_0" / "transcript.jsonl").read_text().splitlines()
+        objs = [json.loads(text) for text in lines]
+        n = {"header": 0, "summary": -1}.get(line)
+        if n is None:
+            n = next(i for i, o in enumerate(objs) if o.get("branch") == "disagreement")
+        node = objs[n]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
+        assert cli.main(["validate", str(bad)]) == 1
+        assert "FAILED invariant:" in capsys.readouterr().err
 
     def test_bad_config_fails_cleanly(self, tmp_path, capsys):
         path = write_config(tmp_path, base_raw(seeds="florp"))
@@ -484,7 +526,7 @@ class TestCli:
         path = write_config(tmp_path, base_raw(seeds=[0]))
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "runs")])
         assert code == 1
-        assert "FAILED invariant: step 1 slot 0" in capsys.readouterr().err
+        assert "FAILED invariant: structure" in capsys.readouterr().err
         report = json.loads(
             (tmp_path / "runs" / "unit" / "seed_0" / "validation.json").read_text()
         )
