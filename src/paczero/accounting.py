@@ -20,9 +20,7 @@ from .mechanism import (
     BRANCH_UNANIMITY,
     BudgetLedger,
     agreed_sign,
-    bit_allocation,
     release_branch,
-    step_budget,
 )
 
 __all__ = [
@@ -155,15 +153,14 @@ def validate_transcript(transcript: Transcript) -> ValidationReport:
     A layout or record shape that ``Transcript.steps`` rejects is a
     "structure" violation.  Each record must then equal, failing closed,
     the one its public prefix implies: branch, allocation, consumption and
-    (on unanimity) the agreed sign re-derived, running totals as charged
-    to a fresh ``BudgetLedger``.  Each noise level must carry its
+    (on unanimity) the agreed sign re-derived through the same
+    ``BudgetLedger`` walk the mechanism makes, running totals as charged.  Each noise level must carry its
     allocation and the trailer must match the ledger.  ZPL is audited as
     MI with a zero budget, a surrogate run for carrying no accounting.
     Unanimity under the tolerance rather than exact agreement adds a
     residual entropy term, reported apart from the cumulative total.
     """
     spec = mechanism_from_dict(transcript.header.mechanism)
-    horizon, k = transcript.header.t_total, spec.k
     tau = spec.unanimity_tolerance
     mi_total = spec.effective_budget()
     non_private = spec.variant == "surrogate"
@@ -184,16 +181,15 @@ def validate_transcript(transcript: Transcript) -> ValidationReport:
     except ValueError as exc:
         return fail("structure", str(exc))
 
-    ledger = BudgetLedger(mi_total=mi_total)
+    ledger = BudgetLedger(mi_total=mi_total, horizon=transcript.header.t_total, k=spec.k)
     residual = 0.0
     for t, records in enumerate(steps, start=1):
-        beta_step = step_budget(mi_total, ledger.mi_spent, t, horizon)
-        remaining = ledger.remaining()
+        ledger.open_step(t)
         for rec in records:
             expected = replace(rec, beta_t=0.0, beta_used=0.0)
             if not non_private:
                 q = rec.q_plus
-                beta = bit_allocation(beta_step, k, q, remaining, ledger.mi_spent, mi_total)
+                beta = ledger.allocate(q)
                 expected.branch = release_branch(q, beta, tau)
                 expected.beta_t = beta
                 if expected.branch == BRANCH_DISAGREEMENT:
@@ -201,7 +197,6 @@ def validate_transcript(transcript: Transcript) -> ValidationReport:
                 elif expected.branch == BRANCH_UNANIMITY:
                     expected.y = float(agreed_sign(q))
                     residual += binary_entropy(q)
-                remaining = max(0.0, remaining - expected.beta_used)
             ledger.charge(expected)
             where = f"step {t} slot {rec.slot}"
             for name, want in vars(expected).items():

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import harness
 from .accounting import validate_transcript
 from .adversary import empirical_mia_experiment
-from .harness import ConfigError, ExperimentConfig, SchemaError
+from .harness import ExperimentConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -164,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, SchemaError) as exc:
+    except ValueError as exc:  # ConfigError and SchemaError included
         return _verdict(str(exc))
     except FileNotFoundError as exc:
         return _verdict(f"missing file: {exc.filename or exc}")

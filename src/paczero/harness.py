@@ -137,9 +137,11 @@ class ExperimentConfig:
         if not (
             isinstance(seeds, (list, tuple))
             and seeds
-            and all(isinstance(s, int) for s in seeds)
+            and all(type(s) is int and s >= 0 for s in seeds)
         ):
-            raise ConfigError("seeds: must be an integer or a nonempty list of integers")
+            raise ConfigError(
+                "seeds: must be a nonnegative integer or a nonempty list of them"
+            )
         label = raw.get("label", "experiment")
         if not isinstance(label, str) or not label:
             raise ConfigError("label: must be a nonempty string")
@@ -232,7 +234,13 @@ def _finite_float(token: str) -> float:
 
 def _parse_line(line: str) -> dict:
     # NaN/Infinity arrive as constants, overflowing literals (1e999) as floats
-    return json.loads(line, parse_constant=_finite_float, parse_float=_finite_float)
+    try:
+        obj = json.loads(line, parse_constant=_finite_float, parse_float=_finite_float)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON line: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError("every transcript line must be a JSON object")
+    return obj
 
 
 def _require_fields(obj: dict, fields: dict, where: str) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,10 @@ __all__ = [
     "agreement_probability",
     "is_unanimous",
     "agreed_sign",
-    "step_budget",
     "bit_allocation",
     "release_branch",
-    "mi_step",
-    "zpl_step",
+    "release_bit",
     "surrogate_release",
-    "k_aggregate_step",
     "ReleaseMechanism",
 ]
 
@@ -231,20 +228,41 @@ class StepRecord:
 
 @dataclass
 class BudgetLedger:
-    """Running account of allocated vs consumed information.
+    """Running account of allocated vs consumed information, and the one
+    budget walk that the mechanism and the validator both make.
 
-    ``mi_spent`` is the ordered float sum of consumed budgets; the remaining
-    budget is always recomputed as mi_total - mi_spent so that any validator
-    replaying the same charges in the same order reproduces it bit for bit.
+    ``open_step`` fixes a step's allocation and unspent remainder,
+    ``allocate`` gives each of its bits their share and ``charge`` books a
+    bit.  ``mi_spent`` is the ordered float sum of consumed budgets, so a
+    validator replaying the same charges in the same order reproduces every
+    allocation bit for bit.
     """
 
     mi_total: float
+    horizon: int
+    k: int
     mi_spent: float = 0.0
     unanimity_bits: int = 0
     total_bits: int = 0
+    _beta_step: float = field(default=0.0, init=False, repr=False)
+    _step_left: float = field(default=0.0, init=False, repr=False)
 
     def remaining(self) -> float:
         return max(0.0, self.mi_total - self.mi_spent)
+
+    def open_step(self, t: int) -> None:
+        """Fix step t's allocation, the unspent budget spread evenly over the
+        steps left in the horizon, and its unspent remainder."""
+        if not 1 <= t <= self.horizon:
+            raise ValueError(f"step {t} outside horizon 1..{self.horizon}")
+        self._step_left = self.remaining()
+        self._beta_step = self._step_left / (self.horizon - t + 1)
+
+    def allocate(self, q_plus: float) -> float:
+        """Allocation of the open step's next bit."""
+        return bit_allocation(
+            self._beta_step, self.k, q_plus, self._step_left, self.mi_spent, self.mi_total
+        )
 
     def charge(self, record: StepRecord) -> None:
         if record.beta_used not in (0.0, record.beta_t):
@@ -253,6 +271,7 @@ class BudgetLedger:
                 f"{record.beta_used} vs {record.beta_t} at step {record.t}"
             )
         self.mi_spent += record.beta_used
+        self._step_left = max(0.0, self._step_left - record.beta_used)
         self.total_bits += 1
         if record.branch == BRANCH_UNANIMITY:
             self.unanimity_bits += 1
@@ -350,14 +369,6 @@ def agreed_sign(q_plus: float) -> int:
     return 1 if q_plus >= 0.5 else -1
 
 
-def step_budget(mi_total: float, mi_spent: float, t: int, horizon: int) -> float:
-    """Allocation of step t: the unspent budget spread evenly over the
-    steps left in the horizon."""
-    if not 1 <= t <= horizon:
-        raise ValueError(f"step {t} outside horizon 1..{horizon}")
-    return max(0.0, mi_total - mi_spent) / (horizon - t + 1)
-
-
 def bit_allocation(
     beta_step: float,
     k: int,
@@ -395,28 +406,24 @@ def _fair_coin(rng: np.random.Generator) -> float:
     return -1.0 if rng.integers(2) == 0 else 1.0
 
 
-def mi_step(
+def release_bit(
     posterior: Posterior,
     signs: np.ndarray,
+    q_plus: float,
     secret_index: int,
     beta_t: float,
     rng: np.random.Generator,
-    tau: float = TAU_DEFAULT,
+    tau: float,
 ) -> tuple[float, Posterior, StepRecord]:
-    """Calibrated-information release of one sign bit.
+    """Release one sign bit whose agreement probability is ``q_plus``.
 
     Unanimity releases the agreed sign for free and leaves the posterior
-    untouched; an exhausted budget degenerates to a fair coin; otherwise the
-    secret subset's sign is released through Gaussian noise calibrated so
-    the bit carries exactly beta_t nats, and the posterior absorbs the
+    untouched; an allocation too small to calibrate (zero under ZPL)
+    releases a fair coin that never reads the secret; otherwise the secret
+    subset's sign goes out through Gaussian noise calibrated so the bit
+    carries exactly beta_t nats, and the posterior absorbs the
     pre-quantization observation.
     """
-    q_plus = agreement_probability(posterior, signs)
-    return _release(posterior, signs, q_plus, secret_index, beta_t, rng, tau)
-
-
-def _release(posterior, signs, q_plus, secret_index, beta_t, rng, tau):
-    """``mi_step`` given the bit's agreement probability ``q_plus``."""
     branch = release_branch(q_plus, beta_t, tau)
     sigma = y_tilde = None
     if branch == BRANCH_UNANIMITY:
@@ -434,19 +441,6 @@ def _release(posterior, signs, q_plus, secret_index, beta_t, rng, tau):
         beta_used=beta_t if branch == BRANCH_DISAGREEMENT else 0.0,
     )
     return y, posterior, record
-
-
-def zpl_step(
-    posterior: Posterior,
-    signs: np.ndarray,
-    secret_index: int,
-    rng: np.random.Generator,
-    tau: float = TAU_DEFAULT,
-) -> tuple[float, Posterior, StepRecord]:
-    """Zero-leakage release: the MI release at zero allocation, i.e. the
-    agreed sign on unanimity, otherwise a fair coin that never reads the
-    secret, so the posterior never moves."""
-    return mi_step(posterior, signs, secret_index, 0.0, rng, tau)
 
 
 def surrogate_release(
@@ -473,46 +467,6 @@ def surrogate_release(
     return value
 
 
-def k_aggregate_step(
-    posterior: Posterior,
-    signs_per_slot: list[np.ndarray],
-    secret_index: int,
-    beta_step: float,
-    inner_variant: str,
-    rng: np.random.Generator,
-    tau: float = TAU_DEFAULT,
-    remaining: float = math.inf,
-    spent: float = 0.0,
-    total: float = math.inf,
-) -> tuple[list[float], Posterior, list[StepRecord]]:
-    """Release one bit per aggregated direction, splitting the step budget
-    evenly and threading a single shared posterior through the sub-releases.
-    Total consumption never exceeds beta_step (or the remaining budget), and
-    ``spent`` plus the consumption never exceeds ``total``.  The ZPL inner
-    variant is the MI release with nothing to allocate."""
-    if inner_variant not in INNER_VARIANTS:
-        raise ValueError(f"unknown inner variant {inner_variant!r}")
-    n_slots = len(signs_per_slot)
-    if n_slots < 1:
-        raise ValueError("need at least one direction")
-    if inner_variant == "paczero_zpl":
-        beta_step = remaining = 0.0
-    ys: list[float] = []
-    records: list[StepRecord] = []
-    for slot, signs in enumerate(signs_per_slot):
-        q_plus = agreement_probability(posterior, signs)
-        beta_bit = bit_allocation(beta_step, n_slots, q_plus, remaining, spent, total)
-        y, posterior, record = _release(
-            posterior, signs, q_plus, secret_index, beta_bit, rng, tau
-        )
-        remaining = max(0.0, remaining - record.beta_used)
-        spent += record.beta_used
-        record.slot = slot
-        ys.append(y)
-        records.append(record)
-    return ys, posterior, records
-
-
 class ReleaseMechanism:
     """Stateful per-run wrapper: owns the posterior, the ledger, and the
     noise stream, and turns per-direction scalar vectors into releases."""
@@ -536,11 +490,10 @@ class ReleaseMechanism:
             )
         self.spec = spec
         self.design = design
-        self.horizon = horizon
         self.rng = rng
         self.secret_index = secret_index
         self.posterior = Posterior.uniform(design.n_subsets)
-        self.ledger = BudgetLedger(mi_total=spec.effective_budget())
+        self.ledger = BudgetLedger(mi_total=spec.effective_budget(), horizon=horizon, k=spec.k)
 
     def step(self, t: int, scalars_per_slot: list[np.ndarray]) -> tuple[list[float], list[StepRecord]]:
         if len(scalars_per_slot) != self.spec.k:
@@ -559,18 +512,19 @@ class ReleaseMechanism:
             self.ledger.charge(record)
             return [y], [record]
 
-        signs_per_slot = [
-            subset_signs(s, self.design, self.spec.clip) for s in scalars_per_slot
-        ]
-        # a ZPL ledger holds no budget, so the MI rule releases its coins
-        ledger = self.ledger
-        ys, self.posterior, records = k_aggregate_step(
-            self.posterior, signs_per_slot, self.secret_index,
-            step_budget(ledger.mi_total, ledger.mi_spent, t, self.horizon),
-            "paczero_mi", self.rng, self.spec.unanimity_tolerance,
-            remaining=ledger.remaining(), spent=ledger.mi_spent, total=ledger.mi_total,
-        )
-        for record in records:
-            record.t = t
+        # a ZPL ledger holds no budget, so every contested bit is a fair coin
+        self.ledger.open_step(t)
+        ys: list[float] = []
+        records: list[StepRecord] = []
+        for slot, scalars in enumerate(scalars_per_slot):
+            signs = subset_signs(scalars, self.design, self.spec.clip)
+            q_plus = agreement_probability(self.posterior, signs)
+            y, self.posterior, record = release_bit(
+                self.posterior, signs, q_plus, self.secret_index,
+                self.ledger.allocate(q_plus), self.rng, self.spec.unanimity_tolerance,
+            )
+            record.t, record.slot = t, slot
             self.ledger.charge(record)
+            ys.append(y)
+            records.append(record)
         return ys, records

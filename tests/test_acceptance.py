@@ -28,12 +28,13 @@ from paczero.binary_channel import (
 from paczero.engine import TrainConfig, train
 from paczero.harness import ExperimentConfig, sweep_decomposition, sweep_mi_plateau
 from paczero.mechanism import (
+    TAU_DEFAULT,
     MechanismSpec,
     Posterior,
+    ReleaseMechanism,
+    SubsetDesign,
     agreement_probability,
-    k_aggregate_step,
-    mi_step,
-    zpl_step,
+    release_bit,
 )
 from paczero.tasks import BlobsTask, make_task
 import helpers
@@ -205,12 +206,13 @@ def test_criterion_06_zero_leakage():
     posterior = Posterior.uniform(8)
     signs = np.array([1, 1, -1, -1, 1, -1, 1, -1])
     draws = 100_000
+    q_plus = agreement_probability(posterior, signs)
     counts = []
     for offset, secret in ((1, 0), (2, 2)):  # sign +1 arm vs sign -1 arm
         stream = np.random.default_rng(606 + offset)
         k_plus = 0
         for _ in range(draws):
-            y, _, _ = zpl_step(posterior, signs, secret, stream)
+            y, _, _ = release_bit(posterior, signs, q_plus, secret, 0.0, stream, TAU_DEFAULT)
             k_plus += y > 0
         counts.append(k_plus)
     z = helpers.two_proportion_z(counts[0], counts[1], draws)
@@ -274,42 +276,42 @@ def test_criterion_08_training_sanity():
 
 @criterion(9, "K-way aggregation is exact", 60.0)
 def test_criterion_09_k_aggregation_equivalence():
+    # k=1 aggregation trains exactly as the base variant: every record
+    # field, the final parameters and the final posterior
     rng_cfg = np.random.default_rng(909)
-    for trial in range(50):
+    branches = set()
+    for trial in range(12):
+        inner = ["paczero_mi", "paczero_zpl"][trial % 2]
+        budget = float(rng_cfg.choice([1e-3, 0.05, 2.0])) if inner == "paczero_mi" else 0.0
         m = int(rng_cfg.choice([2, 4, 8]))
-        raw = rng_cfg.random(m) + 0.05
-        posterior = Posterior(np.log(raw / raw.sum()))
-        signs = np.where(rng_cfg.random(m) < 0.5, -1, 1)
-        secret = int(rng_cfg.integers(m))
-        variant = ["paczero_mi", "paczero_zpl"][trial % 2]
-        beta_step = float(rng_cfg.choice([0.0, 1e-3, 0.05]))
-        remaining = 5.0
-        seed = int(rng_cfg.integers(2**32))
-        if variant == "paczero_mi":
-            q = agreement_probability(posterior, signs)
-            beta_bit = max(0.0, min(beta_step, 0.999 * binary_entropy(q), remaining))
-            y0, p0, r0 = mi_step(
-                posterior, signs, secret, beta_bit, np.random.default_rng(seed)
-            )
-        else:
-            y0, p0, r0 = zpl_step(posterior, signs, secret, np.random.default_rng(seed))
-        ys, p1, recs = k_aggregate_step(
-            posterior, [signs], secret, beta_step, variant,
-            np.random.default_rng(seed), remaining=remaining,
+        task = BlobsTask(n_records=16, seed=int(rng_cfg.integers(1000)))
+        cfg = TrainConfig(
+            steps=int(rng_cfg.integers(10, 41)), learning_rate=0.05,
+            seed=int(rng_cfg.integers(2**31)), dev_eval_interval=10,
         )
-        assert ys[0] == y0
-        assert recs[0].branch == r0.branch
-        assert recs[0].beta_t == r0.beta_t
-        assert recs[0].beta_used == r0.beta_used
-        assert recs[0].sigma == r0.sigma
-        assert recs[0].y_tilde == r0.y_tilde
-        assert np.array_equal(p1.log_weights, p0.log_weights)
+        base = train(task, cfg, MechanismSpec(
+            variant=inner, mi_total=budget, n_subsets=m, clip=1.0,
+        ))
+        agg = train(task, cfg, MechanismSpec(
+            variant="k_aggregate", mi_total=budget, n_subsets=m, clip=1.0,
+            k=1, inner_variant=inner,
+        ))
+        assert agg.transcript.records == base.transcript.records
+        assert np.array_equal(agg.final_params, base.final_params)
+        assert np.array_equal(agg.final_posterior, base.final_posterior)
+        branches |= {r.branch for r in base.transcript.records}
+    assert branches == {"unanimity", "disagreement", "zpl_coin"}
     # K=4: the per-step allocation splits into exact quarters and the
     # ledger sum reproduces the step allocation with no rounding residue
-    _, _, recs = k_aggregate_step(
-        Posterior.uniform(2), [np.array([1, -1])] * 4, 0, 0.004, "paczero_mi",
-        np.random.default_rng(5), remaining=1.0,
+    design = SubsetDesign(
+        membership=np.array([[True, False], [True, False], [False, True], [False, True]]),
+        seed=0,
     )
+    spec = MechanismSpec(variant="k_aggregate", mi_total=0.4, n_subsets=2, k=4)
+    mech = ReleaseMechanism(
+        spec, design, horizon=100, rng=np.random.default_rng(5), secret_index=0
+    )
+    _, recs = mech.step(1, [np.array([1.0, 1.0, -1.0, -1.0])] * 4)
     assert [r.beta_used for r in recs] == [0.001] * 4
     assert math.fsum(r.beta_used for r in recs) == 0.004
 

@@ -85,8 +85,11 @@ class TestExperimentConfig:
         assert ExperimentConfig.from_dict(base_raw(seeds=7)).seeds == (7,)
         with pytest.raises(ConfigError, match="seeds"):
             ExperimentConfig.from_dict(base_raw(seeds=[]))
-        with pytest.raises(ConfigError, match="seeds"):
-            ExperimentConfig.from_dict(base_raw(seeds=["a"]))
+        # a bool seed would be written as seed_True and then fail its own
+        # header check; a negative one would crash numpy's seeding
+        for seeds in (["a"], True, [True], [-1]):
+            with pytest.raises(ConfigError, match="seeds"):
+                ExperimentConfig.from_dict(base_raw(seeds=seeds))
 
     def test_label_and_output_dir_validation(self):
         with pytest.raises(ConfigError, match="label"):
@@ -461,6 +464,8 @@ class TestCli:
             pytest.param("release", ["y_tilde"], None, id="missing-y_tilde"),
             pytest.param("release", ["y_tilde"], 10**400, id="overflowing-y_tilde"),
             pytest.param("release", ["cum_mi"], 10**400, id="overflowing-cum_mi"),
+            pytest.param("file", None, '{"type": "header"', id="invalid-json-line"),
+            pytest.param("file", None, "[1]", id="non-object-line"),
         ],
     )
     def test_validate_names_every_malformed_file(self, small_summary, tmp_path, capsys,
@@ -469,15 +474,18 @@ class TestCli:
         _, out, _ = small_summary
         lines = (out / "seed_0" / "transcript.jsonl").read_text().splitlines()
         objs = [json.loads(text) for text in lines]
-        n = {"header": 0, "summary": -1}.get(line)
-        if n is None:
-            n = next(i for i, o in enumerate(objs) if o.get("branch") == "disagreement")
-        node = objs[n]
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
+        if line == "file":  # the whole file is this one raw line
+            bad.write_text(value + "\n")
+        else:
+            n = {"header": 0, "summary": -1}.get(line)
+            if n is None:
+                n = next(i for i, o in enumerate(objs) if o.get("branch") == "disagreement")
+            node = objs[n]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            bad.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
         assert cli.main(["validate", str(bad)]) == 1
         assert "FAILED invariant:" in capsys.readouterr().err
 
@@ -485,6 +493,23 @@ class TestCli:
         path = write_config(tmp_path, base_raw(seeds="florp"))
         assert cli.main(["run", "--config", str(path)]) == 1
         assert "FAILED invariant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "--trials", "5"],
+            ["sweep-k", "--ks", "0"],
+            ["sweep-t", "--rungs", "0"],
+            ["bounds", "--mi", "-1"],
+        ],
+        ids=["attack-trials", "sweep-k-ks", "sweep-t-rungs", "bounds-mi"],
+    )
+    def test_library_value_error_fails_cleanly(self, tmp_path, capsys, argv):
+        if argv[0] != "bounds":
+            path = write_config(tmp_path, base_raw(seeds=[0]))
+            argv = [argv[0], "--config", str(path), "--out", str(tmp_path / "runs"), *argv[1:]]
+        assert cli.main(argv) == 1
+        assert "FAILED invariant:" in capsys.readouterr().err
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1

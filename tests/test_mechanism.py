@@ -14,6 +14,7 @@ from paczero.mechanism import (
     BRANCH_UNANIMITY,
     BudgetLedger,
     DesignError,
+    TAU_DEFAULT,
     MechanismSpec,
     Posterior,
     ReleaseMechanism,
@@ -24,13 +25,10 @@ from paczero.mechanism import (
     bit_allocation,
     build_balanced_design,
     is_unanimous,
-    k_aggregate_step,
-    mi_step,
+    release_bit,
     release_branch,
-    step_budget,
     subset_signs,
     surrogate_release,
-    zpl_step,
 )
 import helpers
 
@@ -192,50 +190,55 @@ class TestBranching:
         assert agreed_sign(0.01) == -1
 
 
-def allocate(ledger: BudgetLedger, t: int, horizon: int, q_plus: float, k: int = 1) -> float:
-    """First bit of step t under the rule the mechanism and validator share."""
-    beta_step = step_budget(ledger.mi_total, ledger.mi_spent, t, horizon)
-    return bit_allocation(
-        beta_step, k, q_plus, ledger.remaining(), ledger.mi_spent, ledger.mi_total
-    )
+def allocate(ledger: BudgetLedger, t: int, q_plus: float) -> float:
+    """First bit of step t under the walk the mechanism and validator share."""
+    ledger.open_step(t)
+    return ledger.allocate(q_plus)
+
+
+def release(posterior, signs, secret, beta, rng):
+    """One bit at allocation ``beta`` (zero for ZPL), as the mechanism
+    releases it."""
+    q_plus = agreement_probability(posterior, signs)
+    return release_bit(posterior, signs, q_plus, secret, beta, rng, TAU_DEFAULT)
 
 
 class TestAdaptiveBudget:
     def test_first_step_allocation(self):
-        ledger = BudgetLedger(mi_total=0.68)
-        beta = allocate(ledger, 1, 1000, 0.5)
+        ledger = BudgetLedger(mi_total=0.68, horizon=1000, k=1)
+        beta = allocate(ledger, 1, 0.5)
         assert beta == pytest.approx(0.00068, abs=1e-15)
 
     def test_exhausted_budget_allocates_zero(self):
-        ledger = BudgetLedger(mi_total=0.1, mi_spent=0.1)
-        assert allocate(ledger, 5, 10, 0.5) == 0.0
+        ledger = BudgetLedger(mi_total=0.1, horizon=10, k=1, mi_spent=0.1)
+        assert allocate(ledger, 5, 0.5) == 0.0
 
     def test_late_run_allocation(self):
-        ledger = BudgetLedger(mi_total=0.33, mi_spent=0.30)
-        beta = allocate(ledger, 991, 1000, 0.9)
+        ledger = BudgetLedger(mi_total=0.33, horizon=1000, k=1, mi_spent=0.30)
+        beta = allocate(ledger, 991, 0.9)
         # (0.33-0.30)/10, below the cap 0.999*h(0.9) = 0.3247578904...
         assert beta == pytest.approx(0.003, abs=1e-12)
 
     def test_entropy_cap_binds(self):
-        ledger = BudgetLedger(mi_total=10.0)
-        beta = allocate(ledger, 1, 1, 0.9)
+        ledger = BudgetLedger(mi_total=10.0, horizon=1, k=1)
+        beta = allocate(ledger, 1, 0.9)
         assert beta == pytest.approx(0.999 * 0.3250829733914482, abs=1e-12)
 
     def test_step_outside_horizon_rejected(self):
         with pytest.raises(ValueError):
-            allocate(BudgetLedger(mi_total=1.0), 11, 10, 0.5)
+            allocate(BudgetLedger(mi_total=1.0, horizon=10, k=1), 11, 0.5)
 
     def test_k_way_split(self):
-        ledger = BudgetLedger(mi_total=0.4)
-        assert allocate(ledger, 1, 100, 0.5, k=4) == 0.001
+        ledger = BudgetLedger(mi_total=0.4, horizon=100, k=4)
+        assert allocate(ledger, 1, 0.5) == 0.001
 
     def test_rounding_never_overspends(self):
         # 0.33 - 0.03 rounds up to 0.30000000000000004, and adding it back
         # to 0.03 lands one ulp above the budget; the bit steps down instead
-        ledger = BudgetLedger(mi_total=0.33, mi_spent=0.03)
+        ledger = BudgetLedger(mi_total=0.33, horizon=10, k=1, mi_spent=0.03)
         assert ledger.remaining() == 0.30000000000000004
         assert 0.03 + ledger.remaining() > 0.33
-        beta = allocate(ledger, 10, 10, 0.5)
+        beta = allocate(ledger, 10, 0.5)
         assert 0.03 + beta <= 0.33
         assert beta == pytest.approx(0.3, abs=1e-15)
 
@@ -252,7 +255,7 @@ class TestMiStep:
         signs = np.array([1, 1, 1, 1])
         for secret in range(4):
             rng = np.random.default_rng(0)
-            y, p_next, rec = mi_step(p, signs, secret, 0.05, rng)
+            y, p_next, rec = release(p, signs, secret, 0.05, rng)
             assert y == 1.0
             assert rec.branch == BRANCH_UNANIMITY
             assert rec.beta_used == 0.0
@@ -263,7 +266,7 @@ class TestMiStep:
         p = Posterior.uniform(2)
         signs = np.array([1, -1])
         rng = np.random.default_rng(7)
-        y, p_next, rec = mi_step(p, signs, 0, 0.1, rng)
+        y, p_next, rec = release(p, signs, 0, 0.1, rng)
         assert rec.branch == BRANCH_DISAGREEMENT
         assert rec.beta_used == 0.1
         assert rec.sigma == pytest.approx(invert_channel_mi(0.5, 0.1), abs=0.0)
@@ -275,7 +278,7 @@ class TestMiStep:
         signs = np.array([1, -1])
         counts = 0
         for seed in range(200):
-            y, p_next, rec = mi_step(p, signs, 0, 0.0, np.random.default_rng(seed))
+            y, p_next, rec = release(p, signs, 0, 0.0, np.random.default_rng(seed))
             assert rec.branch == BRANCH_COIN
             assert rec.beta_used == 0.0
             assert p_next is p
@@ -292,7 +295,7 @@ class TestMiStep:
             beta = float(sign_rng.choice([0.0, 1e-16, 1e-3, 0.05]))
             if not is_unanimous(q):
                 beta = min(beta, 0.999 * binary_entropy(q))
-            y, p, rec = mi_step(p, signs, int(sign_rng.integers(8)), beta, rng)
+            y, p, rec = release(p, signs, int(sign_rng.integers(8)), beta, rng)
             assert rec.beta_used in (0.0, rec.beta_t)
             free = rec.branch in (BRANCH_UNANIMITY, BRANCH_COIN)
             assert (rec.beta_used == 0.0) == free
@@ -302,7 +305,7 @@ class TestMiStep:
         signs = np.array([1, -1, 1, -1])
         records = []
         for secret in range(4):
-            _, _, rec = mi_step(p, signs, secret, 0.02, np.random.default_rng(11))
+            _, _, rec = release(p, signs, secret, 0.02, np.random.default_rng(11))
             records.append(rec)
         assert len({r.q_plus for r in records}) == 1
         assert len({r.sigma for r in records}) == 1
@@ -322,8 +325,8 @@ class TestMiStep:
 class TestZplStep:
     def test_unanimity_branch_shared(self):
         p = Posterior.uniform(4)
-        y, p_next, rec = zpl_step(
-            p, np.array([-1, -1, -1, -1]), 2, np.random.default_rng(0)
+        y, p_next, rec = release(
+            p, np.array([-1, -1, -1, -1]), 2, 0.0, np.random.default_rng(0)
         )
         assert y == -1.0
         assert rec.branch == BRANCH_UNANIMITY
@@ -340,7 +343,7 @@ class TestZplStep:
         ss = np.empty(n)
         for i in range(n):
             secret = int(secret_rng.integers(8))
-            y, p, rec = zpl_step(p, signs, secret, rng)
+            y, p, rec = release(p, signs, secret, 0.0, rng)
             assert rec.branch == BRANCH_COIN and rec.beta_used == 0.0
             ys[i] = y
             ss[i] = signs[secret]
@@ -352,7 +355,7 @@ class TestZplStep:
         rng = np.random.default_rng(5)
         signs = np.array([1, -1, 1, -1, 1, -1])
         for _ in range(50):
-            _, p, _ = zpl_step(p, signs, 3, rng)
+            _, p, _ = release(p, signs, 3, 0.0, rng)
         assert p.probabilities() == pytest.approx(np.full(6, 1 / 6), abs=1e-15)
 
 
@@ -407,99 +410,85 @@ class TestSurrogate:
 
 
 class TestKAggregate:
-    def test_k1_bit_identical_to_base_mi(self):
-        rng_cfg = np.random.default_rng(31)
-        for trial in range(50):
-            m = int(rng_cfg.choice([2, 4, 8]))
-            raw = rng_cfg.random(m) + 0.05
-            p = posterior_from(raw / raw.sum())
-            signs = np.where(rng_cfg.random(m) < 0.5, -1, 1)
-            secret = int(rng_cfg.integers(m))
-            beta_step = float(rng_cfg.choice([0.0, 1e-3, 0.01, 0.2]))
-            remaining = float(rng_cfg.choice([beta_step, 5.0]))
-            seed = int(rng_cfg.integers(2**32))
+    @staticmethod
+    def run(spec, seed, steps=30):
+        """Releases and final posterior of one mechanism fed random scalars."""
+        design = build_balanced_design(16, spec.n_subsets, seed=seed)
+        mech = ReleaseMechanism(
+            spec, design, horizon=steps, rng=np.random.default_rng(seed),
+            secret_index=seed % spec.n_subsets,
+        )
+        data = np.random.default_rng(seed + 1)
+        out = [mech.step(t, [data.standard_normal(16)]) for t in range(1, steps + 1)]
+        return out, mech.posterior.log_weights
 
-            q = agreement_probability(p, signs)
-            beta_bit = max(
-                0.0, min(beta_step, 0.999 * binary_entropy(q), remaining)
+    def test_k1_bit_identical_to_base_mi(self):
+        branches = set()
+        for seed in range(12):
+            m = (2, 4, 8)[seed % 3]
+            budget = (1e-3, 0.05, 2.0)[seed // 4]
+            base = MechanismSpec(variant="paczero_mi", mi_total=budget, n_subsets=m)
+            agg = MechanismSpec(variant="k_aggregate", mi_total=budget, n_subsets=m, k=1)
+            (steps_base, post_base), (steps_agg, post_agg) = (
+                self.run(base, seed), self.run(agg, seed)
             )
-            y_base, p_base, rec_base = mi_step(
-                p, signs, secret, beta_bit, np.random.default_rng(seed)
-            )
-            ys, p_agg, recs = k_aggregate_step(
-                p, [signs], secret, beta_step, "paczero_mi",
-                np.random.default_rng(seed), remaining=remaining,
-            )
-            assert ys[0] == y_base
-            assert np.array_equal(p_agg.log_weights, p_base.log_weights)
-            assert recs[0].branch == rec_base.branch
-            assert recs[0].beta_t == rec_base.beta_t
-            assert recs[0].beta_used == rec_base.beta_used
-            assert recs[0].sigma == rec_base.sigma
-            assert recs[0].y_tilde == rec_base.y_tilde
+            assert steps_agg == steps_base
+            assert np.array_equal(post_agg, post_base)
+            branches |= {r.branch for _, recs in steps_base for r in recs}
+        assert branches == {BRANCH_UNANIMITY, BRANCH_DISAGREEMENT}
 
     def test_k1_bit_identical_to_base_zpl(self):
-        p = Posterior.uniform(4)
-        signs = np.array([1, -1, -1, 1])
-        for seed in range(20):
-            y_base, _, rec_base = zpl_step(
-                p, signs, 1, np.random.default_rng(seed)
+        for seed in range(6):
+            base = MechanismSpec(variant="paczero_zpl", n_subsets=4)
+            agg = MechanismSpec(
+                variant="k_aggregate", n_subsets=4, k=1, inner_variant="paczero_zpl"
             )
-            ys, _, recs = k_aggregate_step(
-                p, [signs], 1, 0.0, "paczero_zpl", np.random.default_rng(seed)
-            )
-            assert ys[0] == y_base
-            assert recs[0].branch == rec_base.branch
+            assert self.run(agg, seed)[0] == self.run(base, seed)[0]
 
     def test_k4_splits_budget_exactly(self):
-        p = Posterior.uniform(2)
-        signs = [np.array([1, -1])] * 4
-        beta_step = 0.004
-        ys, p_out, recs = k_aggregate_step(
-            p, signs, 0, beta_step, "paczero_mi", np.random.default_rng(2),
-            remaining=1.0,
+        # the mechanism's own BudgetLedger(k=4) walk: a 0.004 step
+        # allocation split over four contested bits
+        spec = MechanismSpec(variant="k_aggregate", mi_total=0.4, n_subsets=2, k=4)
+        mech = ReleaseMechanism(
+            spec, two_subset_design(), horizon=100,
+            rng=np.random.default_rng(2), secret_index=0,
         )
+        assert (mech.ledger.horizon, mech.ledger.k) == (100, 4)
+        _, recs = mech.step(1, [np.array([1.0, 1.0, -1.0, -1.0])] * 4)
         assert len(recs) == 4
-        per_bit = beta_step / 4
+        per_bit = 0.004 / 4
         for rec in recs:
             assert rec.branch == BRANCH_DISAGREEMENT
             assert rec.beta_t == per_bit
             assert rec.beta_used == per_bit
-        ledger = BudgetLedger(mi_total=1.0)
-        for rec in recs:
-            ledger.charge(rec)
-        assert ledger.mi_spent == per_bit + per_bit + per_bit + per_bit
-        assert recs[-1].cum_mi == ledger.mi_spent
+        assert mech.ledger.mi_spent == per_bit + per_bit + per_bit + per_bit
+        assert recs[-1].cum_mi == mech.ledger.mi_spent
 
     def test_remaining_clamps_trailing_bits(self):
-        p = Posterior.uniform(2)
-        signs = [np.array([1, -1])] * 4
-        remaining = 0.0015
-        ys, _, recs = k_aggregate_step(
-            p, signs, 0, 0.004, "paczero_mi", np.random.default_rng(8),
-            remaining=remaining,
-        )
-        expected_first = 0.004 / 4
-        expected_second = max(0.0, remaining - expected_first)
-        assert recs[0].beta_used == expected_first
-        assert recs[1].beta_used == expected_second
-        assert recs[2].branch == BRANCH_COIN and recs[2].beta_used == 0.0
-        assert recs[3].branch == BRANCH_COIN and recs[3].beta_used == 0.0
-        assert sum(r.beta_used for r in recs) <= remaining
+        # a 0.004 step allocation split four ways, with only 0.0015 of the
+        # step left: the second bit gets the rest, the last two nothing
+        first = bit_allocation(0.004, 4, 0.5, 0.0015, 0.0, 1.0)
+        second = bit_allocation(0.004, 4, 0.5, max(0.0, 0.0015 - first), first, 1.0)
+        assert first == 0.004 / 4
+        assert second == max(0.0, 0.0015 - first)
+        assert bit_allocation(0.004, 4, 0.5, 0.0, first + second, 1.0) == 0.0
+        assert release_branch(0.5, 0.0) == BRANCH_COIN
+        assert first + second <= 0.0015
 
     def test_unknown_inner_variant_rejected(self):
-        with pytest.raises(ValueError):
-            k_aggregate_step(
-                Posterior.uniform(2), [np.array([1, -1])], 0, 0.1,
-                "surrogate", np.random.default_rng(0),
-            )
+        for inner in ("surrogate", "paczero_dp"):
+            with pytest.raises(ValueError):
+                MechanismSpec(variant="k_aggregate", mi_total=0.1, k=2, inner_variant=inner)
 
     def test_empty_slot_list_rejected(self):
+        spec = MechanismSpec(variant="k_aggregate", mi_total=0.1, n_subsets=2, k=2)
+        mech = ReleaseMechanism(
+            spec, two_subset_design(), horizon=10,
+            rng=np.random.default_rng(0), secret_index=0,
+        )
         with pytest.raises(ValueError):
-            k_aggregate_step(
-                Posterior.uniform(2), [], 0, 0.1, "paczero_mi",
-                np.random.default_rng(0),
-            )
+            mech.step(1, [])
+        assert mech.ledger.total_bits == 0
 
 
 class TestMechanismSpec:
@@ -522,10 +511,6 @@ class TestMechanismSpec:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             MechanismSpec(variant="k_aggregate", mi_total=0.1, k=0)
-        with pytest.raises(ValueError):
-            MechanismSpec(
-                variant="k_aggregate", mi_total=0.1, k=2, inner_variant="surrogate"
-            )
 
     def test_default_subset_counts(self):
         assert MechanismSpec(variant="paczero_mi", mi_total=0.1).resolved_subsets() == 128
@@ -561,7 +546,7 @@ class TestMechanismSpec:
 
 class TestBudgetLedger:
     def test_charge_enforces_dichotomy(self):
-        ledger = BudgetLedger(mi_total=1.0)
+        ledger = BudgetLedger(mi_total=1.0, horizon=1, k=1)
         bad = StepRecord(
             t=1, slot=0, branch=BRANCH_DISAGREEMENT, q_plus=0.5, sigma=1.0,
             y=1.0, y_tilde=0.5, beta_t=0.1, beta_used=0.05,
@@ -570,7 +555,7 @@ class TestBudgetLedger:
             ledger.charge(bad)
 
     def test_free_fraction(self):
-        ledger = BudgetLedger(mi_total=1.0)
+        ledger = BudgetLedger(mi_total=1.0, horizon=1, k=3)
         for branch, used in (
             (BRANCH_UNANIMITY, 0.0), (BRANCH_DISAGREEMENT, 0.1), (BRANCH_UNANIMITY, 0.0),
         ):
@@ -611,8 +596,9 @@ class TestReleaseMechanism:
 
     def test_slot_count_enforced(self):
         mech = self.make()
-        with pytest.raises(ValueError):
-            mech.step(1, [np.zeros(16), np.zeros(16)])
+        for scalars in ([np.zeros(16), np.zeros(16)], []):
+            with pytest.raises(ValueError):
+                mech.step(1, scalars)
 
     def test_mi_run_charges_ledger(self):
         mech = self.make()
