@@ -11,7 +11,6 @@ from .adversary import empirical_mia_experiment, membership_attack, replay_poste
 from .binary_channel import (
     binary_entropy,
     channel_mi,
-    channel_mi_oracle,
     invert_channel_mi,
 )
 from .engine import TrainConfig, Transcript, TrainResult, train
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "binary_entropy",
     "channel_mi",
-    "channel_mi_oracle",
     "invert_channel_mi",
     "kl_binary",
     "mia_posterior_bound",

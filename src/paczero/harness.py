@@ -44,7 +44,7 @@ from .engine import (
 from .mechanism import (
     DesignError, MechanismSpec, StepRecord, SubsetDesign, build_balanced_design,
 )
-from .tasks import LossTask, make_task
+from .tasks import LossTask, check_task_spec, make_task
 
 __all__ = [
     "ConfigError",
@@ -124,6 +124,10 @@ class ExperimentConfig:
         if not isinstance(task, dict) or "name" not in task:
             raise ConfigError("task: must be a mapping with a 'name' key")
         try:
+            check_task_spec(task["name"], {k: v for k, v in task.items() if k != "name"})
+        except ValueError as exc:
+            raise ConfigError(f"task: {exc}") from exc
+        try:
             mechanism = mechanism_from_dict(raw.get("mechanism") or {})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"mechanism: {exc}") from exc
@@ -143,8 +147,9 @@ class ExperimentConfig:
                 "seeds: must be a nonnegative integer or a nonempty list of them"
             )
         label = raw.get("label", "experiment")
-        if not isinstance(label, str) or not label:
-            raise ConfigError("label: must be a nonempty string")
+        if not isinstance(label, str) or label in ("", ".", "..") or "/" in label or "\\" in label:
+            # it names a directory under the artifact root, never above it
+            raise ConfigError("label: must be one path component, not '.' or '..'")
         out = raw.get("output_dir")
         if out is not None and not isinstance(out, str):
             raise ConfigError("output_dir: must be a string path")
@@ -157,15 +162,22 @@ class ExperimentConfig:
     def from_yaml(
         cls, path: str | Path, overrides: list[str] | None = None
     ) -> "ExperimentConfig":
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = _parse_yaml(Path(path).read_text(), str(path))
         if raw is None:
             raw = {}
         for item in overrides or []:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} is not of the form key.path=value")
             dotted, value = item.split("=", 1)
-            _set_dotted(raw, dotted.strip(), yaml.safe_load(value))
+            _set_dotted(raw, dotted.strip(), _parse_yaml(value, f"override {item!r}"))
         return cls.from_dict(raw)
+
+
+def _parse_yaml(text: str, source: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{source}: invalid YAML: {exc}") from exc
 
 
 def _set_dotted(tree: dict, dotted: str, value) -> None:

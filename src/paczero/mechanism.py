@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,20 @@ class SubsetDesign:
     def subset_members(self, m: int) -> np.ndarray:
         """Indices of subset m's records, ascending."""
         return np.flatnonzero(self.membership[:, m])
+
+    @cached_property
+    def size_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The subsets grouped by size, built once per design: for each
+        distinct size, the subset indices and a C-contiguous (count, size)
+        array whose rows are those subsets' members, ascending."""
+        sizes = self.membership.sum(axis=0)
+        groups = []
+        # not np.unique: it imports numpy.ma, which costs time and memory
+        for size in sorted(set(sizes.tolist())):
+            ms = np.flatnonzero(sizes == size)
+            members = np.nonzero(self.membership[:, ms].T)[1]
+            groups.append((ms, np.ascontiguousarray(members.reshape(ms.size, size))))
+        return tuple(groups)
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -337,7 +352,9 @@ class MechanismSpec:
 
 def subset_signs(scalars: np.ndarray, design: SubsetDesign, clip: float) -> np.ndarray:
     """Clip each per-sample scalar to [-clip, clip], average over every
-    subset's members in ascending index order, and take signs (sign(0)=+1)."""
+    subset's members in ascending index order, and take signs (sign(0)=+1).
+    A size group's row sums are each the pairwise sum a per-subset 1-d sum
+    makes, so the means equal a loop's bit for bit (a matmul's would not)."""
     scalars = np.asarray(scalars, dtype=float)
     if scalars.shape != (design.n_records,):
         raise ValueError(
@@ -347,9 +364,8 @@ def subset_signs(scalars: np.ndarray, design: SubsetDesign, clip: float) -> np.n
         raise ValueError("clip must be positive (may be inf)")
     clipped = np.clip(scalars, -clip, clip)
     means = np.empty(design.n_subsets)
-    for m in range(design.n_subsets):
-        members = design.subset_members(m)
-        means[m] = clipped[members].sum() / members.size
+    for ms, members in design.size_groups:
+        means[ms] = clipped[members].sum(axis=1) / members.shape[1]
     return np.where(means >= 0.0, 1, -1).astype(np.int64)
 
 

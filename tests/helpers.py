@@ -2,18 +2,61 @@
 
 Everything here is deliberately written from the defining formulas with
 stdlib math / plain numpy, never by calling the package functions under
-test, so agreement is evidence rather than tautology.
+test, so agreement is evidence rather than tautology.  The channel oracle
+raises the package's ``ChannelError``, as the code it checks does.
 """
 
 import math
 
 import numpy as np
 
+from paczero.binary_channel import ChannelError
+
 
 def entropy_nats(q: float) -> float:
     if q <= 0.0 or q >= 1.0:
         return 0.0
     return -q * math.log(q) - (1.0 - q) * math.log(1.0 - q)
+
+
+def channel_mi_oracle(
+    q_plus: float,
+    sigma: float,
+    grid_halfwidth: float,
+    grid_points: int,
+) -> float:
+    """Composite-trapezoid evaluation of the same MI integral on a y-grid.
+
+    Deliberately independent of the Gauss-Hermite path: the integrand is
+    formed from explicit log-densities on [-grid_halfwidth, grid_halfwidth].
+    """
+    if not 0.0 <= q_plus <= 1.0:
+        raise ChannelError(f"q_plus out of range: {q_plus!r}")
+    if sigma <= 0.0:
+        raise ChannelError("oracle requires sigma > 0")
+    if grid_halfwidth < 1.0 + 8.0 * sigma:
+        raise ChannelError(
+            f"grid halfwidth {grid_halfwidth} does not cover 1 + 8*sigma = {1.0 + 8.0 * sigma}"
+        )
+    if grid_points < 10_000:
+        raise ChannelError(f"need at least 1e4 grid points, got {grid_points}")
+    if q_plus == 0.0 or q_plus == 1.0:
+        return 0.0
+
+    y = np.linspace(-grid_halfwidth, grid_halfwidth, int(grid_points))
+    log_norm = -math.log(sigma * math.sqrt(2.0 * math.pi))
+    log_p_plus = log_norm - (y - 1.0) ** 2 / (2.0 * sigma**2)
+    log_p_minus = log_norm - (y + 1.0) ** 2 / (2.0 * sigma**2)
+    log_mix = np.logaddexp(
+        math.log(q_plus) + log_p_plus, math.log1p(-q_plus) + log_p_minus
+    )
+    # p * log(p/mix) with the p -> 0 tails going to zero by underflow.
+    integrand_plus = np.exp(log_p_plus) * (log_p_plus - log_mix)
+    integrand_minus = np.exp(log_p_minus) * (log_p_minus - log_mix)
+    mi = q_plus * np.trapezoid(integrand_plus, y) + (1.0 - q_plus) * np.trapezoid(
+        integrand_minus, y
+    )
+    return float(max(mi, 0.0))
 
 
 def kl_nats(p: float, q: float) -> float:
@@ -37,6 +80,17 @@ def solve_posterior_bound(mi: float, prior: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def loop_subset_signs(scalars, membership, clip: float) -> np.ndarray:
+    """Sign of every subset's clipped mean, one subset at a time: its
+    members in ascending order summed as one 1-d array (sign(0) = +1)."""
+    clipped = np.clip(np.asarray(scalars, dtype=float), -clip, clip)
+    signs = np.empty(membership.shape[1], dtype=np.int64)
+    for m in range(membership.shape[1]):
+        members = np.flatnonzero(membership[:, m])
+        signs[m] = 1 if clipped[members].sum() / members.size >= 0.0 else -1
+    return signs
 
 
 def analytic_blobs_directional(task, theta, i: int, z) -> float:

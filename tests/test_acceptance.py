@@ -22,7 +22,6 @@ from paczero.adversary import empirical_mia_experiment
 from paczero.binary_channel import (
     binary_entropy,
     channel_mi,
-    channel_mi_oracle,
     invert_channel_mi,
 )
 from paczero.engine import TrainConfig, train
@@ -38,6 +37,7 @@ from paczero.mechanism import (
 )
 from paczero.tasks import BlobsTask, make_task
 import helpers
+from helpers import channel_mi_oracle
 
 
 _LIVE_CAPTURE: list = []

@@ -11,11 +11,11 @@ from paczero.binary_channel import (
     InfeasibleBudgetError,
     binary_entropy,
     channel_mi,
-    channel_mi_oracle,
     invert_channel_mi,
 )
 from paczero import binary_channel
 import helpers
+from helpers import channel_mi_oracle
 
 LN2 = 0.6931471805599453
 

@@ -67,6 +67,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="task"):
             ExperimentConfig.from_dict(base_raw(task={"n_records": 16}))
 
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"name": "blobs", "florp": 1},
+            {"name": "xor_mlp", "dim": 4},
+            {"name": "nope"},
+            {"name": ["blobs"]},
+        ],
+        ids=["unknown-param", "other-task-param", "unknown-name", "unhashable-name"],
+    )
+    def test_task_checked_against_constructor(self, task):
+        with pytest.raises(ConfigError, match="^task: "):
+            ExperimentConfig.from_dict(base_raw(task=task))
+
     def test_mechanism_errors_are_attributed(self):
         raw = base_raw(mechanism={"variant": "paczero_mi", "mi_total": -1.0})
         with pytest.raises(ConfigError, match="^mechanism: "):
@@ -92,8 +106,10 @@ class TestExperimentConfig:
                 ExperimentConfig.from_dict(base_raw(seeds=seeds))
 
     def test_label_and_output_dir_validation(self):
-        with pytest.raises(ConfigError, match="label"):
-            ExperimentConfig.from_dict(base_raw(label=""))
+        for label in ("", ".", "..", "../../escaped", "a/b", "/abs", "a\\b", 3):
+            with pytest.raises(ConfigError, match="^label: "):
+                ExperimentConfig.from_dict(base_raw(label=label))
+        assert ExperimentConfig.from_dict(base_raw(label="a..b")).label == "a..b"
         with pytest.raises(ConfigError, match="output_dir"):
             ExperimentConfig.from_dict(base_raw(output_dir=3))
 
@@ -117,6 +133,15 @@ class TestExperimentConfig:
         path = write_config(tmp_path, base_raw())
         with pytest.raises(ConfigError, match="override"):
             ExperimentConfig.from_yaml(path, ["train.steps 7"])
+
+    def test_yaml_syntax_error_is_config_error(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("x: [\n")
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            ExperimentConfig.from_yaml(bad)
+        path = write_config(tmp_path, base_raw())
+        with pytest.raises(ConfigError, match="^override 'seeds=\\[': invalid YAML"):
+            ExperimentConfig.from_yaml(path, ["seeds=["])
 
     def test_output_root_resolution(self, monkeypatch):
         monkeypatch.delenv("PACZERO_OUTPUT_ROOT", raising=False)
@@ -510,6 +535,25 @@ class TestCli:
             argv = [argv[0], "--config", str(path), "--out", str(tmp_path / "runs"), *argv[1:]]
         assert cli.main(argv) == 1
         assert "FAILED invariant:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, text",
+        [
+            (["--set", "label=../../escaped"], None),
+            (["--set", "task.florp=1"], None),
+            ([], "x: [\n"),
+        ],
+        ids=["label-escapes-root", "unknown-task-param", "yaml-syntax"],
+    )
+    def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text):
+        path = write_config(tmp_path, base_raw(seeds=[0]))
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "root" / "runs"
+        argv = ["run", "--config", str(path), "--out", str(out), *overrides]
+        assert cli.main(argv) == 1
+        assert "FAILED invariant:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1

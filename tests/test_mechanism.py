@@ -45,6 +45,56 @@ def two_subset_design() -> SubsetDesign:
     return SubsetDesign(membership=membership, seed=0)
 
 
+# ties, signed zeros and values that cancel exactly ...
+EDGE_SCALARS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.1, 0.2, -0.3, 3.0, -3.0, 1e-300, -1e-300)
+# ... and magnitudes whose sum's sign depends on the order it is taken in
+# (1e16 + 1 rounds to 1e16, but 1e16 - 1e16 + 1 is 1)
+ORDER_SCALARS = (1e16, -1e16, 1.0, -1.0, 3.0, -3.0, 0.0, -0.0)
+
+
+@st.composite
+def subset_designs(draw, one_size: bool = False) -> SubsetDesign:
+    """A valid design with 2..130 records and an even 2..128 subsets (one
+    record cannot fill every subset, so n = 1 admits no design).
+
+    A random design gives each record a random half of the subsets and a
+    second record the other half, so that no subset is empty; a one-size
+    design pairs each random half of the records with its complement."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = draw(st.integers(1, 64))
+    if one_size:
+        n = 2 * draw(st.integers(1, 65))
+        first = np.zeros((n, half), dtype=bool)
+        for m in range(half):
+            first[rng.permutation(n)[: n // 2], m] = True
+        membership = np.concatenate([first, ~first], axis=1)[:, rng.permutation(2 * half)]
+    else:
+        n = draw(st.integers(2, 130))
+        membership = np.zeros((n, 2 * half), dtype=bool)
+        for i in range(n):
+            membership[i, rng.permutation(2 * half)[:half]] = True
+        membership[1] = ~membership[0]
+        membership = membership[rng.permutation(n)]
+    return SubsetDesign(membership=membership, seed=0)
+
+
+@st.composite
+def design_and_scalars(draw, one_size: bool = False):
+    design = draw(subset_designs(one_size))
+    value = draw(st.sampled_from([
+        st.one_of(
+            st.sampled_from(EDGE_SCALARS),
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        ),
+        st.sampled_from(EDGE_SCALARS),
+        st.sampled_from(ORDER_SCALARS),
+    ]))
+    n = design.n_records
+    scalars = np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=float)
+    clip = draw(st.sampled_from([math.inf, 1.0, 0.25, 1e16]))
+    return design, scalars, clip
+
+
 class TestDesign:
     def test_row_sums_are_half(self):
         for n, m in ((4, 4), (16, 8), (128, 128)):
@@ -88,6 +138,22 @@ class TestDesign:
         d = two_subset_design()
         assert d.subset_members(0).tolist() == [0, 1]
         assert d.subset_members(1).tolist() == [2, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(subset_designs(), subset_designs(one_size=True)))
+    def test_size_groups_cover_every_subset_once(self, design):
+        groups = design.size_groups
+        assert groups is design.size_groups
+        covered = np.concatenate([ms for ms, _ in groups])
+        assert sorted(covered.tolist()) == list(range(design.n_subsets))
+        sizes = [members.shape[1] for _, members in groups]
+        assert sizes == sorted(set(sizes))
+        for ms, members in groups:
+            assert members.flags.c_contiguous and members.shape[0] == ms.size
+            for m, row in zip(ms.tolist(), members):
+                assert np.all(np.diff(row) > 0)
+                assert row.tolist() == design.subset_members(m).tolist()
+                assert row.tolist() == np.flatnonzero(design.membership[:, m]).tolist()
 
 
 class TestPosterior:
@@ -160,6 +226,13 @@ class TestSubsetSigns:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             subset_signs(np.zeros(3), two_subset_design(), 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(design_and_scalars(), design_and_scalars(one_size=True)))
+    def test_equals_per_subset_loop(self, case):
+        design, scalars, clip = case
+        expected = helpers.loop_subset_signs(scalars, design.membership, clip)
+        assert subset_signs(scalars, design, clip).tolist() == expected.tolist()
 
 
 class TestBranching:
