@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .binary_channel import binary_entropy, channel_mi
-from .engine import Transcript, mechanism_from_dict
+from .engine import Transcript
 from .mechanism import (
     BRANCH_DISAGREEMENT,
     BRANCH_UNANIMITY,
@@ -154,13 +154,14 @@ def validate_transcript(transcript: Transcript) -> ValidationReport:
     "structure" violation.  Each record must then equal, failing closed,
     the one its public prefix implies: branch, allocation, consumption and
     (on unanimity) the agreed sign re-derived through the same
-    ``BudgetLedger`` walk the mechanism makes, running totals as charged.  Each noise level must carry its
-    allocation and the trailer must match the ledger.  ZPL is audited as
-    MI with a zero budget, a surrogate run for carrying no accounting.
-    Unanimity under the tolerance rather than exact agreement adds a
-    residual entropy term, reported apart from the cumulative total.
+    ``BudgetLedger`` walk the mechanism makes, running totals as charged.
+    Each noise level must carry its allocation and the total spend must fit
+    the budget.  ZPL is audited as MI with a zero budget, a surrogate run
+    for carrying no accounting.  Unanimity under the tolerance rather than
+    exact agreement adds a residual entropy term, reported apart from the
+    cumulative total.
     """
-    spec = mechanism_from_dict(transcript.header.mechanism)
+    spec = transcript.header.mechanism
     tau = spec.unanimity_tolerance
     mi_total = spec.effective_budget()
     non_private = spec.variant == "surrogate"
@@ -215,13 +216,6 @@ def validate_transcript(transcript: Transcript) -> ValidationReport:
     if not spent <= mi_total:
         return fail(
             "total", f"cumulative information {spent!r} exceeds the budget {mi_total!r}"
-        )
-    trailer = (transcript.cum_mi, transcript.unanimity_bits, transcript.total_bits)
-    if not all(map(_same, trailer, (spent, unanimity_bits, ledger.total_bits))):
-        return fail(
-            "summary",
-            f"trailer totals (cum_mi, unanimity_bits, total_bits) = {trailer!r} "
-            f"mismatch the re-derived ({spent!r}, {unanimity_bits}, {n_records})",
         )
 
     if non_private:

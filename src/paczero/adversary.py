@@ -22,7 +22,6 @@ from .engine import (
     TrainConfig,
     Transcript,
     _two_point_all,
-    mechanism_from_dict,
     public_trajectory,
     train,
 )
@@ -56,7 +55,7 @@ def replay_posterior(
     honest transcript; raises ValueError on a malformed record layout.
     """
     header = transcript.header
-    spec = mechanism_from_dict(header.mechanism)
+    spec = header.mechanism
     if spec.variant == "surrogate":
         raise ValueError("surrogate releases have no calibrated posterior to replay")
     if design.content_hash() != header.design_hash:
@@ -64,7 +63,7 @@ def replay_posterior(
     if task is None:
         task = make_task(header.task_name, **header.task_params)
 
-    smoothing = TrainConfig(**header.train).smoothing
+    smoothing = header.train.smoothing
     posterior = Posterior.uniform(design.n_subsets)
     for theta, records, directions in public_trajectory(transcript, task):
         for rec, z in zip(records, directions):

@@ -10,6 +10,7 @@ PACZERO_OUTPUT_ROOT environment variable.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -30,6 +31,11 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="artifact root directory")
 
 
+def _default(function, name: str):
+    """A harness function's own default for one of its parameters."""
+    return inspect.signature(function).parameters[name].default
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paczero",
@@ -43,11 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-mi", help="same recipe across total budgets")
     _add_config_args(p)
     p.add_argument("--budgets", type=float, nargs="+",
-                   default=[1e-4, 1e-3, 1e-2, 1e-1, 0.33, 0.68])
+                   default=_default(harness.sweep_mi_plateau, "budgets"))
 
     p = sub.add_parser("sweep-t", help="horizon ladder on one trajectory")
     _add_config_args(p)
-    p.add_argument("--rungs", type=int, nargs="+", default=[250, 500, 1000])
+    p.add_argument("--rungs", type=int, nargs="+",
+                   default=_default(harness.sweep_t_ladder, "rungs"))
 
     p = sub.add_parser("sweep-decomp",
                        help="surrogate ladder plus both private variants")
@@ -55,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-k", help="directions-per-step ladder")
     _add_config_args(p)
-    p.add_argument("--ks", type=int, nargs="+", default=[1, 2, 4])
+    p.add_argument("--ks", type=int, nargs="+", default=_default(harness.sweep_k, "ks"))
 
     p = sub.add_parser("attack", help="Monte-Carlo membership attack vs bound")
     _add_config_args(p)
@@ -67,9 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="MI / attack-success / DP reference table")
     p.add_argument("--mi", type=float, nargs="+",
-                   default=[0.0, 1 / 128, 0.25, 0.33, 0.68])
-    p.add_argument("--eps", type=float, nargs="+", default=[0.1, 1.0, 2.0, 6.0])
-    p.add_argument("--delta", type=float, default=1e-5)
+                   default=_default(harness.report_bounds, "mi_values"))
+    p.add_argument("--eps", type=float, nargs="+",
+                   default=_default(harness.report_bounds, "eps_values"))
+    p.add_argument("--delta", type=float, default=_default(harness.report_bounds, "delta"))
 
     return parser
 

@@ -11,7 +11,7 @@ carry no information about the secret subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "Transcript",
     "TrainResult",
     "TwoPointNumericsError",
-    "mechanism_from_dict",
     "step_update",
     "public_trajectory",
     "train",
@@ -64,6 +63,8 @@ class TrainConfig:
     load_best_dev: bool = True
 
     def __post_init__(self):
+        if not all(type(v) is int for v in (self.steps, self.seed, self.dev_eval_interval)):
+            raise ValueError("steps, seed and dev_eval_interval must be integers")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.learning_rate <= 0.0:
@@ -119,13 +120,12 @@ def public_trajectory(transcript: Transcript, task: LossTask):
     it probes next; the last holds the final theta and two empty lists.
     Matches training bit for bit on an honest transcript.
     """
-    header = transcript.header
-    config = TrainConfig(**header.train)
+    config = transcript.header.train
     theta = task.init_params()
     for t, records in enumerate(transcript.steps(), start=1):
         directions = [
-            rngmod.direction(header.run_seed, t, slot, task.dim)
-            for slot in range(header.k)
+            rngmod.direction(config.seed, t, slot, task.dim)
+            for slot in range(transcript.header.mechanism.k)
         ]
         yield theta, records, directions
         theta = step_update(theta, config, t, [rec.y for rec in records], directions)
@@ -134,58 +134,56 @@ def public_trajectory(transcript: Transcript, task: LossTask):
 
 @dataclass(frozen=True)
 class TranscriptHeader:
-    """Everything public needed to replay a run: configs, seeds, and a
-    content hash of the subset design (the design itself is regenerated
-    from its seed on load and checked against the hash)."""
+    """Everything public needed to replay a run: the task, both configs,
+    and the seed and content hash of the subset design (the design itself
+    is regenerated from its seed on load and checked against the hash)."""
 
-    variant: str
     task_name: str
     task_params: dict
-    train: dict
-    mechanism: dict
-    n_records: int
-    n_subsets: int
-    t_total: int
-    k: int
-    run_seed: int
+    train: TrainConfig
+    mechanism: MechanismSpec
     design_seed: int
     design_hash: str
+
+    @property
+    def t_total(self) -> int:
+        return self.train.steps
 
 
 @dataclass
 class Transcript:
-    """Public record of a run: header plus one line per released bit."""
+    """Public record of a run: header plus one line per released bit.  The
+    running totals are the last record's."""
 
     header: TranscriptHeader
     records: list[StepRecord]
     dev_evals: list[tuple[int, float]] = field(default_factory=list)
-    cum_mi: float = 0.0
-    unanimity_bits: int = 0
-    total_bits: int = 0
+
+    @property
+    def cum_mi(self) -> float:
+        return self.records[-1].cum_mi if self.records else 0.0
+
+    @property
+    def unanimity_bits(self) -> int:
+        return self.records[-1].unanimity_count if self.records else 0
+
+    @property
+    def total_bits(self) -> int:
+        return len(self.records)
 
     def free_fraction(self) -> float:
         return self.unanimity_bits / self.total_bits if self.total_bits else 0.0
 
     def steps(self) -> list[list[StepRecord]]:
         """The records grouped by step in slot order.  Raises ValueError
-        unless the header's copies of k, variant, run seed and subset count
-        agree with its configs, the records are exactly t_total x k in
-        (t, slot) order, and each has the shape of a release of the variant
-        (``StepRecord.shape_fault``)."""
-        header, records, k = self.header, self.records, self.header.k
-        spec = mechanism_from_dict(header.mechanism)
-        recorded = (k, header.variant, header.run_seed, header.n_subsets)
-        configured = (spec.k, spec.variant, header.train.get("seed"), spec.resolved_subsets())
-        if recorded != configured:
-            raise ValueError(
-                f"header (k, variant, run_seed, n_subsets) = {recorded!r} "
-                f"disagrees with its configs' {configured!r}"
-            )
+        unless they are exactly t_total x k in (t, slot) order and each has
+        the shape of a release of the variant (``StepRecord.shape_fault``)."""
+        header, records, k = self.header, self.records, self.header.mechanism.k
         if len(records) != header.t_total * k:
             raise ValueError(
                 f"expected {header.t_total * k} release records, found {len(records)}"
             )
-        private = spec.variant != "surrogate"
+        private = header.mechanism.variant != "surrogate"
         groups = [records[i:i + k] for i in range(0, len(records), k)]
         for t, group in enumerate(groups, start=1):
             for slot, rec in enumerate(group):
@@ -207,21 +205,6 @@ class TrainResult:
     dev_best_metric: float
     final_params: np.ndarray
     final_posterior: np.ndarray | None = None
-
-
-def _mechanism_dict(spec: MechanismSpec) -> dict:
-    d = asdict(spec)
-    d["clip"] = "inf" if math.isinf(spec.clip) else spec.clip
-    return d
-
-
-def mechanism_from_dict(raw: dict) -> MechanismSpec:
-    """Inverse of the header encoding: a spec from its field mapping, with
-    an unbounded clip spelled "inf" (or YAML's ".inf")."""
-    raw = dict(raw)
-    if raw.get("clip") in ("inf", ".inf"):
-        raw["clip"] = math.inf
-    return MechanismSpec(**raw)
 
 
 def train(
@@ -278,27 +261,14 @@ def train(
                 best_metric, best_step, best_theta = metric, t, theta.copy()
 
     header = TranscriptHeader(
-        variant=mech_spec.variant,
         task_name=task.name,
         task_params=task.spec_dict(),
-        train=asdict(config),
-        mechanism=_mechanism_dict(mech_spec),
-        n_records=task.n_records,
-        n_subsets=design.n_subsets,
-        t_total=config.steps,
-        k=mech_spec.k,
-        run_seed=config.seed,
+        train=config,
+        mechanism=mech_spec,
         design_seed=design.seed,
         design_hash=design.content_hash(),
     )
-    transcript = Transcript(
-        header=header,
-        records=records,
-        dev_evals=dev_evals,
-        cum_mi=mechanism.ledger.mi_spent,
-        unanimity_bits=mechanism.ledger.unanimity_bits,
-        total_bits=mechanism.ledger.total_bits,
-    )
+    transcript = Transcript(header=header, records=records, dev_evals=dev_evals)
     chosen = best_theta if config.load_best_dev else theta
     internal = (
         None if mech_spec.variant == "surrogate"

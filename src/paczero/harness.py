@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -37,14 +36,11 @@ from .engine import (
     Transcript,
     TranscriptHeader,
     TrainResult,
-    mechanism_from_dict,
     public_trajectory,
     train,
 )
-from .mechanism import (
-    DesignError, MechanismSpec, StepRecord, SubsetDesign, build_balanced_design,
-)
-from .tasks import LossTask, check_task_spec, make_task
+from .mechanism import MechanismSpec, StepRecord, SubsetDesign, build_balanced_design
+from .tasks import LossTask, make_task
 
 __all__ = [
     "ConfigError",
@@ -70,8 +66,12 @@ SUMMARY_COLUMNS = (
     "variant", "budget", "T", "seed", "dev", "test", "f", "cum_mi", "wallclock"
 )
 
-# each line type's fields and JSON types (Transcript.steps types the releases)
-_HEADER_FIELDS = typing.get_type_hints(TranscriptHeader) | {"type": str, "format_version": int}
+# each line type's fields and JSON types (Transcript.steps types the releases);
+# the header and summary also repeat values that _copies derives
+_HEADER_FIELDS = {
+    "type": str, "format_version": int, "task_name": str, "task_params": dict, "train": dict,
+    "mechanism": dict, "design_seed": int, "design_hash": str, "variant": str,
+} | dict.fromkeys(["k", "run_seed", "n_subsets", "t_total", "n_records"], int)
 _RELEASE_FIELDS = dict.fromkeys([f.name for f in dataclasses.fields(StepRecord)] + ["type"])
 _SUMMARY_FIELDS = {
     "type": str, "cum_mi": float, "unanimity_bits": int, "total_bits": int, "dev_evals": list,
@@ -109,8 +109,7 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def make_task(self) -> LossTask:
-        params = {k: v for k, v in self.task.items() if k != "name"}
-        return make_task(self.task["name"], **params)
+        return make_task(**self.task)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -124,8 +123,8 @@ class ExperimentConfig:
         if not isinstance(task, dict) or "name" not in task:
             raise ConfigError("task: must be a mapping with a 'name' key")
         try:
-            check_task_spec(task["name"], {k: v for k, v in task.items() if k != "name"})
-        except ValueError as exc:
+            make_task(**task)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"task: {exc}") from exc
         try:
             mechanism = mechanism_from_dict(raw.get("mechanism") or {})
@@ -210,27 +209,51 @@ def _csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
+def _mechanism_dict(spec: MechanismSpec) -> dict:
+    return dataclasses.asdict(spec) | {"clip": "inf" if math.isinf(spec.clip) else spec.clip}
+
+
+def mechanism_from_dict(raw: dict) -> MechanismSpec:
+    """Inverse of the header encoding: a spec from its field mapping, with
+    an unbounded clip spelled "inf" (or YAML's ".inf")."""
+    raw = dict(raw)
+    if raw.get("clip") in ("inf", ".inf"):
+        raw["clip"] = math.inf
+    return MechanismSpec(**raw)
+
+
+def _copies(transcript: Transcript) -> dict[str, dict]:
+    """The values the file repeats, per line, as derived from the one copy
+    held in memory: six header copies of config values and the trailer's
+    running totals."""
+    header = transcript.header
+    spec, config = header.mechanism, header.train
+    return {
+        "header": {
+            "variant": spec.variant, "k": spec.k, "run_seed": config.seed,
+            "n_subsets": spec.resolved_subsets(), "t_total": config.steps,
+            "n_records": header.task_params.get("n_records"),
+        },
+        "summary": {
+            "cum_mi": transcript.cum_mi, "unanimity_bits": transcript.unanimity_bits,
+            "total_bits": transcript.total_bits,
+        },
+    }
+
+
 def transcript_lines(transcript: Transcript) -> list[str]:
-    header = dataclasses.asdict(transcript.header)
-    header["type"] = "header"
-    header["format_version"] = FORMAT_VERSION
+    copies = _copies(transcript)
+    header = dataclasses.asdict(transcript.header) | copies["header"] | {
+        "type": "header", "format_version": FORMAT_VERSION,
+        "mechanism": _mechanism_dict(transcript.header.mechanism),
+    }
     lines = [_dump_line(header)]
     for rec in transcript.records:
         obj = dataclasses.asdict(rec)
         obj["type"] = "release"
         lines.append(_dump_line(obj))
-    lines.append(
-        _dump_line(
-            {
-                "type": "summary",
-                "cum_mi": transcript.cum_mi,
-                "unanimity_bits": transcript.unanimity_bits,
-                "total_bits": transcript.total_bits,
-                "dev_evals": [[t, m] for t, m in transcript.dev_evals],
-            }
-        )
-    )
-    return lines
+    summary = {"type": "summary", "dev_evals": [[t, m] for t, m in transcript.dev_evals]}
+    return lines + [_dump_line(copies["summary"] | summary)]
 
 
 def write_transcript(path: str | Path, transcript: Transcript) -> None:
@@ -273,8 +296,9 @@ def _require_fields(obj: dict, fields: dict, where: str) -> None:
 def load_transcript(path: str | Path) -> Transcript:
     """Parse a transcript file, rejecting any line that deviates from the
     documented schema (exact field sets per line type, header and summary
-    field types, configs that decode) or that holds a NaN or infinite
-    number.  Release records are checked by ``Transcript.steps``."""
+    field types, configs that decode, repeated values that match what the
+    configs and records derive) or that holds a NaN or infinite number.
+    Release records are checked by ``Transcript.steps``."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SchemaError("empty transcript file")
@@ -284,12 +308,13 @@ def load_transcript(path: str | Path) -> Transcript:
     _require_fields(header_obj, _HEADER_FIELDS, "header")
     if header_obj["format_version"] != FORMAT_VERSION:
         raise SchemaError(f"unsupported format version {header_obj['format_version']}")
-    header_obj.pop("type")
-    header_obj.pop("format_version")
-    header = TranscriptHeader(**header_obj)
     try:
-        mechanism_from_dict(header.mechanism)
-        TrainConfig(**header.train)
+        header = TranscriptHeader(
+            task_name=header_obj["task_name"], task_params=header_obj["task_params"],
+            train=TrainConfig(**header_obj["train"]),
+            mechanism=mechanism_from_dict(header_obj["mechanism"]),
+            design_seed=header_obj["design_seed"], design_hash=header_obj["design_hash"],
+        )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"header: {exc}") from exc
 
@@ -310,14 +335,16 @@ def load_transcript(path: str | Path) -> Transcript:
         obj.pop("type")
         records.append(StepRecord(**obj))
 
-    return Transcript(
-        header=header,
-        records=records,
-        dev_evals=[(t, m) for t, m in dev_evals],
-        cum_mi=summary_obj["cum_mi"],
-        unanimity_bits=summary_obj["unanimity_bits"],
-        total_bits=summary_obj["total_bits"],
-    )
+    transcript = Transcript(header, records, [(t, m) for t, m in dev_evals])
+    copies = _copies(transcript)
+    for where, obj in (("header", header_obj), ("summary", summary_obj)):
+        for key, value in copies[where].items():
+            if type(obj[key]) is not type(value) or obj[key] != value:
+                raise SchemaError(
+                    f"{where}: {key} {obj[key]!r} disagrees with the {value!r} "
+                    "that the configs and records derive"
+                )
+    return transcript
 
 
 def load_design(transcript: Transcript) -> SubsetDesign:
@@ -325,8 +352,11 @@ def load_design(transcript: Transcript) -> SubsetDesign:
     content hash recorded in the header."""
     header = transcript.header
     try:
-        design = build_balanced_design(header.n_records, header.n_subsets, header.design_seed)
-    except (ValueError, DesignError) as exc:
+        design = build_balanced_design(
+            header.task_params["n_records"], header.mechanism.resolved_subsets(),
+            header.design_seed,
+        )
+    except ValueError as exc:
         raise SchemaError(f"header: {exc}") from exc
     if design.content_hash() != header.design_hash:
         raise SchemaError("regenerated design does not match the recorded hash")

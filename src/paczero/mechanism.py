@@ -61,7 +61,7 @@ BRANCH_SURROGATE = "surrogate"
 _PRIVATE_BRANCHES = (BRANCH_UNANIMITY, BRANCH_COIN, BRANCH_DISAGREEMENT)
 
 
-class DesignError(RuntimeError):
+class DesignError(ValueError):
     """Subset design could not be sampled under its constraints."""
 
 
@@ -320,6 +320,8 @@ class MechanismSpec:
         if self.bit_rule() == "mi":
             if not (math.isfinite(self.mi_total) and self.mi_total > 0.0):
                 raise ValueError("a positive total information budget is required")
+        if type(self.k) is not int or type(self.n_subsets) not in (int, type(None)):
+            raise ValueError("k and n_subsets must be integers")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.variant != "k_aggregate" and self.k != 1:

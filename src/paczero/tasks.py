@@ -16,7 +16,7 @@ import numpy as np
 
 from .rng import substream
 
-__all__ = ["LossTask", "BlobsTask", "XorMlpTask", "QuadraticTask", "check_task_spec", "make_task"]
+__all__ = ["LossTask", "BlobsTask", "XorMlpTask", "QuadraticTask", "make_task"]
 
 _TRAIN_SPLIT, _DEV_SPLIT, _TEST_SPLIT = 0, 1, 2
 _GEOMETRY_KEY, _INIT_KEY = 10, 11
@@ -267,17 +267,13 @@ def _constructor_args(cls: type) -> list[str]:
     return [p for p in inspect.signature(cls.__init__).parameters if p != "self"]
 
 
-def check_task_spec(name: str, params: dict) -> None:
-    """Raise ValueError unless ``name`` is a task whose constructor takes
-    every key of ``params``."""
+def make_task(name: str, **params) -> LossTask:
+    """The named task built from ``params``.  Raises ValueError unless
+    ``name`` is a task whose constructor takes every key of ``params``."""
     if not isinstance(name, str) or name not in _TASKS:
         raise ValueError(f"unknown task {name!r}; available: {sorted(_TASKS)}")
     accepted = _constructor_args(_TASKS[name])
     unknown = sorted(map(str, set(params) - set(accepted)))
     if unknown:
         raise ValueError(f"task {name!r} takes no parameter {unknown}; it takes {accepted}")
-
-
-def make_task(name: str, **params) -> LossTask:
-    check_task_spec(name, params)
     return _TASKS[name](**params)

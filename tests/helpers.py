@@ -4,9 +4,12 @@ Everything here is deliberately written from the defining formulas with
 stdlib math / plain numpy, never by calling the package functions under
 test, so agreement is evidence rather than tautology.  The channel oracle
 raises the package's ``ChannelError``, as the code it checks does.
+``tampered_file`` edits a written transcript with plain ``json``.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -178,3 +181,18 @@ def two_proportion_z(k1: int, k2: int, n: int) -> float:
     if pooled in (0.0, 1.0):
         return 0.0
     return (p1 - p2) / math.sqrt(pooled * (1.0 - pooled) * (2.0 / n))
+
+
+def tampered_file(src, dst, line: int, path: tuple, value) -> Path:
+    """Copy the transcript file ``src`` to ``dst`` with the field at the key
+    ``path`` of its ``line``-th line (negative counts from the end) set to
+    ``value``."""
+    lines = Path(src).read_text().splitlines()
+    obj = json.loads(lines[line])
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    lines[line] = json.dumps(obj)
+    Path(dst).write_text("\n".join(lines) + "\n")
+    return Path(dst)

@@ -16,6 +16,7 @@ from paczero.accounting import (
     validate_transcript,
 )
 from paczero.engine import TrainConfig, train
+from paczero.harness import SchemaError, load_transcript, write_transcript
 from paczero.mechanism import MechanismSpec, StepRecord
 from paczero.tasks import make_task
 import helpers
@@ -168,11 +169,14 @@ class TestValidateTranscript:
 
     def test_zpl_with_nonzero_mi_rejected(self, zpl_run):
         bad = copy.deepcopy(zpl_run.transcript)
-        victim = next(r for r in bad.records if r.branch == "zpl_coin")
-        victim.beta_used = 0.01
-        bad.cum_mi = 0.01
+        n = next(i for i, r in enumerate(bad.records) if r.branch == "zpl_coin")
+        bad.records[n].beta_used = 0.01
+        for rec in bad.records[n:]:  # running totals that agree with the charge
+            rec.cum_mi += 0.01
+        assert bad.cum_mi == pytest.approx(0.01)
         report = validate_transcript(bad)
         assert not report.ok
+        assert report.first_violation == f"step {bad.records[n].t} slot 0"
 
     def test_flipped_unanimity_release_rejected(self, mi_run):
         bad = copy.deepcopy(mi_run.transcript)
@@ -195,12 +199,14 @@ class TestValidateTranscript:
         report = validate_transcript(bad)
         assert not report.ok
 
-    def test_header_k_must_match_mechanism(self, mi_run):
-        bad = copy.deepcopy(mi_run.transcript)
-        bad.header = dataclasses.replace(bad.header, k=2)
-        report = validate_transcript(bad)
-        assert not report.ok
-        assert report.first_violation == "structure"
+    def test_header_k_must_match_mechanism(self, mi_run, tmp_path):
+        # the file repeats k from the mechanism config; a copy that
+        # disagrees is rejected on load
+        good = tmp_path / "good.jsonl"
+        write_transcript(good, mi_run.transcript)
+        bad = helpers.tampered_file(good, tmp_path / "bad.jsonl", 0, ("k",), 2)
+        with pytest.raises(SchemaError, match="^header: k 2 disagrees"):
+            load_transcript(bad)
 
     def test_out_of_order_record_rejected(self, mi_run):
         bad = copy.deepcopy(mi_run.transcript)
@@ -232,13 +238,13 @@ class TestValidateTranscript:
         assert where in report.message
 
     @pytest.mark.parametrize("field", ["variant", "run_seed", "n_subsets"])
-    def test_header_copies_must_match_configs(self, mi_run, field):
-        bad = copy.deepcopy(mi_run.transcript)
+    def test_header_copies_must_match_configs(self, mi_run, field, tmp_path):
+        good = tmp_path / "good.jsonl"
+        write_transcript(good, mi_run.transcript)
         value = {"variant": "paczero_zpl", "run_seed": 6, "n_subsets": 16}[field]
-        bad.header = dataclasses.replace(bad.header, **{field: value})
-        report = validate_transcript(bad)
-        assert not report.ok
-        assert report.first_violation == "structure"
+        bad = helpers.tampered_file(good, tmp_path / "bad.jsonl", 0, (field,), value)
+        with pytest.raises(SchemaError, match=f"^header: {field} "):
+            load_transcript(bad)
 
     def test_surrogate_marked_non_private(self):
         task = make_task("blobs", n_records=32)
@@ -263,17 +269,15 @@ class TestValidateTranscript:
         assert not report.ok
         assert report.first_violation == "step 1 slot 0"
 
-    def test_trailer_must_match_records(self, mi_run):
-        bad = copy.deepcopy(mi_run.transcript)
-        bad.cum_mi = 0.0
-        bad.total_bits = 7
-        report = validate_transcript(bad)
-        assert not report.ok
-        assert report.first_violation == "summary"
-        bad = copy.deepcopy(mi_run.transcript)
-        bad.cum_mi = 0.0
-        report = validate_transcript(bad)
-        assert not report.ok and report.first_violation == "summary"
+    def test_trailer_must_match_records(self, mi_run, tmp_path):
+        # the trailer repeats the last record's running totals and the
+        # record count; a copy that disagrees is rejected on load
+        good = tmp_path / "good.jsonl"
+        write_transcript(good, mi_run.transcript)
+        for field, value in (("cum_mi", 0.0), ("unanimity_bits", 0), ("total_bits", 7)):
+            bad = helpers.tampered_file(good, tmp_path / "bad.jsonl", -1, (field,), value)
+            with pytest.raises(SchemaError, match=f"^summary: {field} "):
+                load_transcript(bad)
 
     def test_failed_report_is_json_safe(self, mi_run):
         bad = copy.deepcopy(mi_run.transcript)

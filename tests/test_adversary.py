@@ -1,6 +1,6 @@
 import copy
-import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +13,10 @@ from paczero.adversary import (
     replay_posterior,
 )
 from paczero.engine import Transcript, TrainConfig, train
+from paczero.harness import load_transcript, write_transcript
 from paczero.mechanism import MechanismSpec, build_balanced_design
 from paczero.tasks import BlobsTask
+import helpers
 
 
 def run_blobs(variant: str, *, steps=80, seed=17, mi_total=0.33):
@@ -47,20 +49,6 @@ class TestReplayPosterior:
         probs = replay_posterior(result.transcript, result.design, task)
         assert probs == pytest.approx(np.full(8, 0.125), abs=1e-15)
 
-    def test_empty_transcript_is_uniform(self):
-        task, result = run_blobs("paczero_mi", steps=1)
-        header = result.transcript.header
-        empty = Transcript(
-            header=type(header)(**{**header.__dict__, "t_total": 0}),
-            records=[],
-            dev_evals=[],
-            cum_mi=0.0,
-            unanimity_bits=0,
-            total_bits=0,
-        )
-        probs = replay_posterior(empty, result.design, task)
-        assert probs == pytest.approx(np.full(8, 0.125), abs=1e-15)
-
     def test_surrogate_transcript_rejected(self):
         task = BlobsTask(n_records=16, seed=3)
         spec = MechanismSpec(
@@ -83,9 +71,6 @@ class TestReplayPosterior:
             header=tr.header,
             records=[tr.records[1], tr.records[0], *tr.records[2:]],
             dev_evals=tr.dev_evals,
-            cum_mi=tr.cum_mi,
-            unanimity_bits=tr.unanimity_bits,
-            total_bits=tr.total_bits,
         )
         with pytest.raises(ValueError):
             replay_posterior(swapped, result.design, task)
@@ -94,25 +79,32 @@ class TestReplayPosterior:
         "tamper",
         ["truncated", "extra_record", "header_k", "run_seed", "y_tilde_none", "sigma_string"],
     )
-    def test_malformed_layout_rejected(self, tamper):
+    def test_malformed_layout_rejected(self, tamper, tmp_path):
         task, result = run_blobs("paczero_mi", seed=21, steps=10)
         bad = copy.deepcopy(result.transcript)
         noisy = next(r for r in bad.records if r.branch == "disagreement")
-        if tamper == "truncated":
+        if tamper in ("header_k", "run_seed"):
+            # a header copy that disagrees with its config (a run seed other
+            # than the trained one would rebuild another trajectory) is
+            # rejected as the file loads, before anything is replayed
+            good = tmp_path / "good.jsonl"
+            write_transcript(good, result.transcript)
+            value = {"header_k": 2, "run_seed": bad.header.train.seed + 1}[tamper]
+            key = {"header_k": "k"}.get(tamper, tamper)
+            bad = helpers.tampered_file(good, tmp_path / "bad.jsonl", 0, (key,), value)
+        elif tamper == "truncated":
             bad.records.pop()
         elif tamper == "extra_record":
             bad.records.append(copy.copy(bad.records[-1]))
-        elif tamper == "header_k":
-            bad.header = dataclasses.replace(bad.header, k=2)
-        elif tamper == "run_seed":
-            # would rebuild a trajectory other than the one trained
-            bad.header = dataclasses.replace(bad.header, run_seed=bad.header.run_seed + 1)
         elif tamper == "y_tilde_none":
             noisy.y_tilde = None
         else:
             noisy.sigma = "1"
         with pytest.raises(ValueError):
-            replay_posterior(bad, result.design, task)
+            # a tampered file fails as it loads, a tampered record on replay
+            replay_posterior(
+                load_transcript(bad) if isinstance(bad, Path) else bad, result.design, task
+            )
 
 
 class TestMembershipAttack:

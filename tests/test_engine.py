@@ -52,6 +52,10 @@ class TestTrainConfig:
             {"weight_decay": -0.1},
             {"smoothing": 0.0},
             {"dev_eval_interval": 0},
+            {"steps": 1.5},
+            {"steps": True},
+            {"seed": 1.0},
+            {"dev_eval_interval": 25.0},
         ],
     )
     def test_invalid_values_rejected(self, kw):
@@ -338,7 +342,7 @@ class TestTrainLoop:
         assert tr.free_fraction() == tr.unanimity_bits / tr.total_bits
         assert tr.cum_mi <= 0.3 + 1e-15
         assert tr.header.t_total == 40
-        assert tr.header.variant == "paczero_mi"
+        assert tr.header.mechanism.variant == "paczero_mi"
 
     def test_mismatched_design_rejected(self):
         task = BlobsTask(n_records=16, seed=6)

@@ -26,6 +26,7 @@ from paczero.harness import (
     transcript_lines,
     write_transcript,
 )
+import helpers
 
 
 def base_raw(**over) -> dict:
@@ -74,8 +75,13 @@ class TestExperimentConfig:
             {"name": "xor_mlp", "dim": 4},
             {"name": "nope"},
             {"name": ["blobs"]},
+            {"name": "blobs", "n_records": [1]},
+            {"name": "blobs", "seed": "x"},
         ],
-        ids=["unknown-param", "other-task-param", "unknown-name", "unhashable-name"],
+        ids=[
+            "unknown-param", "other-task-param", "unknown-name", "unhashable-name",
+            "list-n_records", "string-seed",
+        ],
     )
     def test_task_checked_against_constructor(self, task):
         with pytest.raises(ConfigError, match="^task: "):
@@ -217,6 +223,38 @@ class TestTranscriptIO:
 
         with pytest.raises(SchemaError, match="missing fields"):
             load_transcript(self.write_tampered(out, tmp_path, drop_field))
+
+    @pytest.mark.parametrize(
+        "line, path, value, field",
+        [
+            ("header", ("variant",), "paczero_zpl", "variant"),
+            ("header", ("k",), 2, "k"),
+            ("header", ("run_seed",), 1, "run_seed"),
+            ("header", ("n_subsets",), 16, "n_subsets"),
+            ("header", ("t_total",), 6, "t_total"),
+            ("header", ("n_records",), 20, "n_records"),
+            ("summary", ("cum_mi",), 1.0, "cum_mi"),
+            ("summary", ("unanimity_bits",), 999, "unanimity_bits"),
+            ("summary", ("total_bits",), 999, "total_bits"),
+            # a config edited under its unchanged copy: each such file once
+            # validated sound, and the second then failed to replay
+            ("header", ("train", "steps"), 6, "t_total"),
+            ("header", ("task_params", "n_records"), 20, "n_records"),
+        ],
+        ids=[
+            "variant", "k", "run_seed", "n_subsets", "t_total", "n_records", "cum_mi",
+            "unanimity_bits", "total_bits", "train-steps", "task_params-n_records",
+        ],
+    )
+    def test_repeated_value_must_match(self, small_summary, tmp_path, line, path, value,
+                                       field):
+        _, out, _ = small_summary
+        bad = helpers.tampered_file(
+            out / "seed_0" / "transcript.jsonl", tmp_path / "bad.jsonl",
+            {"header": 0, "summary": -1}[line], path, value,
+        )
+        with pytest.raises(SchemaError, match=f"^{line}: {field} .* disagrees with"):
+            load_transcript(bad)
 
     def test_header_must_come_first(self, small_summary, tmp_path):
         _, out, _ = small_summary
@@ -482,6 +520,8 @@ class TestCli:
             pytest.param("header", ["run_seed"], 1, id="header-run_seed"),
             pytest.param("header", ["n_subsets"], 7, id="header-n_subsets-odd"),
             pytest.param("header", ["n_subsets"], 16, id="header-n_subsets-even"),
+            pytest.param("header", ["train", "steps"], 6, id="header-train-steps"),
+            pytest.param("header", ["task_params", "n_records"], 20, id="header-task-n_records"),
             pytest.param("summary", ["dev_evals", 0], "ab", id="string-dev_evals-entry"),
             pytest.param("summary", ["cum_mi"], "0.25", id="string-summary-cum_mi"),
             pytest.param("release", ["q_plus"], "0.5", id="string-q_plus"),
@@ -542,8 +582,22 @@ class TestCli:
             (["--set", "label=../../escaped"], None),
             (["--set", "task.florp=1"], None),
             ([], "x: [\n"),
+            # each of these once escaped as a TypeError or DesignError
+            # traceback, or (a bool step count) trained one step
+            (["--set", "task.n_records=[1]"], None),
+            (["--set", "task.seed=x"], None),
+            (["--set", "train.steps=1.5"], None),
+            (["--set", "train.steps=true"], None),
+            (["--set", "mechanism.n_subsets=8.0"], None),
+            (["--set", "mechanism.variant=k_aggregate", "--set", "mechanism.k=2.0"], None),
+            (["--set", "task.name=quadratic", "--set", "task.n_records=1",
+              "--set", "mechanism.n_subsets=4"], None),
         ],
-        ids=["label-escapes-root", "unknown-task-param", "yaml-syntax"],
+        ids=[
+            "label-escapes-root", "unknown-task-param", "yaml-syntax", "task-value-list",
+            "task-seed-string", "train-steps-float", "train-steps-bool", "n_subsets-float",
+            "k-float", "unsatisfiable-design",
+        ],
     )
     def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text):
         path = write_config(tmp_path, base_raw(seeds=[0]))
@@ -607,8 +661,9 @@ class TestCli:
     )
     def test_sweep_commands_fail_on_violation(self, tmp_path, capsys, monkeypatch, command):
         def validate_tampered(transcript):
+            # the running total the trailer repeats, overstated
             transcript = copy.deepcopy(transcript)
-            transcript.total_bits += 1
+            transcript.records[-1].cum_mi += 1.0
             return validate_transcript(transcript)
 
         monkeypatch.setattr(harness, "validate_transcript", validate_tampered)
@@ -618,4 +673,4 @@ class TestCli:
         code = cli.main([command[0], "--config", str(path), "--out", str(tmp_path / "runs")]
                         + command[1:])
         assert code == 1
-        assert "FAILED invariant: summary" in capsys.readouterr().err
+        assert "FAILED invariant: step 4 slot 0" in capsys.readouterr().err

@@ -123,6 +123,7 @@ class TestDesign:
         # empty, so resampling is exhausted
         with pytest.raises(DesignError):
             build_balanced_design(1, 2, seed=0)
+        assert issubclass(DesignError, ValueError)  # reported, not a traceback
 
     def test_odd_subset_count_rejected(self):
         with pytest.raises(ValueError):
@@ -584,6 +585,11 @@ class TestMechanismSpec:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             MechanismSpec(variant="k_aggregate", mi_total=0.1, k=0)
+
+    @pytest.mark.parametrize("kw", [{"k": 2.0}, {"k": True}, {"n_subsets": 8.0}, {"n_subsets": True}])
+    def test_integer_fields_reject_floats_and_bools(self, kw):
+        with pytest.raises(ValueError, match="must be integers"):
+            MechanismSpec(variant="k_aggregate", mi_total=0.1, **kw)
 
     def test_default_subset_counts(self):
         assert MechanismSpec(variant="paczero_mi", mi_total=0.1).resolved_subsets() == 128
