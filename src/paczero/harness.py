@@ -296,9 +296,9 @@ def _require_fields(obj: dict, fields: dict, where: str) -> None:
 def load_transcript(path: str | Path) -> Transcript:
     """Parse a transcript file, rejecting any line that deviates from the
     documented schema (exact field sets per line type, header and summary
-    field types, configs that decode, repeated values that match what the
-    configs and records derive) or that holds a NaN or infinite number.
-    Release records are checked by ``Transcript.steps``."""
+    field types, configs and a task that decode, repeated values that match
+    what the configs and records derive) or that holds a NaN or infinite
+    number.  Release records are checked by ``Transcript.steps``."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SchemaError("empty transcript file")
@@ -315,6 +315,7 @@ def load_transcript(path: str | Path) -> Transcript:
             mechanism=mechanism_from_dict(header_obj["mechanism"]),
             design_seed=header_obj["design_seed"], design_hash=header_obj["design_hash"],
         )
+        make_task(header.task_name, **header.task_params)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"header: {exc}") from exc
 

@@ -2,8 +2,11 @@
 
 Everything here is deliberately written from the defining formulas with
 stdlib math / plain numpy, never by calling the package functions under
-test, so agreement is evidence rather than tautology.  The channel oracle
-raises the package's ``ChannelError``, as the code it checks does.
+test, so agreement is evidence rather than tautology.  The channel oracles
+raise the package's ``ChannelError``, as the code they check does.
+``reference_channel_mi`` and ``reference_invert_channel_mi`` are the
+package's quadrature and bisection in their two-branch form, one pass per
+conditioning symbol: the bit-exact reference for the fused evaluator.
 ``tampered_file`` edits a written transcript with plain ``json``.
 """
 
@@ -60,6 +63,69 @@ def channel_mi_oracle(
         integrand_minus, y
     )
     return float(max(mi, 0.0))
+
+
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(60)
+_GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
+
+
+def _gh_branch(shift: float, log_q: float, log_1mq: float, offset: float) -> float:
+    """One conditional expectation E[log p(Y|s) - log p(Y)] under Y | s.
+
+    ``shift`` and ``offset`` are the distances (in units of sqrt(2)*sigma)
+    from the conditioning symbol to +1 and -1 respectively.
+    """
+    x = _GH_NODES
+    log_mix = np.logaddexp(log_q - (x + shift) ** 2, log_1mq - (x + offset) ** 2)
+    return float(np.dot(_GH_WEIGHTS, -x * x - log_mix))
+
+
+def reference_channel_mi(q_plus: float, sigma: float) -> float:
+    """The channel MI with each conditional branch evaluated on its own."""
+    if not 0.0 <= q_plus <= 1.0:
+        raise ChannelError(f"q_plus out of range: {q_plus!r}")
+    if sigma < 0.0 or not math.isfinite(sigma):
+        raise ChannelError(f"sigma must be finite and nonnegative: {sigma!r}")
+    if q_plus == 0.0 or q_plus == 1.0:
+        return 0.0
+    if sigma < 1e-10:  # noiseless: the input entropy, as binary_entropy forms it
+        return -q_plus * math.log(q_plus) - (1.0 - q_plus) * math.log1p(-q_plus)
+
+    log_q = math.log(q_plus)
+    log_1mq = math.log1p(-q_plus)
+    gap = math.sqrt(2.0) / sigma  # distance between the two symbols in node units
+    term_plus = _gh_branch(0.0, log_q, log_1mq, gap)
+    term_minus = _gh_branch(-gap, log_q, log_1mq, 0.0)
+    mi = q_plus * term_plus + (1.0 - q_plus) * term_minus
+    # Quadrature noise can land an exact-zero integral a few ulp negative.
+    return max(mi, 0.0)
+
+
+def reference_invert_channel_mi(q_plus: float, beta: float) -> float:
+    """invert_channel_mi's bracket and log-sigma bisection over
+    ``reference_channel_mi``, for a feasible (q_plus, beta)."""
+    lo, hi = 1e-6, 1e6
+    while reference_channel_mi(q_plus, lo) <= beta:
+        lo /= 10.0
+        if lo < 1e-12:
+            raise ChannelError("bracket floor reached")
+    while reference_channel_mi(q_plus, hi) >= beta:
+        hi *= 10.0
+        if hi > 1e12:
+            raise ChannelError("bracket ceiling reached")
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    for _ in range(200):
+        sigma = math.exp(0.5 * (log_lo + log_hi))
+        mi = reference_channel_mi(q_plus, sigma)
+        if abs(mi - beta) <= 1e-10:
+            return sigma
+        if mi > beta:
+            log_lo = math.log(sigma)
+        else:
+            log_hi = math.log(sigma)
+        if log_hi - log_lo < 1e-12:
+            return math.exp(0.5 * (log_lo + log_hi))
+    raise ChannelError("bisection did not converge in 200 steps")
 
 
 def kl_nats(p: float, q: float) -> float:

@@ -15,9 +15,23 @@ from paczero.binary_channel import (
 )
 from paczero import binary_channel
 import helpers
-from helpers import channel_mi_oracle
+from helpers import channel_mi_oracle, reference_channel_mi, reference_invert_channel_mi
 
 LN2 = 0.6931471805599453
+
+# q_plus on the open unit interval, with its extremes and centre named
+Q_PLUS = st.one_of(
+    st.sampled_from([1e-300, 1.0 - 2.0**-53, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+# sigma log-uniform over [1e-12, 1e12], plus both sides of the noiseless clamp
+SIGMA = st.one_of(
+    st.floats(min_value=-12.0, max_value=12.0).map(lambda e: 10.0**e),
+    st.sampled_from([
+        0.0, 1e-12, math.nextafter(binary_channel.NOISELESS_SIGMA, 0.0),
+        binary_channel.NOISELESS_SIGMA, 1e12,
+    ]),
+)
 
 
 class TestBinaryEntropy:
@@ -169,3 +183,55 @@ class TestInversion:
         monkeypatch.setattr(binary_channel, "LOG_SIGMA_WIDTH_TOL", 0.0)
         with pytest.raises(ChannelError, match="did not converge"):
             invert_channel_mi(0.5, 0.1)
+
+
+def _sigma_or_error(invert, q, beta):
+    try:
+        return invert(q, beta).hex()
+    except ChannelError:
+        return "ChannelError"
+
+
+class TestBitExactness:
+    """The fused evaluator against the two-branch form it replaced: exact
+    equality, no tolerance, since transcripts record every sigma."""
+
+    @settings(max_examples=400)
+    @given(Q_PLUS, SIGMA)
+    def test_channel_mi_is_the_two_branch_form(self, q, sigma):
+        got = channel_mi(q, sigma)
+        assert type(got) is float
+        assert got.hex() == reference_channel_mi(q, sigma).hex()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([1e-300, 0.5]), st.floats(min_value=1e-3, max_value=0.999)),
+        st.one_of(
+            st.just(0.999),  # the entropy cap's largest request
+            st.floats(min_value=-16.0, max_value=-0.01).map(lambda e: 10.0**e),
+        ),
+    )
+    def test_inversion_is_the_two_branch_bisection(self, q, share):
+        # shares below ~1e-12 of h(q) need the upper bracket expanded
+        beta = share * binary_entropy(q)
+        assert _sigma_or_error(invert_channel_mi, q, beta) == _sigma_or_error(
+            reference_invert_channel_mi, q, beta
+        )
+
+    def test_tiny_budget_expands_the_bracket_identically(self):
+        for beta in (1e-13, 1e-15, 1e-17):
+            assert channel_mi(0.5, binary_channel.BRACKET_HI) >= beta  # must expand
+            assert invert_channel_mi(0.5, beta) == reference_invert_channel_mi(0.5, beta)
+
+    def test_alternating_q_never_reuses_an_evaluator(self):
+        # the evaluator cache holds one q_plus; every switch must rebuild it
+        q1, q2 = 0.3, 0.6
+        for sigma in np.logspace(-1, 1, 7):
+            sigma = float(sigma)
+            assert channel_mi(q1, sigma) != channel_mi(q2, sigma)
+            for q in (q1, q2, q1, np.float64(q2), q2, q1):
+                got = channel_mi(q, sigma)
+                assert type(got) is float
+                assert got == reference_channel_mi(float(q), sigma)
+        for q in (q1, q2, q1):
+            assert invert_channel_mi(q, 0.1) == reference_invert_channel_mi(q, 0.1)

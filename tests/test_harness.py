@@ -522,6 +522,7 @@ class TestCli:
             pytest.param("header", ["n_subsets"], 16, id="header-n_subsets-even"),
             pytest.param("header", ["train", "steps"], 6, id="header-train-steps"),
             pytest.param("header", ["task_params", "n_records"], 20, id="header-task-n_records"),
+            pytest.param("header", ["task_params", "separation"], "x", id="string-task-separation"),
             pytest.param("summary", ["dev_evals", 0], "ab", id="string-dev_evals-entry"),
             pytest.param("summary", ["cum_mi"], "0.25", id="string-summary-cum_mi"),
             pytest.param("release", ["q_plus"], "0.5", id="string-q_plus"),
