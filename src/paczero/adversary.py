@@ -33,7 +33,7 @@ from .mechanism import (
     build_balanced_design,
     subset_signs,
 )
-from .tasks import LossTask, make_task
+from .tasks import LossTask
 
 __all__ = [
     "replay_posterior",
@@ -61,7 +61,7 @@ def replay_posterior(
     if design.content_hash() != header.design_hash:
         raise ValueError("design does not match the transcript's design hash")
     if task is None:
-        task = make_task(header.task_name, **header.task_params)
+        task = header.task
 
     smoothing = header.train.smoothing
     posterior = Posterior.uniform(design.n_subsets)
@@ -86,7 +86,7 @@ def membership_attack(
     probs = np.asarray(posterior_probs, dtype=float)
     if probs.shape != (design.n_subsets,):
         raise ValueError("posterior shape does not match the design")
-    p_member = float(probs @ design.membership[record_index].astype(float))
+    p_member = float(probs @ design.weights[record_index])
     return p_member, p_member >= 0.5
 
 

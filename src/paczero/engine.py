@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .mechanism import (
     SubsetDesign,
     build_balanced_design,
 )
-from .tasks import LossTask
+from .tasks import LossTask, make_task
 
 __all__ = [
     "TrainConfig",
@@ -148,6 +149,11 @@ class TranscriptHeader:
     @property
     def t_total(self) -> int:
         return self.train.steps
+
+    @cached_property
+    def task(self) -> LossTask:
+        """The task built from ``task_name`` and ``task_params``, once."""
+        return make_task(self.task_name, **self.task_params)
 
 
 @dataclass

@@ -315,7 +315,7 @@ def load_transcript(path: str | Path) -> Transcript:
             mechanism=mechanism_from_dict(header_obj["mechanism"]),
             design_seed=header_obj["design_seed"], design_hash=header_obj["design_hash"],
         )
-        make_task(header.task_name, **header.task_params)
+        header.task  # built here, so a value the task cannot take fails the load
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"header: {exc}") from exc
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from paczero.adversary import (
     replay_posterior,
 )
 from paczero.engine import Transcript, TrainConfig, train
-from paczero.harness import load_transcript, write_transcript
+from paczero.harness import load_design, load_transcript, write_transcript
 from paczero.mechanism import MechanismSpec, build_balanced_design
 from paczero.tasks import BlobsTask
 import helpers
@@ -43,6 +44,24 @@ class TestReplayPosterior:
         a = replay_posterior(result.transcript, result.design, task)
         b = replay_posterior(result.transcript, result.design)
         assert np.array_equal(a, b)
+
+    def test_load_and_replay_build_the_task_once(self, tmp_path, monkeypatch):
+        task, result = run_blobs("paczero_mi", seed=18)
+        path = tmp_path / "transcript.jsonl"
+        write_transcript(path, result.transcript)
+        built = []
+        init = BlobsTask.__init__
+
+        @functools.wraps(init)
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BlobsTask, "__init__", counting_init)
+        transcript = load_transcript(path)
+        probs = replay_posterior(transcript, load_design(transcript))
+        assert len(built) == 1
+        assert np.array_equal(probs, replay_posterior(result.transcript, result.design, task))
 
     def test_zero_leakage_run_replays_to_uniform(self):
         task, result = run_blobs("paczero_zpl")

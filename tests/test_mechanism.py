@@ -140,21 +140,14 @@ class TestDesign:
         assert d.subset_members(0).tolist() == [0, 1]
         assert d.subset_members(1).tolist() == [2, 3]
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.one_of(subset_designs(), subset_designs(one_size=True)))
-    def test_size_groups_cover_every_subset_once(self, design):
-        groups = design.size_groups
-        assert groups is design.size_groups
-        covered = np.concatenate([ms for ms, _ in groups])
-        assert sorted(covered.tolist()) == list(range(design.n_subsets))
-        sizes = [members.shape[1] for _, members in groups]
-        assert sizes == sorted(set(sizes))
-        for ms, members in groups:
-            assert members.flags.c_contiguous and members.shape[0] == ms.size
-            for m, row in zip(ms.tolist(), members):
-                assert np.all(np.diff(row) > 0)
-                assert row.tolist() == design.subset_members(m).tolist()
-                assert row.tolist() == np.flatnonzero(design.membership[:, m]).tolist()
+    def test_weights_are_membership_built_once(self):
+        for design in (two_subset_design(), build_balanced_design(128, 128, seed=3)):
+            w = design.weights
+            assert w is design.weights
+            assert w.dtype == np.float64 and np.array_equal(w, design.membership)
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0, 0] = 2.0
 
 
 class TestPosterior:
@@ -227,6 +220,47 @@ class TestSubsetSigns:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             subset_signs(np.zeros(3), two_subset_design(), 1.0)
+
+    # (scalars, subsets, clip, subsets no rounding bound can certify, subsets
+    # the product must certify); each record sits in half of the subsets
+    FALLBACK_CASES = {
+        # exact sum 3 against an absolute sum of 2e16
+        "near_cancel": ([1e16, 3.0, -1e16, 2.0], [[0, 1, 2], [3]], math.inf, {0}, {1}),
+        # exact sum +1, but summed in index order it is -1
+        "order_dependent": (
+            [1e16, 1.0, 1.0, -1e16, -1.0, -3.0], [[0, 1, 2, 3, 4], [5]], math.inf,
+            {0}, {1},
+        ),
+        "zeros": ([0.0, -0.0, 0.0], [[0, 1], [2]], 1.0, {0, 1}, set()),
+        # -5e-324 / 2 rounds to -0.0, so that subset's sign is +1
+        "tiny": (
+            [-5e-324, 0.0, 1e-300, -1e-300, -1e-300],
+            [[0, 1], [2, 3, 4], [3, 4], [0, 1, 2]], 1.0, {0, 1, 3}, {2},
+        ),
+        # inf * 0 is NaN, so non-members' infinities reach the product too
+        "inf": ([math.inf, -math.inf, 1.0, 2.0], [[0, 1], [2, 3]], math.inf, {0}, set()),
+        "inf_member": ([math.inf, 1.0, -2.0, 3.0], [[0, 1], [2, 3]], math.inf, {0}, set()),
+        "nan": ([math.nan, 1.0, 2.0, 3.0], [[0, 1], [2, 3]], 1.0, {0}, set()),
+    }
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+    def test_uncertified_subsets_are_summed_one_at_a_time(self, case, monkeypatch):
+        scalars, subsets, clip, uncertified, certified = self.FALLBACK_CASES[case]
+        membership = np.zeros((len(scalars), len(subsets)), dtype=bool)
+        for m, members in enumerate(subsets):
+            membership[members, m] = True
+        design = SubsetDesign(membership=membership, seed=0)
+        summed = []
+        subset_members = SubsetDesign.subset_members
+        monkeypatch.setattr(
+            SubsetDesign, "subset_members",
+            lambda self, m: summed.append(int(m)) or subset_members(self, m),
+        )
+        signs = subset_signs(np.array(scalars), design, clip)
+        expected = helpers.loop_subset_signs(np.array(scalars), membership, clip)
+        assert signs.tolist() == expected.tolist()
+        assert uncertified <= set(summed) and not certified & set(summed)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(design_and_scalars(), design_and_scalars(one_size=True)))
