@@ -11,12 +11,13 @@ decision from public information alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .binary_channel import binary_entropy, channel_mi
 from .engine import Transcript
 from .mechanism import (
     BRANCH_DISAGREEMENT,
+    BRANCH_SURROGATE,
     BRANCH_UNANIMITY,
     BudgetLedger,
     agreed_sign,
@@ -150,16 +151,15 @@ def _same(recorded, expected) -> bool:
 def validate_transcript(transcript: Transcript) -> ValidationReport:
     """Audit a finished run from its public transcript.
 
-    A layout or record shape that ``Transcript.steps`` rejects is a
-    "structure" violation.  Each record must then equal, failing closed,
-    the one its public prefix implies: branch, allocation, consumption and
-    (on unanimity) the agreed sign re-derived through the same
-    ``BudgetLedger`` walk the mechanism makes, running totals as charged.
-    Each noise level must carry its allocation and the total spend must fit
-    the budget.  ZPL is audited as MI with a zero budget, a surrogate run
-    for carrying no accounting.  Unanimity under the tolerance rather than
-    exact agreement adds a residual entropy term, reported apart from the
-    cumulative total.
+    The record layout and shapes were checked when the transcript was
+    built (``Transcript``).  Each record must equal, failing closed, the
+    one its public prefix implies: branch, allocation, consumption and (on
+    unanimity) the agreed sign re-derived through the same ``BudgetLedger``
+    walk the mechanism makes, running totals as charged.  Each noise level
+    must carry its allocation and the total spend must fit the budget.  ZPL
+    is audited as MI with a zero budget, a surrogate run for carrying no
+    accounting.  Unanimity under the tolerance rather than exact agreement
+    adds a residual entropy term, reported apart from the cumulative total.
     """
     spec = transcript.header.mechanism
     tau = spec.unanimity_tolerance
@@ -177,34 +177,25 @@ def validate_transcript(transcript: Transcript) -> ValidationReport:
             residual_tolerance_mi=None,
         )
 
-    try:
-        steps = transcript.steps()
-    except ValueError as exc:
-        return fail("structure", str(exc))
-
     ledger = BudgetLedger(mi_total=mi_total, horizon=transcript.header.t_total, k=spec.k)
     residual = 0.0
-    for t, records in enumerate(steps, start=1):
+    for t, records in enumerate(transcript.steps, start=1):
         ledger.open_step(t)
-        for rec in records:
-            expected = replace(rec, beta_t=0.0, beta_used=0.0)
+        for slot, rec in enumerate(records):
+            q, y, branch, beta = rec.q_plus, rec.y, BRANCH_SURROGATE, 0.0
             if not non_private:
-                q = rec.q_plus
                 beta = ledger.allocate(q)
-                expected.branch = release_branch(q, beta, tau)
-                expected.beta_t = beta
-                if expected.branch == BRANCH_DISAGREEMENT:
-                    expected.beta_used = beta
-                elif expected.branch == BRANCH_UNANIMITY:
-                    expected.y = float(agreed_sign(q))
+                branch = release_branch(q, beta, tau)
+                if branch == BRANCH_UNANIMITY:
+                    y = float(agreed_sign(q))
                     residual += binary_entropy(q)
-            ledger.charge(expected)
-            where = f"step {t} slot {rec.slot}"
+            expected = ledger.charge(t, slot, branch, q, rec.sigma, y, rec.y_tilde, beta)
+            where = f"step {t} slot {slot}"
             for name, want in vars(expected).items():
                 got = getattr(rec, name)
                 if not _same(got, want):
                     return fail(where, f"{name} {got!r} does not re-derive (expected {want!r})")
-            if expected.branch == BRANCH_DISAGREEMENT:
+            if branch == BRANCH_DISAGREEMENT:
                 calibrated = channel_mi(rec.q_plus, rec.sigma)
                 if not abs(calibrated - rec.beta_t) <= _CALIBRATION_TOL:
                     return fail(

@@ -51,8 +51,9 @@ def replay_posterior(
 
     Folds the Bayes updates the noisy releases induce over the public
     trajectory, recomputing the candidate sign vectors only on disagreement
-    steps.  Matches the mechanism's internal posterior bit for bit on an
-    honest transcript; raises ValueError on a malformed record layout.
+    steps.  Reads the step groups checked when the transcript was built
+    (``Transcript.steps``).  Matches the mechanism's internal posterior bit
+    for bit on an honest transcript.
     """
     header = transcript.header
     spec = header.mechanism

@@ -68,6 +68,9 @@ class TrainConfig:
             raise ValueError("steps, seed and dev_eval_interval must be integers")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        rates = (self.learning_rate, self.lr_decay, self.weight_decay, self.smoothing)
+        if not all(math.isfinite(v) for v in rates):
+            raise ValueError("learning_rate, lr_decay, weight_decay and smoothing must be finite")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.lr_decay < 0.0:
@@ -123,7 +126,7 @@ def public_trajectory(transcript: Transcript, task: LossTask):
     """
     config = transcript.header.train
     theta = task.init_params()
-    for t, records in enumerate(transcript.steps(), start=1):
+    for t, records in enumerate(transcript.steps, start=1):
         directions = [
             rngmod.direction(config.seed, t, slot, task.dim)
             for slot in range(transcript.header.mechanism.k)
@@ -156,14 +159,38 @@ class TranscriptHeader:
         return make_task(self.task_name, **self.task_params)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
-    """Public record of a run: header plus one line per released bit.  The
-    running totals are the last record's."""
+    """Public record of a run: header plus one line per released bit, the
+    running totals the last record's.  Building one checks, once, that the
+    records are t_total x k in (t, slot) order, each shaped as a release of
+    the variant (``StepRecord.shape_fault``), else ValueError names the
+    first record that is not; ``steps`` holds them grouped by step."""
 
     header: TranscriptHeader
-    records: list[StepRecord]
+    records: tuple[StepRecord, ...]
     dev_evals: list[tuple[int, float]] = field(default_factory=list)
+    steps: tuple[tuple[StepRecord, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        records, k = tuple(self.records), self.header.mechanism.k
+        expected = self.header.t_total * k
+        if len(records) != expected:
+            t, slot = divmod(min(len(records), expected), k)
+            raise ValueError(
+                f"record at step {t + 1} slot {slot}: expected {expected} release "
+                f"records, found {len(records)}"
+            )
+        private = self.header.mechanism.variant != "surrogate"
+        for i, rec in enumerate(records):
+            t, slot = divmod(i, k)
+            fault = rec.shape_fault(private)
+            if fault is None and (rec.t != t + 1 or rec.slot != slot):
+                fault = f"out of order (t={rec.t}, slot={rec.slot})"
+            if fault is not None:
+                raise ValueError(f"record at step {t + 1} slot {slot}: {fault}")
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "steps", tuple(records[i:i + k] for i in range(0, expected, k)))
 
     @property
     def cum_mi(self) -> float:
@@ -179,26 +206,6 @@ class Transcript:
 
     def free_fraction(self) -> float:
         return self.unanimity_bits / self.total_bits if self.total_bits else 0.0
-
-    def steps(self) -> list[list[StepRecord]]:
-        """The records grouped by step in slot order.  Raises ValueError
-        unless they are exactly t_total x k in (t, slot) order and each has
-        the shape of a release of the variant (``StepRecord.shape_fault``)."""
-        header, records, k = self.header, self.records, self.header.mechanism.k
-        if len(records) != header.t_total * k:
-            raise ValueError(
-                f"expected {header.t_total * k} release records, found {len(records)}"
-            )
-        private = header.mechanism.variant != "surrogate"
-        groups = [records[i:i + k] for i in range(0, len(records), k)]
-        for t, group in enumerate(groups, start=1):
-            for slot, rec in enumerate(group):
-                fault = rec.shape_fault(private)
-                if fault is None and (rec.t != t or rec.slot != slot):
-                    fault = f"out of order (t={rec.t}, slot={rec.slot})"
-                if fault is not None:
-                    raise ValueError(f"record at step {t} slot {slot}: {fault}")
-        return groups
 
 
 @dataclass

@@ -66,8 +66,8 @@ SUMMARY_COLUMNS = (
     "variant", "budget", "T", "seed", "dev", "test", "f", "cum_mi", "wallclock"
 )
 
-# each line type's fields and JSON types (Transcript.steps types the releases);
-# the header and summary also repeat values that _copies derives
+# each line type's fields and JSON types (building the Transcript checks the releases);
+# the header and summary also repeat values derived from the configs and records
 _HEADER_FIELDS = {
     "type": str, "format_version": int, "task_name": str, "task_params": dict, "train": dict,
     "mechanism": dict, "design_seed": int, "design_hash": str, "variant": str,
@@ -222,28 +222,36 @@ def mechanism_from_dict(raw: dict) -> MechanismSpec:
     return MechanismSpec(**raw)
 
 
-def _copies(transcript: Transcript) -> dict[str, dict]:
-    """The values the file repeats, per line, as derived from the one copy
-    held in memory: six header copies of config values and the trailer's
-    running totals."""
-    header = transcript.header
+def _header_copies(header: TranscriptHeader) -> dict:
+    """The six config values the header line repeats, as derived from the
+    one copy held in memory."""
     spec, config = header.mechanism, header.train
     return {
-        "header": {
-            "variant": spec.variant, "k": spec.k, "run_seed": config.seed,
-            "n_subsets": spec.resolved_subsets(), "t_total": config.steps,
-            "n_records": header.task_params.get("n_records"),
-        },
-        "summary": {
-            "cum_mi": transcript.cum_mi, "unanimity_bits": transcript.unanimity_bits,
-            "total_bits": transcript.total_bits,
-        },
+        "variant": spec.variant, "k": spec.k, "run_seed": config.seed,
+        "n_subsets": spec.resolved_subsets(), "t_total": config.steps,
+        "n_records": header.task_params.get("n_records"),
     }
 
 
+def _summary_copies(transcript: Transcript) -> dict:
+    """The running totals the summary line repeats, as the records hold them."""
+    return {
+        "cum_mi": transcript.cum_mi, "unanimity_bits": transcript.unanimity_bits,
+        "total_bits": transcript.total_bits,
+    }
+
+
+def _check_copies(obj: dict, copies: dict, where: str) -> None:
+    for key, value in copies.items():
+        if type(obj[key]) is not type(value) or obj[key] != value:
+            raise SchemaError(
+                f"{where}: {key} {obj[key]!r} disagrees with the {value!r} "
+                "that the configs and records derive"
+            )
+
+
 def transcript_lines(transcript: Transcript) -> list[str]:
-    copies = _copies(transcript)
-    header = dataclasses.asdict(transcript.header) | copies["header"] | {
+    header = dataclasses.asdict(transcript.header) | _header_copies(transcript.header) | {
         "type": "header", "format_version": FORMAT_VERSION,
         "mechanism": _mechanism_dict(transcript.header.mechanism),
     }
@@ -253,7 +261,7 @@ def transcript_lines(transcript: Transcript) -> list[str]:
         obj["type"] = "release"
         lines.append(_dump_line(obj))
     summary = {"type": "summary", "dev_evals": [[t, m] for t, m in transcript.dev_evals]}
-    return lines + [_dump_line(copies["summary"] | summary)]
+    return lines + [_dump_line(_summary_copies(transcript) | summary)]
 
 
 def write_transcript(path: str | Path, transcript: Transcript) -> None:
@@ -273,6 +281,8 @@ def _parse_line(line: str) -> dict:
         obj = json.loads(line, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON line: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("JSON line nested too deeply") from exc
     if not isinstance(obj, dict):
         raise SchemaError("every transcript line must be a JSON object")
     return obj
@@ -298,7 +308,8 @@ def load_transcript(path: str | Path) -> Transcript:
     documented schema (exact field sets per line type, header and summary
     field types, configs and a task that decode, repeated values that match
     what the configs and records derive) or that holds a NaN or infinite
-    number.  Release records are checked by ``Transcript.steps``."""
+    number.  The records' layout and shapes are checked as the
+    ``Transcript`` is built, after the header's copies."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SchemaError("empty transcript file")
@@ -318,6 +329,7 @@ def load_transcript(path: str | Path) -> Transcript:
         header.task  # built here, so a value the task cannot take fails the load
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"header: {exc}") from exc
+    _check_copies(header_obj, _header_copies(header), "header")
 
     summary_obj = _parse_line(lines[-1])
     if summary_obj.get("type") != "summary":
@@ -335,16 +347,11 @@ def load_transcript(path: str | Path) -> Transcript:
         _require_fields(obj, _RELEASE_FIELDS, f"line {n}")
         obj.pop("type")
         records.append(StepRecord(**obj))
-
-    transcript = Transcript(header, records, [(t, m) for t, m in dev_evals])
-    copies = _copies(transcript)
-    for where, obj in (("header", header_obj), ("summary", summary_obj)):
-        for key, value in copies[where].items():
-            if type(obj[key]) is not type(value) or obj[key] != value:
-                raise SchemaError(
-                    f"{where}: {key} {obj[key]!r} disagrees with the {value!r} "
-                    "that the configs and records derive"
-                )
+    try:
+        transcript = Transcript(header, records, [(t, m) for t, m in dev_evals])
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    _check_copies(summary_obj, _summary_copies(transcript), "summary")
     return transcript
 
 
@@ -552,6 +559,8 @@ def sweep_t_ladder(
     parameters held at each rung (no checkpoint selection), as rebuilt from
     the run's transcript."""
     rungs = tuple(sorted(rungs))
+    if rungs[0] < 0:
+        raise ValueError(f"rungs must be nonnegative step counts, got {rungs[0]}")
     per_rung: dict[int, list[tuple[float, float]]] = {r: [] for r in rungs}
     long_config = replace(config, train=replace(config.train, steps=rungs[-1]))
     summary = run_experiment(long_config, out_dir=None)

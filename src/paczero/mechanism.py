@@ -183,15 +183,13 @@ class Posterior:
         return Posterior(lw - _logsumexp(lw))
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepRecord:
-    """Public per-release line of the transcript.
-
-    One record per released bit: ``slot`` is 0 for the base variants and
-    indexes the aggregated directions otherwise.  ``cum_mi`` and
-    ``unanimity_count`` are running ledger totals filled in by the ledger
-    owner after the charge.
-    """
+    """Public per-release line of the transcript, made whole by
+    ``BudgetLedger.charge``.  One record per released bit: ``slot`` is 0
+    for the base variants and indexes the aggregated directions otherwise;
+    ``cum_mi`` and ``unanimity_count`` are the ledger's running totals after
+    this bit.  ``Transcript`` checks each record's shape as it is built."""
 
     t: int
     slot: int
@@ -202,8 +200,8 @@ class StepRecord:
     y_tilde: float | None
     beta_t: float
     beta_used: float
-    cum_mi: float = 0.0
-    unanimity_count: int = 0
+    cum_mi: float
+    unanimity_count: int
 
     def shape_fault(self, private: bool) -> str | None:
         """Why this record cannot be a private (else surrogate) release at
@@ -241,9 +239,9 @@ class BudgetLedger:
 
     ``open_step`` fixes a step's allocation and unspent remainder,
     ``allocate`` gives each of its bits their share and ``charge`` books a
-    bit.  ``mi_spent`` is the ordered float sum of consumed budgets, so a
-    validator replaying the same charges in the same order reproduces every
-    allocation bit for bit.
+    bit and makes its record.  ``mi_spent`` is the ordered float sum of
+    consumed budgets, so a validator replaying the same charges in the same
+    order reproduces every allocation bit for bit.
     """
 
     mi_total: float
@@ -251,7 +249,6 @@ class BudgetLedger:
     k: int
     mi_spent: float = 0.0
     unanimity_bits: int = 0
-    total_bits: int = 0
     _beta_step: float = field(default=0.0, init=False, repr=False)
     _step_left: float = field(default=0.0, init=False, repr=False)
 
@@ -272,19 +269,21 @@ class BudgetLedger:
             self._beta_step, self.k, q_plus, self._step_left, self.mi_spent, self.mi_total
         )
 
-    def charge(self, record: StepRecord) -> None:
-        if record.beta_used not in (0.0, record.beta_t):
-            raise ValueError(
-                f"consumed budget must be 0 or the allocation, got "
-                f"{record.beta_used} vs {record.beta_t} at step {record.t}"
-            )
-        self.mi_spent += record.beta_used
-        self._step_left = max(0.0, self._step_left - record.beta_used)
-        self.total_bits += 1
-        if record.branch == BRANCH_UNANIMITY:
+    def charge(
+        self, t: int, slot: int, branch: str, q_plus: float | None, sigma: float | None,
+        y: float, y_tilde: float | None, beta_t: float,
+    ) -> StepRecord:
+        """Book one released bit and return its record: only a noisy sign
+        consumes its allocation, and the running totals are the ledger's."""
+        beta_used = beta_t if branch == BRANCH_DISAGREEMENT else 0.0
+        self.mi_spent += beta_used
+        self._step_left = max(0.0, self._step_left - beta_used)
+        if branch == BRANCH_UNANIMITY:
             self.unanimity_bits += 1
-        record.cum_mi = self.mi_spent
-        record.unanimity_count = self.unanimity_bits
+        return StepRecord(
+            t, slot, branch, q_plus, sigma, y, y_tilde, beta_t, beta_used,
+            self.mi_spent, self.unanimity_bits,
+        )
 
 
 @dataclass(frozen=True)
@@ -310,9 +309,10 @@ class MechanismSpec:
                 raise ValueError(f"unknown surrogate mode {self.surrogate_mode!r}")
         elif self.surrogate_mode is not None:
             raise ValueError("surrogate_mode only applies to the surrogate variant")
-        if self.bit_rule() == "mi":
-            if not (math.isfinite(self.mi_total) and self.mi_total > 0.0):
-                raise ValueError("a positive total information budget is required")
+        if not (math.isfinite(self.mi_total) and self.mi_total >= 0.0):
+            raise ValueError(f"mi_total must be finite and nonnegative, got {self.mi_total!r}")
+        if self.bit_rule() == "mi" and self.mi_total == 0.0:
+            raise ValueError("a positive total information budget is required")
         if type(self.k) is not int or type(self.n_subsets) not in (int, type(None)):
             raise ValueError("k and n_subsets must be integers")
         if self.k < 1:
@@ -433,8 +433,9 @@ def release_bit(
     beta_t: float,
     rng: np.random.Generator,
     tau: float,
-) -> tuple[float, Posterior, StepRecord]:
-    """Release one sign bit whose agreement probability is ``q_plus``.
+) -> tuple[float, Posterior, str, float | None, float | None]:
+    """Release one sign bit whose agreement probability is ``q_plus``:
+    the bit, the posterior after it, and the bit's branch, sigma and y_tilde.
 
     Unanimity releases the agreed sign for free and leaves the posterior
     untouched; an allocation too small to calibrate (zero under ZPL)
@@ -454,12 +455,7 @@ def release_bit(
         y_tilde = float(signs[secret_index]) + sigma * float(rng.standard_normal())
         y = 1.0 if y_tilde >= 0.0 else -1.0
         posterior = posterior.updated_by_observation(y_tilde, signs, sigma)
-    record = StepRecord(
-        t=0, slot=0, branch=branch, q_plus=q_plus, sigma=sigma, y=y,
-        y_tilde=y_tilde, beta_t=beta_t,
-        beta_used=beta_t if branch == BRANCH_DISAGREEMENT else 0.0,
-    )
-    return y, posterior, record
+    return y, posterior, branch, sigma, y_tilde
 
 
 def surrogate_release(
@@ -524,26 +520,20 @@ class ReleaseMechanism:
                 self.spec.surrogate_mode, scalars_per_slot[0], self.design,
                 self.secret_index, self.spec.clip, self.rng,
             )
-            record = StepRecord(
-                t=t, slot=0, branch=BRANCH_SURROGATE, q_plus=None, sigma=None,
-                y=y, y_tilde=None, beta_t=0.0, beta_used=0.0,
-            )
-            self.ledger.charge(record)
-            return [y], [record]
+            return [y], [self.ledger.charge(t, 0, BRANCH_SURROGATE, None, None, y, None, 0.0)]
 
         # a ZPL ledger holds no budget, so every contested bit is a fair coin
         self.ledger.open_step(t)
-        ys: list[float] = []
         records: list[StepRecord] = []
         for slot, scalars in enumerate(scalars_per_slot):
             signs = subset_signs(scalars, self.design, self.spec.clip)
             q_plus = agreement_probability(self.posterior, signs)
-            y, self.posterior, record = release_bit(
-                self.posterior, signs, q_plus, self.secret_index,
-                self.ledger.allocate(q_plus), self.rng, self.spec.unanimity_tolerance,
+            beta_t = self.ledger.allocate(q_plus)
+            y, self.posterior, branch, sigma, y_tilde = release_bit(
+                self.posterior, signs, q_plus, self.secret_index, beta_t, self.rng,
+                self.spec.unanimity_tolerance,
             )
-            record.t, record.slot = t, slot
-            self.ledger.charge(record)
-            ys.append(y)
-            records.append(record)
-        return ys, records
+            records.append(
+                self.ledger.charge(t, slot, branch, q_plus, sigma, y, y_tilde, beta_t)
+            )
+        return [rec.y for rec in records], records

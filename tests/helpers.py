@@ -7,9 +7,12 @@ raise the package's ``ChannelError``, as the code they check does.
 ``reference_channel_mi`` and ``reference_invert_channel_mi`` are the
 package's quadrature and bisection in their two-branch form, one pass per
 conditioning symbol: the bit-exact reference for the fused evaluator.
-``tampered_file`` edits a written transcript with plain ``json``.
+``tampered_file`` edits a written transcript with plain ``json``;
+``tampered_transcript`` rebuilds one in memory, which re-runs the
+transcript's construction check.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -262,3 +265,12 @@ def tampered_file(src, dst, line: int, path: tuple, value) -> Path:
     lines[line] = json.dumps(obj)
     Path(dst).write_text("\n".join(lines) + "\n")
     return Path(dst)
+
+
+def tampered_transcript(transcript, edits: dict):
+    """A copy of ``transcript`` whose n-th record has the fields and values
+    of ``edits[n]``; raises ValueError when the copy cannot be built."""
+    records = list(transcript.records)
+    for n, changes in edits.items():
+        records[n] = dataclasses.replace(records[n], **changes)
+    return dataclasses.replace(transcript, records=records)

@@ -212,7 +212,7 @@ def test_criterion_06_zero_leakage():
         stream = np.random.default_rng(606 + offset)
         k_plus = 0
         for _ in range(draws):
-            y, _, _ = release_bit(posterior, signs, q_plus, secret, 0.0, stream, TAU_DEFAULT)
+            y, *_ = release_bit(posterior, signs, q_plus, secret, 0.0, stream, TAU_DEFAULT)
             k_plus += y > 0
         counts.append(k_plus)
     z = helpers.two_proportion_z(counts[0], counts[1], draws)

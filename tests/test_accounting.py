@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import json
 import math
@@ -15,8 +14,8 @@ from paczero.accounting import (
     mia_posterior_bound,
     validate_transcript,
 )
-from paczero.engine import TrainConfig, train
-from paczero.harness import SchemaError, load_transcript, write_transcript
+from paczero.engine import TrainConfig, Transcript, train
+from paczero.harness import SchemaError, load_transcript, transcript_lines, write_transcript
 from paczero.mechanism import MechanismSpec, StepRecord
 from paczero.tasks import make_task
 import helpers
@@ -146,6 +145,78 @@ def zpl_run():
     return train(task, cfg, spec)
 
 
+def _first(transcript, branch: str) -> int:
+    """Index of the first record of ``branch``."""
+    return next(n for n, rec in enumerate(transcript.records) if rec.branch == branch)
+
+
+def _set_on_first_noisy(field: str, value):
+    """A fault that sets ``field`` of the first disagreement record."""
+    def fault(objs: list[dict]) -> int:
+        n = next(n for n, obj in enumerate(objs) if obj["branch"] == "disagreement")
+        objs[n][field] = value
+        return n
+    return fault
+
+
+def _swap_fourth_and_fifth(objs: list[dict]) -> int:
+    objs[3], objs[4] = objs[4], objs[3]
+    return 3
+
+
+def _drop_last(objs: list[dict]) -> int:
+    objs.pop()
+    return len(objs)
+
+
+def _repeat_last(objs: list[dict]) -> int:
+    objs.append(dict(objs[-1]))
+    return len(objs) - 1
+
+
+class TestTranscriptConstruction:
+    """The layout and shape check runs once, as a transcript is built."""
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            pytest.param(_swap_fourth_and_fifth, id="out-of-order"),
+            pytest.param(_drop_last, id="truncated"),
+            pytest.param(_repeat_last, id="extra-record"),
+            pytest.param(_set_on_first_noisy("y_tilde", 10**400), id="y_tilde-huge-int"),
+            pytest.param(_set_on_first_noisy("cum_mi", 10**400), id="cum_mi-huge-int"),
+            pytest.param(_set_on_first_noisy("q_plus", "0.5"), id="q_plus-string"),
+            pytest.param(_set_on_first_noisy("sigma", "1"), id="sigma-string"),
+            pytest.param(_set_on_first_noisy("y_tilde", None), id="y_tilde-None"),
+            pytest.param(_set_on_first_noisy("t", True), id="t-True"),
+            pytest.param(_set_on_first_noisy("unanimity_count", 1.0), id="unanimity_count-float"),
+        ],
+    )
+    def test_build_and_load_reject(self, mi_run, tmp_path, fault):
+        # each fault edits the records of a k = 1 run and returns the index
+        # of the first record the check must name
+        transcript = mi_run.transcript
+        objs = [dataclasses.asdict(rec) for rec in transcript.records]
+        where = f"record at step {fault(objs) + 1} slot 0: "
+        with pytest.raises(ValueError, match=where):
+            Transcript(transcript.header, [StepRecord(**obj) for obj in objs],
+                       transcript.dev_evals)
+        lines = transcript_lines(transcript)
+        releases = [json.dumps(obj | {"type": "release"}) for obj in objs]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([lines[0], *releases, lines[-1]]) + "\n")
+        with pytest.raises(SchemaError, match=where):
+            load_transcript(path)
+
+    def test_records_and_transcripts_are_frozen(self, mi_run):
+        transcript = mi_run.transcript
+        assert type(transcript.records) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            transcript.records[0].y = -transcript.records[0].y
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            transcript.records = transcript.records[:-1]
+
+
 class TestValidateTranscript:
     def test_honest_mi_run_passes(self, mi_run):
         report = validate_transcript(mi_run.transcript)
@@ -159,43 +230,40 @@ class TestValidateTranscript:
         assert report.cum_mi == 0.0
 
     def test_overspent_bit_rejected(self, mi_run):
-        bad = copy.deepcopy(mi_run.transcript)
-        victim = next(r for r in bad.records if r.branch == "disagreement")
-        victim.beta_used = victim.beta_t * 2.0
-        victim.beta_t = victim.beta_t * 2.0
+        n = _first(mi_run.transcript, "disagreement")
+        victim = mi_run.transcript.records[n]
+        bad = helpers.tampered_transcript(
+            mi_run.transcript,
+            {n: {"beta_used": victim.beta_t * 2.0, "beta_t": victim.beta_t * 2.0}},
+        )
         report = validate_transcript(bad)
         assert not report.ok
         assert f"step {victim.t}" in report.first_violation
 
     def test_zpl_with_nonzero_mi_rejected(self, zpl_run):
-        bad = copy.deepcopy(zpl_run.transcript)
-        n = next(i for i, r in enumerate(bad.records) if r.branch == "zpl_coin")
-        bad.records[n].beta_used = 0.01
-        for rec in bad.records[n:]:  # running totals that agree with the charge
-            rec.cum_mi += 0.01
+        records = zpl_run.transcript.records
+        n = _first(zpl_run.transcript, "zpl_coin")
+        # running totals that agree with the charge
+        edits = {i: {"cum_mi": rec.cum_mi + 0.01} for i, rec in enumerate(records) if i >= n}
+        edits[n]["beta_used"] = 0.01
+        bad = helpers.tampered_transcript(zpl_run.transcript, edits)
         assert bad.cum_mi == pytest.approx(0.01)
         report = validate_transcript(bad)
         assert not report.ok
-        assert report.first_violation == f"step {bad.records[n].t} slot 0"
+        assert report.first_violation == f"step {records[n].t} slot 0"
 
     def test_flipped_unanimity_release_rejected(self, mi_run):
-        bad = copy.deepcopy(mi_run.transcript)
-        victim = next(r for r in bad.records if r.branch == "unanimity")
-        victim.y = -victim.y
+        n = _first(mi_run.transcript, "unanimity")
+        victim = mi_run.transcript.records[n]
+        bad = helpers.tampered_transcript(mi_run.transcript, {n: {"y": -victim.y}})
         report = validate_transcript(bad)
         assert not report.ok
         assert f"step {victim.t}" in report.first_violation
 
     def test_miscalibrated_sigma_rejected(self, mi_run):
-        bad = copy.deepcopy(mi_run.transcript)
-        victim = next(r for r in bad.records if r.branch == "disagreement")
-        victim.sigma = victim.sigma * 1.5
-        report = validate_transcript(bad)
-        assert not report.ok
-
-    def test_truncated_transcript_rejected(self, mi_run):
-        bad = copy.deepcopy(mi_run.transcript)
-        bad.records = bad.records[:-1]
+        n = _first(mi_run.transcript, "disagreement")
+        sigma = mi_run.transcript.records[n].sigma
+        bad = helpers.tampered_transcript(mi_run.transcript, {n: {"sigma": sigma * 1.5}})
         report = validate_transcript(bad)
         assert not report.ok
 
@@ -207,35 +275,6 @@ class TestValidateTranscript:
         bad = helpers.tampered_file(good, tmp_path / "bad.jsonl", 0, ("k",), 2)
         with pytest.raises(SchemaError, match="^header: k 2 disagrees"):
             load_transcript(bad)
-
-    def test_out_of_order_record_rejected(self, mi_run):
-        bad = copy.deepcopy(mi_run.transcript)
-        bad.records[3], bad.records[4] = bad.records[4], bad.records[3]
-        report = validate_transcript(bad)
-        assert not report.ok
-        assert report.first_violation == "structure"
-        assert "step 4 slot 0" in report.message
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            pytest.param("y_tilde", 10**400, id="y_tilde-overflowing-int"),
-            pytest.param("cum_mi", 10**400, id="cum_mi-overflowing-int"),
-            ("q_plus", "0.5"), ("sigma", "1"), ("y_tilde", None), ("t", True),
-            ("unanimity_count", 1.0),
-        ],
-    )
-    def test_malformed_record_is_structure(self, mi_run, field, value):
-        # each of these made the validator raise, or slip past it, before
-        # the record shape was checked for every reader
-        bad = copy.deepcopy(mi_run.transcript)
-        victim = next(r for r in bad.records if r.branch == "disagreement")
-        where = f"step {victim.t} slot 0"
-        setattr(victim, field, value)
-        report = validate_transcript(bad)
-        assert not report.ok
-        assert report.first_violation == "structure"
-        assert where in report.message
 
     @pytest.mark.parametrize("field", ["variant", "run_seed", "n_subsets"])
     def test_header_copies_must_match_configs(self, mi_run, field, tmp_path):
@@ -260,11 +299,11 @@ class TestValidateTranscript:
     def test_nan_fields_rejected(self, mi_run):
         # NaN compares false both ways, so a check written as "a - b > tol"
         # would wave every poisoned field through
-        bad = copy.deepcopy(mi_run.transcript)
-        for rec in bad.records:
-            rec.cum_mi = math.nan
-            if rec.branch != "disagreement":
-                rec.beta_t = math.nan
+        edits = {
+            n: {"cum_mi": math.nan} | ({} if rec.branch == "disagreement" else {"beta_t": math.nan})
+            for n, rec in enumerate(mi_run.transcript.records)
+        }
+        bad = helpers.tampered_transcript(mi_run.transcript, edits)
         report = validate_transcript(bad)
         assert not report.ok
         assert report.first_violation == "step 1 slot 0"
@@ -280,8 +319,8 @@ class TestValidateTranscript:
                 load_transcript(bad)
 
     def test_failed_report_is_json_safe(self, mi_run):
-        bad = copy.deepcopy(mi_run.transcript)
-        bad.records = bad.records[:-1]
+        beta_t = mi_run.transcript.records[0].beta_t
+        bad = helpers.tampered_transcript(mi_run.transcript, {0: {"beta_t": beta_t + 1.0}})
         report = validate_transcript(bad)
         assert not report.ok
         json.dumps(dataclasses.asdict(report), allow_nan=False)
@@ -356,8 +395,12 @@ class TestMutations:
             first_of_branch.setdefault(rec.branch, n)
         for field in honest.rederived:
             for branch, n in first_of_branch.items():
-                bad = copy.deepcopy(result.transcript)
-                rec = bad.records[n]
-                setattr(rec, field, _tampered(rec, field))
+                rec = result.transcript.records[n]
+                try:
+                    bad = helpers.tampered_transcript(
+                        result.transcript, {n: {field: _tampered(rec, field)}}
+                    )
+                except ValueError:  # a layout or shape fault: it cannot be built
+                    continue
                 report = validate_transcript(bad)
                 assert not report.ok, (run, field, branch)

@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 from pathlib import Path
@@ -389,6 +388,13 @@ class TestSweeps:
             assert drift is None
         assert (tmp_path / "sweep_t.csv").exists()
 
+    def test_t_ladder_rungs_are_nonnegative(self):
+        # rung 0 is the initial parameters; a negative rung has none
+        config = ExperimentConfig.from_dict(base_raw(seeds=[0]))
+        assert [row[0] for row in sweep_t_ladder(config, rungs=(3, 0)).rows] == [0, 3]
+        with pytest.raises(ValueError, match="nonnegative"):
+            sweep_t_ladder(config, rungs=(10, -5))
+
     def test_decomposition_ladder(self):
         config = ExperimentConfig.from_dict(base_raw(seeds=[0, 1]))
         result = sweep_decomposition(config)
@@ -532,6 +538,7 @@ class TestCli:
             pytest.param("release", ["cum_mi"], 10**400, id="overflowing-cum_mi"),
             pytest.param("file", None, '{"type": "header"', id="invalid-json-line"),
             pytest.param("file", None, "[1]", id="non-object-line"),
+            pytest.param("file", None, "[" * 200_000, id="deeply-nested-line"),
         ],
     )
     def test_validate_names_every_malformed_file(self, small_summary, tmp_path, capsys,
@@ -566,9 +573,10 @@ class TestCli:
             ["attack", "--trials", "5"],
             ["sweep-k", "--ks", "0"],
             ["sweep-t", "--rungs", "0"],
+            ["sweep-t", "--rungs", "-5", "10"],
             ["bounds", "--mi", "-1"],
         ],
-        ids=["attack-trials", "sweep-k-ks", "sweep-t-rungs", "bounds-mi"],
+        ids=["attack-trials", "sweep-k-ks", "sweep-t-rungs", "sweep-t-negative-rung", "bounds-mi"],
     )
     def test_library_value_error_fails_cleanly(self, tmp_path, capsys, argv):
         if argv[0] != "bounds":
@@ -593,11 +601,20 @@ class TestCli:
             (["--set", "mechanism.variant=k_aggregate", "--set", "mechanism.k=2.0"], None),
             (["--set", "task.name=quadratic", "--set", "task.n_records=1",
               "--set", "mechanism.n_subsets=4"], None),
+            # non-finite values that once trained into a traceback, or (the
+            # ZPL budget) trained fully and failed as the transcript was written
+            (["--set", "train.learning_rate=.nan"], None),
+            (["--set", "train.weight_decay=.nan"], None),
+            (["--set", "train.lr_decay=.inf"], None),
+            (["--set", "mechanism.variant=paczero_zpl", "--set", "mechanism.mi_total=.nan"], None),
+            (["--set", "mechanism.variant=surrogate", "--set", "mechanism.surrogate_mode=raw_full",
+              "--set", "mechanism.mi_total=-1.0"], None),
         ],
         ids=[
             "label-escapes-root", "unknown-task-param", "yaml-syntax", "task-value-list",
             "task-seed-string", "train-steps-float", "train-steps-bool", "n_subsets-float",
-            "k-float", "unsatisfiable-design",
+            "k-float", "unsatisfiable-design", "learning_rate-nan", "weight_decay-nan",
+            "lr_decay-inf", "zpl-mi_total-nan", "surrogate-mi_total-negative",
         ],
     )
     def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text):
@@ -642,15 +659,16 @@ class TestCli:
         # a failing report re-derives no totals; writing validation.json
         # must still succeed so the command can name the invariant
         def validate_tampered(transcript):
-            transcript = copy.deepcopy(transcript)
-            transcript.records[0].y = 0.5
-            return validate_transcript(transcript)
+            beta_t = transcript.records[0].beta_t
+            return validate_transcript(
+                helpers.tampered_transcript(transcript, {0: {"beta_t": beta_t + 1.0}})
+            )
 
         monkeypatch.setattr(harness, "validate_transcript", validate_tampered)
         path = write_config(tmp_path, base_raw(seeds=[0]))
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "runs")])
         assert code == 1
-        assert "FAILED invariant: structure" in capsys.readouterr().err
+        assert "FAILED invariant: step 1 slot 0" in capsys.readouterr().err
         report = json.loads(
             (tmp_path / "runs" / "unit" / "seed_0" / "validation.json").read_text()
         )
@@ -663,9 +681,10 @@ class TestCli:
     def test_sweep_commands_fail_on_violation(self, tmp_path, capsys, monkeypatch, command):
         def validate_tampered(transcript):
             # the running total the trailer repeats, overstated
-            transcript = copy.deepcopy(transcript)
-            transcript.records[-1].cum_mi += 1.0
-            return validate_transcript(transcript)
+            cum_mi = transcript.records[-1].cum_mi
+            return validate_transcript(
+                helpers.tampered_transcript(transcript, {-1: {"cum_mi": cum_mi + 1.0}})
+            )
 
         monkeypatch.setattr(harness, "validate_transcript", validate_tampered)
         raw = base_raw(seeds=[0])

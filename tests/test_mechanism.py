@@ -18,7 +18,6 @@ from paczero.mechanism import (
     MechanismSpec,
     Posterior,
     ReleaseMechanism,
-    StepRecord,
     SubsetDesign,
     agreed_sign,
     agreement_probability,
@@ -306,9 +305,13 @@ def allocate(ledger: BudgetLedger, t: int, q_plus: float) -> float:
 
 def release(posterior, signs, secret, beta, rng):
     """One bit at allocation ``beta`` (zero for ZPL), as the mechanism
-    releases it."""
+    releases and charges it: the bit, the posterior after it, its record."""
     q_plus = agreement_probability(posterior, signs)
-    return release_bit(posterior, signs, q_plus, secret, beta, rng, TAU_DEFAULT)
+    y, posterior, branch, sigma, y_tilde = release_bit(
+        posterior, signs, q_plus, secret, beta, rng, TAU_DEFAULT
+    )
+    ledger = BudgetLedger(mi_total=1.0, horizon=1, k=1)
+    return y, posterior, ledger.charge(1, 0, branch, q_plus, sigma, y, y_tilde, beta)
 
 
 class TestAdaptiveBudget:
@@ -596,7 +599,7 @@ class TestKAggregate:
         )
         with pytest.raises(ValueError):
             mech.step(1, [])
-        assert mech.ledger.total_bits == 0
+        assert mech.ledger == BudgetLedger(mi_total=0.1, horizon=10, k=2)
 
 
 class TestMechanismSpec:
@@ -659,28 +662,28 @@ class TestMechanismSpec:
 
 class TestBudgetLedger:
     def test_charge_enforces_dichotomy(self):
-        ledger = BudgetLedger(mi_total=1.0, horizon=1, k=1)
-        bad = StepRecord(
-            t=1, slot=0, branch=BRANCH_DISAGREEMENT, q_plus=0.5, sigma=1.0,
-            y=1.0, y_tilde=0.5, beta_t=0.1, beta_used=0.05,
-        )
-        with pytest.raises(ValueError):
-            ledger.charge(bad)
+        # the consumed budget is derived from the branch, never passed in:
+        # only a noisy sign consumes its allocation
+        for branch, sigma, y_tilde in (
+            (BRANCH_DISAGREEMENT, 1.0, 0.5), (BRANCH_UNANIMITY, None, None),
+            (BRANCH_COIN, None, None),
+        ):
+            ledger = BudgetLedger(mi_total=1.0, horizon=1, k=1)
+            rec = ledger.charge(1, 0, branch, 0.5, sigma, 1.0, y_tilde, 0.1)
+            assert rec.beta_t == 0.1
+            assert rec.beta_used == (0.1 if branch == BRANCH_DISAGREEMENT else 0.0)
+            assert rec.cum_mi == ledger.mi_spent == rec.beta_used
 
     def test_free_fraction(self):
         ledger = BudgetLedger(mi_total=1.0, horizon=1, k=3)
-        for branch, used in (
-            (BRANCH_UNANIMITY, 0.0), (BRANCH_DISAGREEMENT, 0.1), (BRANCH_UNANIMITY, 0.0),
-        ):
-            ledger.charge(
-                StepRecord(
-                    t=1, slot=0, branch=branch, q_plus=0.5,
-                    sigma=1.0 if branch == BRANCH_DISAGREEMENT else None,
-                    y=1.0, y_tilde=None, beta_t=used, beta_used=used,
-                )
-            )
+        records = [
+            ledger.charge(1, 0, BRANCH_UNANIMITY, 1.0, None, 1.0, None, 0.0),
+            ledger.charge(1, 1, BRANCH_DISAGREEMENT, 0.5, 1.0, 1.0, 0.5, 0.1),
+            ledger.charge(1, 2, BRANCH_UNANIMITY, 1.0, None, 1.0, None, 0.0),
+        ]
         # the counts the transcript's free fraction is taken from
-        assert (ledger.unanimity_bits, ledger.total_bits) == (2, 3)
+        assert [rec.unanimity_count for rec in records] == [1, 1, 2]
+        assert ledger.unanimity_bits == 2
         assert ledger.remaining() == pytest.approx(0.9)
 
 
@@ -716,11 +719,14 @@ class TestReleaseMechanism:
     def test_mi_run_charges_ledger(self):
         mech = self.make()
         rng = np.random.default_rng(99)
+        records = []
         for t in range(1, 11):
             ys, recs = mech.step(t, [rng.standard_normal(16)])
             assert len(ys) == len(recs) == 1
+            records += recs
         assert mech.ledger.mi_spent <= 0.1
-        assert mech.ledger.total_bits == 10
+        assert [rec.t for rec in records] == list(range(1, 11))
+        assert records[-1].cum_mi == mech.ledger.mi_spent
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_one_agreement_probability_per_bit(self, monkeypatch, k):
