@@ -9,7 +9,10 @@ package's quadrature and bisection in their two-branch form, one pass per
 conditioning symbol: the bit-exact reference for the fused evaluator.
 ``tampered_file`` edits a written transcript with plain ``json``;
 ``tampered_transcript`` rebuilds one in memory, which re-runs the
-transcript's construction check.
+transcript's construction check.  The record faults (``drop_last``,
+``repeat_last``, ``swap_fourth_and_fifth``, ``set_on_first_noisy``) edit the
+plain-dict records of a k = 1 run, and ``assert_build_and_load_reject``
+checks that such a layout can be neither built nor loaded.
 """
 
 import dataclasses
@@ -18,8 +21,12 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from paczero.binary_channel import ChannelError
+from paczero.engine import Transcript
+from paczero.harness import SchemaError, load_transcript, transcript_lines
+from paczero.mechanism import StepRecord
 
 
 def entropy_nats(q: float) -> float:
@@ -274,3 +281,47 @@ def tampered_transcript(transcript, edits: dict):
     for n, changes in edits.items():
         records[n] = dataclasses.replace(records[n], **changes)
     return dataclasses.replace(transcript, records=records)
+
+
+# Each record fault edits the records of a k = 1 run, as plain dicts, and
+# returns the index of the first record the layout check must name.
+
+def set_on_first_noisy(field: str, value):
+    """A fault that sets ``field`` of the first disagreement record."""
+    def fault(objs: list[dict]) -> int:
+        n = next(n for n, obj in enumerate(objs) if obj["branch"] == "disagreement")
+        objs[n][field] = value
+        return n
+    return fault
+
+
+def swap_fourth_and_fifth(objs: list[dict]) -> int:
+    objs[3], objs[4] = objs[4], objs[3]
+    return 3
+
+
+def drop_last(objs: list[dict]) -> int:
+    objs.pop()
+    return len(objs)
+
+
+def repeat_last(objs: list[dict]) -> int:
+    objs.append(dict(objs[-1]))
+    return len(objs) - 1
+
+
+def assert_build_and_load_reject(transcript, tmp_path, fault) -> None:
+    """The records of ``transcript`` edited by ``fault`` neither build a
+    ``Transcript`` (ValueError) nor load from a file (SchemaError), and
+    both errors name the record the fault points at."""
+    objs = [dataclasses.asdict(rec) for rec in transcript.records]
+    where = f"record at step {fault(objs) + 1} slot 0: "
+    with pytest.raises(ValueError, match=where):
+        Transcript(transcript.header, [StepRecord(**obj) for obj in objs],
+                   transcript.dev_evals)
+    lines = transcript_lines(transcript)
+    releases = [json.dumps(obj | {"type": "release"}) for obj in objs]
+    path = Path(tmp_path) / "bad.jsonl"
+    path.write_text("\n".join([lines[0], *releases, lines[-1]]) + "\n")
+    with pytest.raises(SchemaError, match=where):
+        load_transcript(path)

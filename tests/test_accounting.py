@@ -150,63 +150,8 @@ def _first(transcript, branch: str) -> int:
     return next(n for n, rec in enumerate(transcript.records) if rec.branch == branch)
 
 
-def _set_on_first_noisy(field: str, value):
-    """A fault that sets ``field`` of the first disagreement record."""
-    def fault(objs: list[dict]) -> int:
-        n = next(n for n, obj in enumerate(objs) if obj["branch"] == "disagreement")
-        objs[n][field] = value
-        return n
-    return fault
-
-
-def _swap_fourth_and_fifth(objs: list[dict]) -> int:
-    objs[3], objs[4] = objs[4], objs[3]
-    return 3
-
-
-def _drop_last(objs: list[dict]) -> int:
-    objs.pop()
-    return len(objs)
-
-
-def _repeat_last(objs: list[dict]) -> int:
-    objs.append(dict(objs[-1]))
-    return len(objs) - 1
-
-
 class TestTranscriptConstruction:
-    """The layout and shape check runs once, as a transcript is built."""
-
-    @pytest.mark.parametrize(
-        "fault",
-        [
-            pytest.param(_swap_fourth_and_fifth, id="out-of-order"),
-            pytest.param(_drop_last, id="truncated"),
-            pytest.param(_repeat_last, id="extra-record"),
-            pytest.param(_set_on_first_noisy("y_tilde", 10**400), id="y_tilde-huge-int"),
-            pytest.param(_set_on_first_noisy("cum_mi", 10**400), id="cum_mi-huge-int"),
-            pytest.param(_set_on_first_noisy("q_plus", "0.5"), id="q_plus-string"),
-            pytest.param(_set_on_first_noisy("sigma", "1"), id="sigma-string"),
-            pytest.param(_set_on_first_noisy("y_tilde", None), id="y_tilde-None"),
-            pytest.param(_set_on_first_noisy("t", True), id="t-True"),
-            pytest.param(_set_on_first_noisy("unanimity_count", 1.0), id="unanimity_count-float"),
-        ],
-    )
-    def test_build_and_load_reject(self, mi_run, tmp_path, fault):
-        # each fault edits the records of a k = 1 run and returns the index
-        # of the first record the check must name
-        transcript = mi_run.transcript
-        objs = [dataclasses.asdict(rec) for rec in transcript.records]
-        where = f"record at step {fault(objs) + 1} slot 0: "
-        with pytest.raises(ValueError, match=where):
-            Transcript(transcript.header, [StepRecord(**obj) for obj in objs],
-                       transcript.dev_evals)
-        lines = transcript_lines(transcript)
-        releases = [json.dumps(obj | {"type": "release"}) for obj in objs]
-        path = tmp_path / "bad.jsonl"
-        path.write_text("\n".join([lines[0], *releases, lines[-1]]) + "\n")
-        with pytest.raises(SchemaError, match=where):
-            load_transcript(path)
+    """A built transcript, checked once, cannot be edited afterwards."""
 
     def test_records_and_transcripts_are_frozen(self, mi_run):
         transcript = mi_run.transcript
@@ -267,6 +212,11 @@ class TestValidateTranscript:
         report = validate_transcript(bad)
         assert not report.ok
 
+    def test_truncated_transcript_rejected(self, mi_run, tmp_path):
+        # a malformed layout is a structure fault: it cannot be built or
+        # loaded, so the validator never reads it
+        helpers.assert_build_and_load_reject(mi_run.transcript, tmp_path, helpers.drop_last)
+
     def test_header_k_must_match_mechanism(self, mi_run, tmp_path):
         # the file repeats k from the mechanism config; a copy that
         # disagrees is rejected on load
@@ -275,6 +225,27 @@ class TestValidateTranscript:
         bad = helpers.tampered_file(good, tmp_path / "bad.jsonl", 0, ("k",), 2)
         with pytest.raises(SchemaError, match="^header: k 2 disagrees"):
             load_transcript(bad)
+
+    def test_out_of_order_record_rejected(self, mi_run, tmp_path):
+        helpers.assert_build_and_load_reject(
+            mi_run.transcript, tmp_path, helpers.swap_fourth_and_fifth
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("y_tilde", 10**400, id="y_tilde-overflowing-int"),
+            pytest.param("cum_mi", 10**400, id="cum_mi-overflowing-int"),
+            ("q_plus", "0.5"), ("sigma", "1"), ("y_tilde", None), ("t", True),
+            ("unanimity_count", 1.0),
+        ],
+    )
+    def test_malformed_record_is_structure(self, mi_run, field, value, tmp_path):
+        # each of these made the validator raise, or slip past it, before
+        # the record shape was checked; now the record cannot be built
+        helpers.assert_build_and_load_reject(
+            mi_run.transcript, tmp_path, helpers.set_on_first_noisy(field, value)
+        )
 
     @pytest.mark.parametrize("field", ["variant", "run_seed", "n_subsets"])
     def test_header_copies_must_match_configs(self, mi_run, field, tmp_path):

@@ -12,9 +12,10 @@ from paczero.adversary import (
     replay_posterior,
 )
 from paczero.engine import Transcript, TrainConfig, train
-from paczero.harness import load_design, load_transcript, write_transcript
+from paczero.harness import SchemaError, load_design, load_transcript, write_transcript
 from paczero.mechanism import MechanismSpec, build_balanced_design
 from paczero.tasks import BlobsTask
+import helpers
 
 
 def run_blobs(variant: str, *, steps=80, seed=17, mi_total=0.33):
@@ -92,6 +93,34 @@ class TestReplayPosterior:
                 dev_evals=tr.dev_evals,
             )
             replay_posterior(swapped, result.design, task)
+
+
+    @pytest.mark.parametrize(
+        "tamper",
+        ["truncated", "extra_record", "header_k", "run_seed", "y_tilde_none", "sigma_string"],
+    )
+    def test_malformed_layout_rejected(self, tamper, tmp_path):
+        # a malformed transcript fails as it is built or loaded, so no
+        # replay ever reads it
+        task, result = run_blobs("paczero_mi", seed=21, steps=10)
+        if tamper in ("header_k", "run_seed"):
+            # a header copy that disagrees with its config (a run seed other
+            # than the trained one would rebuild another trajectory)
+            good = tmp_path / "good.jsonl"
+            write_transcript(good, result.transcript)
+            key = {"header_k": "k"}.get(tamper, tamper)
+            value = {"header_k": 2, "run_seed": result.transcript.header.train.seed + 1}[tamper]
+            bad = helpers.tampered_file(good, tmp_path / "bad.jsonl", 0, (key,), value)
+            with pytest.raises(SchemaError, match=f"^header: {key} "):
+                replay_posterior(load_transcript(bad), result.design, task)
+            return
+        fault = {
+            "truncated": helpers.drop_last,
+            "extra_record": helpers.repeat_last,
+            "y_tilde_none": helpers.set_on_first_noisy("y_tilde", None),
+            "sigma_string": helpers.set_on_first_noisy("sigma", "1"),
+        }[tamper]
+        helpers.assert_build_and_load_reject(result.transcript, tmp_path, fault)
 
 
 class TestMembershipAttack:
