@@ -21,7 +21,6 @@ from .mechanism import (
     BRANCH_UNANIMITY,
     BudgetLedger,
     agreed_sign,
-    release_branch,
 )
 
 __all__ = [
@@ -155,14 +154,14 @@ def validate_transcript(transcript: Transcript) -> ValidationReport:
     built (``Transcript``).  Each record must equal, failing closed, the
     one its public prefix implies: branch, allocation, consumption and (on
     unanimity) the agreed sign re-derived through the same ``BudgetLedger``
-    walk the mechanism makes, running totals as charged.  Each noise level
-    must carry its allocation and the total spend must fit the budget.  ZPL
-    is audited as MI with a zero budget, a surrogate run for carrying no
-    accounting.  Unanimity under the tolerance rather than exact agreement
-    adds a residual entropy term, reported apart from the cumulative total.
+    walk (``open_step``, ``decide``, ``charge``) the mechanism makes,
+    running totals as charged.  Each noise level must carry its allocation
+    and the total spend must fit the budget.  ZPL is audited as MI with a
+    zero budget, a surrogate run for carrying no accounting.  Unanimity
+    under the tolerance rather than exact agreement adds a residual entropy
+    term, reported apart from the cumulative total.
     """
     spec = transcript.header.mechanism
-    tau = spec.unanimity_tolerance
     mi_total = spec.effective_budget()
     non_private = spec.variant == "surrogate"
     n_records = len(transcript.records)
@@ -177,15 +176,14 @@ def validate_transcript(transcript: Transcript) -> ValidationReport:
             residual_tolerance_mi=None,
         )
 
-    ledger = BudgetLedger(mi_total=mi_total, horizon=transcript.header.t_total, k=spec.k)
+    ledger = BudgetLedger(mi_total, transcript.header.t_total, spec.k, spec.unanimity_tolerance)
     residual = 0.0
     for t, records in enumerate(transcript.steps, start=1):
         ledger.open_step(t)
         for slot, rec in enumerate(records):
             q, y, branch, beta = rec.q_plus, rec.y, BRANCH_SURROGATE, 0.0
             if not non_private:
-                beta = ledger.allocate(q)
-                branch = release_branch(q, beta, tau)
+                beta, branch = ledger.decide(q)
                 if branch == BRANCH_UNANIMITY:
                     y = float(agreed_sign(q))
                     residual += binary_entropy(q)

@@ -174,8 +174,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except ValueError as exc:  # ConfigError and SchemaError included
         return _verdict(str(exc))
-    except FileNotFoundError as exc:
-        return _verdict(f"missing file: {exc.filename or exc}")
+    except OSError as exc:  # a missing file, a directory, a file in a path
+        kind = "missing file" if isinstance(exc, FileNotFoundError) else exc.strerror
+        return _verdict(f"{kind}: {exc.filename or exc}")
 
 
 if __name__ == "__main__":

@@ -164,6 +164,8 @@ class ExperimentConfig:
         raw = _parse_yaml(Path(path).read_text(), str(path))
         if raw is None:
             raw = {}
+        if not isinstance(raw, dict):
+            raise ConfigError("config root must be a mapping")
         for item in overrides or []:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} is not of the form key.path=value")

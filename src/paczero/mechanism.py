@@ -35,11 +35,7 @@ __all__ = [
     "build_balanced_design",
     "subset_signs",
     "agreement_probability",
-    "is_unanimous",
     "agreed_sign",
-    "bit_allocation",
-    "release_branch",
-    "release_bit",
     "surrogate_release",
     "ReleaseMechanism",
 ]
@@ -238,15 +234,17 @@ class BudgetLedger:
     budget walk that the mechanism and the validator both make.
 
     ``open_step`` fixes a step's allocation and unspent remainder,
-    ``allocate`` gives each of its bits their share and ``charge`` books a
-    bit and makes its record.  ``mi_spent`` is the ordered float sum of
-    consumed budgets, so a validator replaying the same charges in the same
-    order reproduces every allocation bit for bit.
+    ``decide`` gives each of its bits their share and release branch and
+    ``charge`` books a bit and makes its record.  ``mi_spent`` is the
+    ordered float sum of consumed budgets, so a validator replaying the same
+    charges in the same order reproduces every allocation bit for bit.
+    ``tau`` is the unanimity tolerance.
     """
 
     mi_total: float
     horizon: int
     k: int
+    tau: float
     mi_spent: float = 0.0
     unanimity_bits: int = 0
     _beta_step: float = field(default=0.0, init=False, repr=False)
@@ -263,11 +261,29 @@ class BudgetLedger:
         self._step_left = self.remaining()
         self._beta_step = self._step_left / (self.horizon - t + 1)
 
-    def allocate(self, q_plus: float) -> float:
-        """Allocation of the open step's next bit."""
-        return bit_allocation(
-            self._beta_step, self.k, q_plus, self._step_left, self.mi_spent, self.mi_total
-        )
+    def decide(self, q_plus: float) -> tuple[float, str]:
+        """Allocation and branch of the open step's next bit, whose agreement
+        probability is ``q_plus``.  The allocation is the step allocation
+        split over its k directions, capped below the sign entropy so the
+        channel inversion stays feasible and by the budget still unspent in
+        this step, then stepped down past float rounding so that
+        ``mi_spent + beta`` never exceeds ``mi_total``.  The branch is
+        unanimity within ``tau`` of agreement, a fair coin when the
+        allocation is too small to calibrate, else the noisy sign."""
+        spent, total = self.mi_spent, self.mi_total
+        beta = max(0.0, min(
+            self._beta_step / self.k, ENTROPY_CAP_FACTOR * binary_entropy(q_plus),
+            self._step_left,
+        ))
+        if spent + beta > total:
+            beta = max(0.0, min(beta, total - spent))
+        while beta > 0.0 and spent + beta > total:
+            beta = math.nextafter(beta, 0.0)
+        if q_plus <= self.tau or q_plus >= 1.0 - self.tau:
+            return beta, BRANCH_UNANIMITY
+        if beta <= MIN_CALIBRATABLE_MI:
+            return beta, BRANCH_COIN
+        return beta, BRANCH_DISAGREEMENT
 
     def charge(
         self, t: int, slot: int, branch: str, q_plus: float | None, sigma: float | None,
@@ -380,82 +396,12 @@ def agreement_probability(posterior: Posterior, signs: np.ndarray) -> float:
     return float(min(max(posterior.probabilities()[signs > 0].sum(), 0.0), 1.0))
 
 
-def is_unanimous(q_plus: float, tau: float = TAU_DEFAULT) -> bool:
-    return q_plus <= tau or q_plus >= 1.0 - tau
-
-
 def agreed_sign(q_plus: float) -> int:
     return 1 if q_plus >= 0.5 else -1
 
 
-def bit_allocation(
-    beta_step: float,
-    k: int,
-    q_plus: float,
-    remaining: float,
-    spent: float,
-    total: float,
-) -> float:
-    """Allocation of one released bit: the step allocation split over its k
-    directions, capped below the sign entropy so the channel inversion stays
-    feasible and by the budget still unspent in this step.  The bit is
-    stepped down past float rounding so that ``spent + beta`` never exceeds
-    ``total``."""
-    beta = max(
-        0.0, min(beta_step / k, ENTROPY_CAP_FACTOR * binary_entropy(q_plus), remaining)
-    )
-    if spent + beta > total:
-        beta = max(0.0, min(beta, total - spent))
-    while beta > 0.0 and spent + beta > total:
-        beta = math.nextafter(beta, 0.0)
-    return beta
-
-
-def release_branch(q_plus: float, beta_t: float, tau: float = TAU_DEFAULT) -> str:
-    """Which release a bit makes: the agreed sign on unanimity, a fair coin
-    when the allocation is too small to calibrate, else the noisy sign."""
-    if is_unanimous(q_plus, tau):
-        return BRANCH_UNANIMITY
-    if beta_t <= MIN_CALIBRATABLE_MI:
-        return BRANCH_COIN
-    return BRANCH_DISAGREEMENT
-
-
 def _fair_coin(rng: np.random.Generator) -> float:
     return -1.0 if rng.integers(2) == 0 else 1.0
-
-
-def release_bit(
-    posterior: Posterior,
-    signs: np.ndarray,
-    q_plus: float,
-    secret_index: int,
-    beta_t: float,
-    rng: np.random.Generator,
-    tau: float,
-) -> tuple[float, Posterior, str, float | None, float | None]:
-    """Release one sign bit whose agreement probability is ``q_plus``:
-    the bit, the posterior after it, and the bit's branch, sigma and y_tilde.
-
-    Unanimity releases the agreed sign for free and leaves the posterior
-    untouched; an allocation too small to calibrate (zero under ZPL)
-    releases a fair coin that never reads the secret; otherwise the secret
-    subset's sign goes out through Gaussian noise calibrated so the bit
-    carries exactly beta_t nats, and the posterior absorbs the
-    pre-quantization observation.
-    """
-    branch = release_branch(q_plus, beta_t, tau)
-    sigma = y_tilde = None
-    if branch == BRANCH_UNANIMITY:
-        y = float(agreed_sign(q_plus))
-    elif branch == BRANCH_COIN:
-        y = _fair_coin(rng)
-    else:
-        sigma = invert_channel_mi(q_plus, beta_t)
-        y_tilde = float(signs[secret_index]) + sigma * float(rng.standard_normal())
-        y = 1.0 if y_tilde >= 0.0 else -1.0
-        posterior = posterior.updated_by_observation(y_tilde, signs, sigma)
-    return y, posterior, branch, sigma, y_tilde
 
 
 def surrogate_release(
@@ -508,9 +454,15 @@ class ReleaseMechanism:
         self.rng = rng
         self.secret_index = secret_index
         self.posterior = Posterior.uniform(design.n_subsets)
-        self.ledger = BudgetLedger(mi_total=spec.effective_budget(), horizon=horizon, k=spec.k)
+        self.ledger = BudgetLedger(spec.effective_budget(), horizon, spec.k, spec.unanimity_tolerance)
 
     def step(self, t: int, scalars_per_slot: list[np.ndarray]) -> tuple[list[float], list[StepRecord]]:
+        """Release one bit per slot, as its ledger decision says: unanimity
+        releases the agreed sign for free; an allocation too small to
+        calibrate (zero under ZPL) releases a fair coin; otherwise the
+        secret subset's sign goes out through Gaussian noise carrying
+        exactly beta_t nats, and the posterior absorbs the pre-quantization
+        observation.  Only that noisy branch reads the secret index."""
         if len(scalars_per_slot) != self.spec.k:
             raise ValueError(
                 f"expected {self.spec.k} scalar vectors, got {len(scalars_per_slot)}"
@@ -522,17 +474,23 @@ class ReleaseMechanism:
             )
             return [y], [self.ledger.charge(t, 0, BRANCH_SURROGATE, None, None, y, None, 0.0)]
 
-        # a ZPL ledger holds no budget, so every contested bit is a fair coin
         self.ledger.open_step(t)
         records: list[StepRecord] = []
         for slot, scalars in enumerate(scalars_per_slot):
             signs = subset_signs(scalars, self.design, self.spec.clip)
             q_plus = agreement_probability(self.posterior, signs)
-            beta_t = self.ledger.allocate(q_plus)
-            y, self.posterior, branch, sigma, y_tilde = release_bit(
-                self.posterior, signs, q_plus, self.secret_index, beta_t, self.rng,
-                self.spec.unanimity_tolerance,
-            )
+            beta_t, branch = self.ledger.decide(q_plus)
+            sigma = y_tilde = None
+            if branch == BRANCH_UNANIMITY:
+                y = float(agreed_sign(q_plus))
+            elif branch == BRANCH_COIN:
+                y = _fair_coin(self.rng)
+            else:
+                sigma = invert_channel_mi(q_plus, beta_t)
+                noise = sigma * float(self.rng.standard_normal())
+                y_tilde = float(signs[self.secret_index]) + noise
+                y = 1.0 if y_tilde >= 0.0 else -1.0
+                self.posterior = self.posterior.updated_by_observation(y_tilde, signs, sigma)
             records.append(
                 self.ledger.charge(t, slot, branch, q_plus, sigma, y, y_tilde, beta_t)
             )

@@ -26,14 +26,12 @@ from paczero.binary_channel import (
 )
 from paczero.engine import TrainConfig, train
 from paczero.harness import ExperimentConfig, sweep_decomposition, sweep_mi_plateau
+from paczero import mechanism
 from paczero.mechanism import (
-    TAU_DEFAULT,
+    BRANCH_COIN,
     MechanismSpec,
-    Posterior,
     ReleaseMechanism,
     SubsetDesign,
-    agreement_probability,
-    release_bit,
 )
 from paczero.tasks import BlobsTask, make_task
 import helpers
@@ -184,7 +182,7 @@ def test_criterion_05_budget_soundness():
 
 @pytest.mark.slow
 @criterion(6, "zero-leakage variant releases nothing about the secret", 600.0)
-def test_criterion_06_zero_leakage():
+def test_criterion_06_zero_leakage(monkeypatch):
     # (a) every run spends exactly nothing, confirmed by the validator
     rng = np.random.default_rng(606)
     for run in range(20):
@@ -202,17 +200,24 @@ def test_criterion_06_zero_leakage():
         assert report.ok and report.cum_mi == 0.0
 
     # (b) contested releases are independent of the secret subset's sign:
-    # two-proportion z-test at 1e5 draws per arm, disjoint streams
-    posterior = Posterior.uniform(8)
+    # two-proportion z-test at 1e5 draws per arm, disjoint streams; a fake
+    # stands in for the subset signs so that every step sees one split
     signs = np.array([1, 1, -1, -1, 1, -1, 1, -1])
+    monkeypatch.setattr(mechanism, "subset_signs", lambda *_: signs)
+    first_half = np.arange(8) < 4
+    design = SubsetDesign(membership=np.array([first_half, ~first_half]), seed=0)
+    spec = MechanismSpec(variant="paczero_zpl", n_subsets=8)
     draws = 100_000
-    q_plus = agreement_probability(posterior, signs)
     counts = []
     for offset, secret in ((1, 0), (2, 2)):  # sign +1 arm vs sign -1 arm
-        stream = np.random.default_rng(606 + offset)
+        mech = ReleaseMechanism(
+            spec, design, horizon=draws, rng=np.random.default_rng(606 + offset),
+            secret_index=secret,
+        )
         k_plus = 0
-        for _ in range(draws):
-            y, *_ = release_bit(posterior, signs, q_plus, secret, 0.0, stream, TAU_DEFAULT)
+        for t in range(1, draws + 1):
+            (y,), (rec,) = mech.step(t, [np.zeros(2)])
+            assert rec.branch == BRANCH_COIN
             k_plus += y > 0
         counts.append(k_plus)
     z = helpers.two_proportion_z(counts[0], counts[1], draws)

@@ -14,6 +14,7 @@ from paczero.engine import (
     step_update,
     train,
 )
+from paczero.harness import transcript_lines
 from paczero.mechanism import (
     BRANCH_UNANIMITY,
     MechanismSpec,
@@ -251,6 +252,27 @@ class TestTrainLoop:
         assert len({r.beta_t for r in firsts}) == 1
         assert len({r.branch for r in firsts}) == 1
         assert len({r.sigma for r in firsts}) == 1
+
+    @pytest.mark.parametrize("task", [
+        BlobsTask(n_records=16, seed=3), XorMlpTask(n_records=16, seed=3),
+    ], ids=["blobs", "xor_mlp"])
+    def test_zpl_transcript_is_the_same_for_every_secret(self, task):
+        # a ZPL release never reads the secret, so each of the 8 secrets
+        # writes the same transcript bytes; an MI run's noisy signs do read
+        # it, so there each secret writes its own
+        cfg = TrainConfig(steps=100, seed=9, dev_eval_interval=50)
+        design = build_balanced_design(task.n_records, 8, seed=77)
+
+        def transcripts(spec):
+            runs = [train(task, cfg, spec, design=design, secret_index=j) for j in range(8)]
+            assert any(r.branch != BRANCH_UNANIMITY for r in runs[0].transcript.records)
+            return {"\n".join(transcript_lines(run.transcript)) for run in runs}
+
+        assert len(transcripts(MechanismSpec(variant="paczero_zpl", n_subsets=8))) == 1
+        assert len(transcripts(MechanismSpec(
+            variant="k_aggregate", n_subsets=8, k=2, inner_variant="paczero_zpl"
+        ))) == 1
+        assert len(transcripts(mi_spec())) == 8
 
     def test_direction_stream_is_random_access(self):
         z1 = rngmod.direction(5, 40, 0, 12)

@@ -148,6 +148,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="^override 'seeds=\\[': invalid YAML"):
             ExperimentConfig.from_yaml(path, ["seeds=["])
 
+    @pytest.mark.parametrize("text", ["[1, 2]\n", "just a string\n"], ids=["list", "string"])
+    def test_non_mapping_root_rejected_before_overrides(self, tmp_path, text):
+        # an override once descended into the list or string and raised TypeError
+        path = tmp_path / "root.yaml"
+        path.write_text(text)
+        for overrides in ([], ["label=x"]):
+            with pytest.raises(ConfigError, match="^config root must be a mapping$"):
+                ExperimentConfig.from_yaml(path, overrides)
+
     def test_output_root_resolution(self, monkeypatch):
         monkeypatch.delenv("PACZERO_OUTPUT_ROOT", raising=False)
         assert output_root() == Path("runs")
@@ -609,12 +618,16 @@ class TestCli:
             (["--set", "mechanism.variant=paczero_zpl", "--set", "mechanism.mi_total=.nan"], None),
             (["--set", "mechanism.variant=surrogate", "--set", "mechanism.surrogate_mode=raw_full",
               "--set", "mechanism.mi_total=-1.0"], None),
+            # a root that is not a mapping once met the override as a TypeError
+            (["--set", "label=x"], "[1, 2]\n"),
+            (["--set", "label=x"], "just a string\n"),
         ],
         ids=[
             "label-escapes-root", "unknown-task-param", "yaml-syntax", "task-value-list",
             "task-seed-string", "train-steps-float", "train-steps-bool", "n_subsets-float",
             "k-float", "unsatisfiable-design", "learning_rate-nan", "weight_decay-nan",
             "lr_decay-inf", "zpl-mi_total-nan", "surrogate-mi_total-negative",
+            "root-list", "root-string",
         ],
     )
     def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text):
@@ -630,6 +643,22 @@ class TestCli:
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1
         assert "missing file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["validate-dir", "config-dir", "out-file"])
+    def test_unusable_path_fails_cleanly(self, tmp_path, capsys, case):
+        # each of these once escaped as an IsADirectoryError or
+        # NotADirectoryError traceback
+        config = write_config(tmp_path, base_raw(seeds=[0]))
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        argv, named = {
+            "validate-dir": (["validate", str(tmp_path)], str(tmp_path)),
+            "config-dir": (["run", "--config", str(tmp_path)], str(tmp_path)),
+            "out-file": (["run", "--config", str(config), "--out", str(regular)], str(regular)),
+        }[case]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FAILED invariant: ") and named in err
 
     def test_attack_command(self, tmp_path, capsys):
         raw = base_raw(seeds=[0])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paczero import mechanism
-from paczero.binary_channel import binary_entropy, channel_mi, invert_channel_mi
+from paczero.binary_channel import invert_channel_mi
 from paczero.mechanism import (
     BRANCH_COIN,
     BRANCH_DISAGREEMENT,
@@ -21,11 +21,7 @@ from paczero.mechanism import (
     SubsetDesign,
     agreed_sign,
     agreement_probability,
-    bit_allocation,
     build_balanced_design,
-    is_unanimous,
-    release_bit,
-    release_branch,
     subset_signs,
     surrogate_release,
 )
@@ -42,6 +38,12 @@ def two_subset_design() -> SubsetDesign:
         [[True, False], [True, False], [False, True], [False, True]]
     )
     return SubsetDesign(membership=membership, seed=0)
+
+
+def halves_design(n_subsets: int) -> SubsetDesign:
+    """Two records, one in the first half of the subsets, one in the rest."""
+    first = np.arange(n_subsets) < n_subsets // 2
+    return SubsetDesign(membership=np.array([first, ~first]), seed=0)
 
 
 # ties, signed zeros and values that cancel exactly ...
@@ -285,11 +287,23 @@ class TestBranching:
             agreement_probability(Posterior.uniform(3), np.array([1, -1]))
 
     def test_unanimity_tolerance(self):
-        assert is_unanimous(1.0)
-        assert is_unanimous(0.0)
-        assert not is_unanimous(0.5)
-        assert is_unanimous(1.0 - 1e-13)  # inside the default 1e-12 band
-        assert not is_unanimous(1.0 - 1e-11)
+        def unanimous(q_plus, tau=TAU_DEFAULT):
+            return decide(make_ledger(1.0, 1, tau=tau), 1, q_plus)[1] == BRANCH_UNANIMITY
+
+        assert unanimous(1.0)
+        assert unanimous(0.0)
+        assert not unanimous(0.5)
+        assert unanimous(1.0 - 1e-13)  # inside the default 1e-12 band
+        assert not unanimous(1.0 - 1e-11)
+        assert unanimous(0.95, tau=0.1) and not unanimous(0.85, tau=0.1)
+
+    def test_ledger_takes_the_spec_tolerance(self):
+        spec = MechanismSpec(variant="paczero_zpl", n_subsets=2, unanimity_tolerance=0.1)
+        mech = ReleaseMechanism(
+            spec, two_subset_design(), horizon=1, rng=np.random.default_rng(0),
+            secret_index=0,
+        )
+        assert mech.ledger.tau == 0.1
 
     def test_agreed_sign(self):
         assert agreed_sign(0.99) == 1
@@ -297,56 +311,85 @@ class TestBranching:
         assert agreed_sign(0.01) == -1
 
 
-def allocate(ledger: BudgetLedger, t: int, q_plus: float) -> float:
+def make_ledger(
+    mi_total: float, horizon: int, k: int = 1, mi_spent: float = 0.0, tau: float = TAU_DEFAULT
+) -> BudgetLedger:
+    return BudgetLedger(mi_total, horizon, k, tau, mi_spent=mi_spent)
+
+
+def decide(ledger: BudgetLedger, t: int, q_plus: float) -> tuple[float, str]:
     """First bit of step t under the walk the mechanism and validator share."""
     ledger.open_step(t)
-    return ledger.allocate(q_plus)
+    return ledger.decide(q_plus)
 
 
-def release(posterior, signs, secret, beta, rng):
-    """One bit at allocation ``beta`` (zero for ZPL), as the mechanism
-    releases and charges it: the bit, the posterior after it, its record."""
-    q_plus = agreement_probability(posterior, signs)
-    y, posterior, branch, sigma, y_tilde = release_bit(
-        posterior, signs, q_plus, secret, beta, rng, TAU_DEFAULT
+def allocate(ledger: BudgetLedger, t: int, q_plus: float) -> float:
+    return decide(ledger, t, q_plus)[0]
+
+
+def fixed_sign_mechanism(monkeypatch, signs, beta, rng, secret=0, horizon=1):
+    """A mechanism whose every step sees the subset signs ``signs`` (a
+    fake stands in for ``subset_signs``), with total budget ``beta`` (zero
+    for ZPL)."""
+    signs = np.asarray(signs)
+    monkeypatch.setattr(mechanism, "subset_signs", lambda *_: signs)
+    if beta > 0.0:
+        spec = MechanismSpec(variant="paczero_mi", mi_total=beta, n_subsets=signs.size)
+    else:
+        spec = MechanismSpec(variant="paczero_zpl", n_subsets=signs.size)
+    return ReleaseMechanism(
+        spec, halves_design(signs.size), horizon=horizon, rng=rng, secret_index=secret
     )
-    ledger = BudgetLedger(mi_total=1.0, horizon=1, k=1)
-    return y, posterior, ledger.charge(1, 0, branch, q_plus, sigma, y, y_tilde, beta)
+
+
+@pytest.fixture
+def release(monkeypatch):
+    """One bit at allocation ``beta`` (zero for ZPL) from a one-step
+    mechanism holding ``posterior``: the bit, the posterior after it, its
+    record.  Below the entropy cap the step's allocation is ``beta``."""
+
+    def release(posterior, signs, secret, beta, rng):
+        mech = fixed_sign_mechanism(monkeypatch, signs, beta, rng, secret)
+        mech.posterior = posterior
+        (y,), (rec,) = mech.step(1, [np.zeros(2)])
+        return y, mech.posterior, rec
+
+    return release
 
 
 class TestAdaptiveBudget:
     def test_first_step_allocation(self):
-        ledger = BudgetLedger(mi_total=0.68, horizon=1000, k=1)
+        ledger = make_ledger(0.68, 1000)
         beta = allocate(ledger, 1, 0.5)
         assert beta == pytest.approx(0.00068, abs=1e-15)
 
     def test_exhausted_budget_allocates_zero(self):
-        ledger = BudgetLedger(mi_total=0.1, horizon=10, k=1, mi_spent=0.1)
+        ledger = make_ledger(0.1, 10, mi_spent=0.1)
         assert allocate(ledger, 5, 0.5) == 0.0
 
     def test_late_run_allocation(self):
-        ledger = BudgetLedger(mi_total=0.33, horizon=1000, k=1, mi_spent=0.30)
+        ledger = make_ledger(0.33, 1000, mi_spent=0.30)
         beta = allocate(ledger, 991, 0.9)
         # (0.33-0.30)/10, below the cap 0.999*h(0.9) = 0.3247578904...
         assert beta == pytest.approx(0.003, abs=1e-12)
 
     def test_entropy_cap_binds(self):
-        ledger = BudgetLedger(mi_total=10.0, horizon=1, k=1)
+        ledger = make_ledger(10.0, 1)
         beta = allocate(ledger, 1, 0.9)
         assert beta == pytest.approx(0.999 * 0.3250829733914482, abs=1e-12)
 
     def test_step_outside_horizon_rejected(self):
         with pytest.raises(ValueError):
-            allocate(BudgetLedger(mi_total=1.0, horizon=10, k=1), 11, 0.5)
+            allocate(make_ledger(1.0, 10), 11, 0.5)
 
     def test_k_way_split(self):
-        ledger = BudgetLedger(mi_total=0.4, horizon=100, k=4)
+        ledger = make_ledger(0.4, 100, k=4)
         assert allocate(ledger, 1, 0.5) == 0.001
 
     def test_rounding_never_overspends(self):
         # 0.33 - 0.03 rounds up to 0.30000000000000004, and adding it back
         # to 0.03 lands one ulp above the budget; the bit steps down instead
-        ledger = BudgetLedger(mi_total=0.33, horizon=10, k=1, mi_spent=0.03)
+        ledger = make_ledger(0.33, 10, mi_spent=0.03)
         assert ledger.remaining() == 0.30000000000000004
         assert 0.03 + ledger.remaining() > 0.33
         beta = allocate(ledger, 10, 0.5)
@@ -354,14 +397,15 @@ class TestAdaptiveBudget:
         assert beta == pytest.approx(0.3, abs=1e-15)
 
     def test_release_branch(self):
-        assert release_branch(1.0, 0.1) == BRANCH_UNANIMITY
-        assert release_branch(0.5, 0.0) == BRANCH_COIN
-        assert release_branch(0.5, 1e-15) == BRANCH_COIN
-        assert release_branch(0.5, 1e-3) == BRANCH_DISAGREEMENT
+        # a one-step ledger allocates its whole budget to a contested bit
+        assert decide(make_ledger(0.1, 1), 1, 1.0)[1] == BRANCH_UNANIMITY
+        assert decide(make_ledger(0.0, 1), 1, 0.5) == (0.0, BRANCH_COIN)
+        assert decide(make_ledger(1e-15, 1), 1, 0.5) == (1e-15, BRANCH_COIN)
+        assert decide(make_ledger(1e-3, 1), 1, 0.5) == (1e-3, BRANCH_DISAGREEMENT)
 
 
 class TestMiStep:
-    def test_unanimity_is_free_and_deterministic(self):
+    def test_unanimity_is_free_and_deterministic(self, release):
         p = Posterior.uniform(4)
         signs = np.array([1, 1, 1, 1])
         for secret in range(4):
@@ -373,7 +417,7 @@ class TestMiStep:
             assert rec.sigma is None and rec.y_tilde is None
             assert p_next is p
 
-    def test_disagreement_calibrates_and_updates(self):
+    def test_disagreement_calibrates_and_updates(self, release):
         p = Posterior.uniform(2)
         signs = np.array([1, -1])
         rng = np.random.default_rng(7)
@@ -384,7 +428,7 @@ class TestMiStep:
         assert y == (1.0 if rec.y_tilde >= 0.0 else -1.0)
         assert not np.allclose(p_next.probabilities(), p.probabilities())
 
-    def test_exhausted_budget_degenerates_to_coin(self):
+    def test_exhausted_budget_degenerates_to_coin(self, release):
         p = Posterior.uniform(2)
         signs = np.array([1, -1])
         counts = 0
@@ -396,22 +440,19 @@ class TestMiStep:
             counts += y > 0
         assert 60 < counts < 140
 
-    def test_consumption_dichotomy(self):
+    def test_consumption_dichotomy(self, release):
         p = Posterior.uniform(8)
         rng = np.random.default_rng(3)
         sign_rng = np.random.default_rng(4)
         for trial in range(100):
             signs = np.where(sign_rng.random(8) < 0.5, -1, 1)
-            q = agreement_probability(p, signs)
             beta = float(sign_rng.choice([0.0, 1e-16, 1e-3, 0.05]))
-            if not is_unanimous(q):
-                beta = min(beta, 0.999 * binary_entropy(q))
             y, p, rec = release(p, signs, int(sign_rng.integers(8)), beta, rng)
             assert rec.beta_used in (0.0, rec.beta_t)
             free = rec.branch in (BRANCH_UNANIMITY, BRANCH_COIN)
             assert (rec.beta_used == 0.0) == free
 
-    def test_public_quantities_ignore_the_secret(self):
+    def test_public_quantities_ignore_the_secret(self, release):
         p = posterior_from([0.4, 0.3, 0.2, 0.1])
         signs = np.array([1, -1, 1, -1])
         records = []
@@ -434,7 +475,7 @@ class TestMiStep:
 
 
 class TestZplStep:
-    def test_unanimity_branch_shared(self):
+    def test_unanimity_branch_shared(self, release):
         p = Posterior.uniform(4)
         y, p_next, rec = release(
             p, np.array([-1, -1, -1, -1]), 2, 0.0, np.random.default_rng(0)
@@ -444,24 +485,25 @@ class TestZplStep:
         assert rec.beta_used == 0.0
         assert p_next is p
 
-    def test_disagreement_coin_is_fair_and_secret_free(self):
-        p = Posterior.uniform(8)
+    def test_disagreement_coin_is_fair_and_secret_free(self, monkeypatch):
         rng = np.random.default_rng(21)
         secret_rng = np.random.default_rng(22)
         signs = np.array([1, 1, -1, -1, 1, -1, 1, -1])
         n = 100_000
+        mech = fixed_sign_mechanism(monkeypatch, signs, 0.0, rng, horizon=n)
         ys = np.empty(n)
         ss = np.empty(n)
         for i in range(n):
             secret = int(secret_rng.integers(8))
-            y, p, rec = release(p, signs, secret, 0.0, rng)
+            mech.secret_index = secret  # a fresh secret for every draw
+            (y,), (rec,) = mech.step(i + 1, [np.zeros(2)])
             assert rec.branch == BRANCH_COIN and rec.beta_used == 0.0
             ys[i] = y
             ss[i] = signs[secret]
         assert np.mean(ys > 0) == pytest.approx(0.5, abs=0.005)
         assert np.corrcoef(ys, ss)[0, 1] == pytest.approx(0.0, abs=0.01)
 
-    def test_posterior_never_moves(self):
+    def test_posterior_never_moves(self, release):
         p = Posterior.uniform(6)
         rng = np.random.default_rng(5)
         signs = np.array([1, -1, 1, -1, 1, -1])
@@ -578,12 +620,18 @@ class TestKAggregate:
     def test_remaining_clamps_trailing_bits(self):
         # a 0.004 step allocation split four ways, with only 0.0015 of the
         # step left: the second bit gets the rest, the last two nothing
-        first = bit_allocation(0.004, 4, 0.5, 0.0015, 0.0, 1.0)
-        second = bit_allocation(0.004, 4, 0.5, max(0.0, 0.0015 - first), first, 1.0)
+        ledger = make_ledger(1.0, 250, k=4)
+        ledger.open_step(1)
+        ledger._step_left = 0.0015  # what an open step's bits may still spend
+        bits = []
+        for slot in range(4):
+            beta, branch = ledger.decide(0.5)
+            ledger.charge(1, slot, branch, 0.5, 1.0, 1.0, 0.5, beta)
+            bits.append((beta, branch))
+        (first, _), (second, _), *last_two = bits
         assert first == 0.004 / 4
         assert second == max(0.0, 0.0015 - first)
-        assert bit_allocation(0.004, 4, 0.5, 0.0, first + second, 1.0) == 0.0
-        assert release_branch(0.5, 0.0) == BRANCH_COIN
+        assert last_two == [(0.0, BRANCH_COIN)] * 2
         assert first + second <= 0.0015
 
     def test_unknown_inner_variant_rejected(self):
@@ -599,7 +647,7 @@ class TestKAggregate:
         )
         with pytest.raises(ValueError):
             mech.step(1, [])
-        assert mech.ledger == BudgetLedger(mi_total=0.1, horizon=10, k=2)
+        assert mech.ledger == make_ledger(0.1, 10, k=2)
 
 
 class TestMechanismSpec:
@@ -668,14 +716,14 @@ class TestBudgetLedger:
             (BRANCH_DISAGREEMENT, 1.0, 0.5), (BRANCH_UNANIMITY, None, None),
             (BRANCH_COIN, None, None),
         ):
-            ledger = BudgetLedger(mi_total=1.0, horizon=1, k=1)
+            ledger = make_ledger(1.0, 1)
             rec = ledger.charge(1, 0, branch, 0.5, sigma, 1.0, y_tilde, 0.1)
             assert rec.beta_t == 0.1
             assert rec.beta_used == (0.1 if branch == BRANCH_DISAGREEMENT else 0.0)
             assert rec.cum_mi == ledger.mi_spent == rec.beta_used
 
     def test_free_fraction(self):
-        ledger = BudgetLedger(mi_total=1.0, horizon=1, k=3)
+        ledger = make_ledger(1.0, 1, k=3)
         records = [
             ledger.charge(1, 0, BRANCH_UNANIMITY, 1.0, None, 1.0, None, 0.0),
             ledger.charge(1, 1, BRANCH_DISAGREEMENT, 0.5, 1.0, 1.0, 0.5, 0.1),
@@ -685,6 +733,22 @@ class TestBudgetLedger:
         assert [rec.unanimity_count for rec in records] == [1, 1, 2]
         assert ledger.unanimity_bits == 2
         assert ledger.remaining() == pytest.approx(0.9)
+
+
+class SecretProbe:
+    """Stands in for ``ReleaseMechanism.secret_index`` and counts its reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __get__(self, mech, owner=None):
+        if mech is None:
+            return self
+        self.reads += 1
+        return mech.__dict__["_probed_secret"]
+
+    def __set__(self, mech, value):
+        mech.__dict__["_probed_secret"] = value
 
 
 class TestReleaseMechanism:
@@ -744,6 +808,35 @@ class TestReleaseMechanism:
         for t in range(1, 11):
             mech.step(t, [rng.standard_normal(16) for _ in range(k)])
         assert len(calls) == 10 * k
+
+    @pytest.mark.parametrize("spec", [
+        MechanismSpec(variant="paczero_mi", mi_total=0.5, n_subsets=4),
+        MechanismSpec(variant="paczero_zpl", n_subsets=4),
+        MechanismSpec(variant="k_aggregate", mi_total=0.5, n_subsets=4, k=2),
+        MechanismSpec(variant="k_aggregate", n_subsets=4, k=2, inner_variant="paczero_zpl"),
+    ], ids=["mi", "zpl", "k2_mi", "k2_zpl"])
+    def test_secret_read_once_per_noisy_sign(self, monkeypatch, spec):
+        # only a noisy sign reads the secret; a unanimity or coin bit never
+        # does, so its release cannot depend on it
+        probe = SecretProbe()
+        monkeypatch.setattr(ReleaseMechanism, "secret_index", probe, raising=False)
+        agreed, split = np.array([1, 1, 1, 1]), np.array([1, -1, 1, -1])
+        monkeypatch.setattr(
+            mechanism, "subset_signs", lambda scalars, *_: agreed if scalars[0] > 0 else split
+        )
+        mech = ReleaseMechanism(
+            spec, build_balanced_design(16, 4, seed=1), horizon=20,
+            rng=np.random.default_rng(0), secret_index=2,
+        )
+        branches = set()
+        for t in range(1, 21):
+            before = probe.reads
+            _, recs = mech.step(t, [np.full(16, (-1.0) ** (t + s)) for s in range(spec.k)])
+            noisy = [rec.branch == BRANCH_DISAGREEMENT for rec in recs]
+            assert probe.reads - before == sum(noisy)
+            branches |= {rec.branch for rec in recs}
+        contested = BRANCH_DISAGREEMENT if spec.bit_rule() == "mi" else BRANCH_COIN
+        assert branches == {BRANCH_UNANIMITY, contested}
 
     def test_surrogate_step_has_no_accounting(self):
         mech = self.make(variant="surrogate", surrogate_mode="quant_full")
