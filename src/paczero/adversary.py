@@ -29,6 +29,7 @@ from .mechanism import (
     BRANCH_DISAGREEMENT,
     MechanismSpec,
     Posterior,
+    StepRecord,
     SubsetDesign,
     build_balanced_design,
     subset_signs,
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 
+# Disagreement steps whose candidate signs one subset_signs call gives.
+_SIGN_BLOCK = 64
+
+
 def replay_posterior(
     transcript: Transcript, design: SubsetDesign, task: LossTask | None = None
 ) -> np.ndarray:
@@ -50,8 +55,10 @@ def replay_posterior(
     public information only.
 
     Folds the Bayes updates the noisy releases induce over the public
-    trajectory, recomputing the candidate sign vectors only on disagreement
-    steps.  Reads the step groups checked when the transcript was built
+    trajectory, in step order, recomputing the candidate sign vectors only
+    on disagreement steps: their scalars fill a block of rows, and each
+    full block gets its signs from one ``subset_signs`` call.  Reads the
+    step groups checked when the transcript was built
     (``Transcript.steps``).  Matches the mechanism's internal posterior bit
     for bit on an honest transcript.
     """
@@ -66,15 +73,33 @@ def replay_posterior(
 
     smoothing = header.train.smoothing
     posterior = Posterior.uniform(design.n_subsets)
+    block = np.empty((_SIGN_BLOCK, design.n_records))
+    pending: list[StepRecord] = []
     for theta, records, directions in public_trajectory(transcript, task):
         for rec, z in zip(records, directions):
             if rec.branch == BRANCH_DISAGREEMENT:
-                scalars = _two_point_all(task, theta, z, smoothing)
-                signs = subset_signs(scalars, design, spec.clip)
-                posterior = posterior.updated_by_observation(
-                    rec.y_tilde, signs, rec.sigma
-                )
+                block[len(pending)] = _two_point_all(task, theta, z, smoothing)
+                pending.append(rec)
+                if len(pending) == _SIGN_BLOCK:
+                    posterior = _fold_block(posterior, block, pending, design, spec.clip)
+                    pending = []
+    if pending:
+        posterior = _fold_block(
+            posterior, block[:len(pending)], pending, design, spec.clip
+        )
     return posterior.probabilities()
+
+
+def _fold_block(
+    posterior: Posterior, scalars: np.ndarray, records: list[StepRecord],
+    design: SubsetDesign, clip: float,
+) -> Posterior:
+    """The posterior after the noisy releases ``records`` in order, the
+    scalars of each a row of ``scalars``."""
+    signs = subset_signs(scalars, design, clip)
+    for rec, row in zip(records, signs):
+        posterior = posterior.updated_by_observation(rec.y_tilde, row, rec.sigma)
+    return posterior
 
 
 def membership_attack(

@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValueError("steps, seed and dev_eval_interval must be integers")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         rates = (self.learning_rate, self.lr_decay, self.weight_decay, self.smoothing)
         if not all(math.isfinite(v) for v in rates):
             raise ValueError("learning_rate, lr_decay, weight_decay and smoothing must be finite")
@@ -126,11 +128,10 @@ def public_trajectory(transcript: Transcript, task: LossTask):
     """
     config = transcript.header.train
     theta = task.init_params()
-    for t, records in enumerate(transcript.steps, start=1):
-        directions = [
-            rngmod.direction(config.seed, t, slot, task.dim)
-            for slot in range(transcript.header.mechanism.k)
-        ]
+    seeded = rngmod.directions(
+        config.seed, transcript.header.t_total, transcript.header.mechanism.k, task.dim
+    )
+    for t, (records, directions) in enumerate(zip(transcript.steps, seeded), start=1):
         yield theta, records, directions
         theta = step_update(theta, config, t, [rec.y for rec in records], directions)
     yield theta, [], []
@@ -256,11 +257,8 @@ def train(
     dev_evals: list[tuple[int, float]] = []
     best_metric, best_step, best_theta = -math.inf, 0, theta.copy()
 
-    for t in range(1, config.steps + 1):
-        directions = [
-            rngmod.direction(config.seed, t, slot, task.dim)
-            for slot in range(mech_spec.k)
-        ]
+    seeded = rngmod.directions(config.seed, config.steps, mech_spec.k, task.dim)
+    for t, directions in enumerate(seeded, start=1):
         scalars = [
             _two_point_all(task, theta, z, config.smoothing) for z in directions
         ]

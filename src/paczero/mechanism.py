@@ -364,16 +364,19 @@ class MechanismSpec:
 def subset_signs(scalars: np.ndarray, design: SubsetDesign, clip: float) -> np.ndarray:
     """Clip each per-sample scalar to [-clip, clip], average over every
     subset's members in ascending index order, and take signs (sign(0)=+1).
-    Two products give every subset's sum s and absolute sum a.  Summing n
-    floats in any order lands within gamma_n * A of the exact sum (Higham
-    2002, sec. 4.2), so where |s| > 4 n eps a + 1e-300 (eps = 2**-52) and
-    a < 2**1020 (no order overflows), s and a per-subset sum share one
-    nonzero sign, and the floor keeps that sum over the size from rounding
-    to -0.0.  Every other subset, NaN and inf included, is summed alone."""
+    Takes one vector of n_records scalars, giving n_subsets signs, or a
+    (B, n_records) block of them, giving (B, n_subsets) signs, each row the
+    signs of its vector alone.  Two products give every subset's sum s and
+    absolute sum a.  Summing n floats in any order lands within gamma_n * A
+    of the exact sum (Higham 2002, sec. 4.2), so where
+    |s| > 4 n eps a + 1e-300 (eps = 2**-52) and a < 2**1020 (no order
+    overflows), s and a per-subset sum share one nonzero sign, and the floor
+    keeps that sum over the size from rounding to -0.0.  Every other
+    subset, NaN and inf included, is summed alone."""
     scalars = np.asarray(scalars, dtype=float)
-    if scalars.shape != (design.n_records,):
+    if scalars.ndim not in (1, 2) or scalars.shape[-1] != design.n_records:
         raise ValueError(
-            f"expected {design.n_records} scalars, got shape {scalars.shape}"
+            f"expected {design.n_records} scalars per row, got shape {scalars.shape}"
         )
     if not clip > 0.0:
         raise ValueError("clip must be positive (may be inf)")
@@ -382,9 +385,11 @@ def subset_signs(scalars: np.ndarray, design: SubsetDesign, clip: float) -> np.n
     s, a = clipped @ w, np.abs(clipped) @ w
     signs = np.where(s >= 0.0, 1, -1)
     certain = (np.abs(s) > 2.0**-50 * design.n_records * a + 1e-300) & (a < 2.0**1020)
-    for m in (~certain).nonzero()[0]:
-        members = design.subset_members(m)
-        signs[m] = 1 if clipped[members].sum() / members.size >= 0.0 else -1
+    for index in zip(*(~certain).nonzero()):
+        # index is (m,) for a vector and (row, m) for a block
+        members = design.subset_members(index[-1])
+        row = clipped[index[:-1]]
+        signs[index] = 1 if row[members].sum() / members.size >= 0.0 else -1
     return signs
 
 

@@ -4,6 +4,8 @@ Everything here is deliberately written from the defining formulas with
 stdlib math / plain numpy, never by calling the package functions under
 test, so agreement is evidence rather than tautology.  The channel oracles
 raise the package's ``ChannelError``, as the code they check does.
+``direction_oracle`` draws any one probe direction through NumPy's own
+``SeedSequence``, the random-access reference for ``rng.directions``.
 ``reference_channel_mi`` and ``reference_invert_channel_mi`` are the
 package's quadrature and bisection in their two-branch form, one pass per
 conditioning symbol: the bit-exact reference for the fused evaluator.
@@ -27,6 +29,7 @@ from paczero.binary_channel import ChannelError
 from paczero.engine import Transcript
 from paczero.harness import SchemaError, load_transcript, transcript_lines
 from paczero.mechanism import StepRecord
+from paczero.rng import DIRECTIONS_STREAM
 
 
 def entropy_nats(q: float) -> float:
@@ -170,6 +173,20 @@ def loop_subset_signs(scalars, membership, clip: float) -> np.ndarray:
         members = np.flatnonzero(membership[:, m])
         signs[m] = 1 if clipped[members].sum() / members.size >= 0.0 else -1
     return signs
+
+
+def direction_state_words(seed: int, t: int, slot: int) -> np.ndarray:
+    """The four uint64 state words of step t's slot-th probe direction, from
+    NumPy's own SeedSequence."""
+    seq = np.random.SeedSequence(seed, spawn_key=(DIRECTIONS_STREAM, t, slot))
+    return seq.generate_state(4, np.uint64)
+
+
+def direction_oracle(seed: int, t: int, slot: int, dim: int) -> np.ndarray:
+    """Step t's slot-th probe direction, random access: a PCG64 generator
+    seeded by NumPy's own SeedSequence under the directions tag."""
+    seq = np.random.SeedSequence(seed, spawn_key=(DIRECTIONS_STREAM, t, slot))
+    return np.random.Generator(np.random.PCG64(seq)).standard_normal(dim)
 
 
 def analytic_blobs_directional(task, theta, i: int, z) -> float:

@@ -32,10 +32,18 @@ class TestReplayPosterior:
     def test_matches_internal_posterior_bit_for_bit(self):
         task, result = run_blobs("paczero_mi")
         probs = replay_posterior(result.transcript, result.design, task)
-        assert probs == pytest.approx(result.final_posterior, abs=1e-9)
+        assert probs.tobytes() == result.final_posterior.tobytes()
         # the run above must actually exercise noisy updates for this to
         # mean anything
         assert result.transcript.cum_mi > 0.0
+
+    def test_signs_in_several_blocks_fold_in_step_order(self):
+        # more disagreement steps than two sign blocks, the last one partial
+        task, result = run_blobs("paczero_mi", steps=300, seed=23)
+        noisy = sum(rec.branch == "disagreement" for rec in result.transcript.records)
+        assert noisy > 2 * 64 and noisy % 64
+        probs = replay_posterior(result.transcript, result.design, task)
+        assert probs.tobytes() == result.final_posterior.tobytes()
 
     def test_task_rebuilt_from_header_when_omitted(self):
         task, result = run_blobs("paczero_mi", seed=18)

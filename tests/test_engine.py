@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paczero import engine
 from paczero import rng as rngmod
@@ -57,6 +59,7 @@ class TestTrainConfig:
             {"steps": True},
             {"seed": 1.0},
             {"dev_eval_interval": 25.0},
+            {"seed": -1},
         ],
     )
     def test_invalid_values_rejected(self, kw):
@@ -202,6 +205,66 @@ def mi_spec(**kw) -> MechanismSpec:
     return MechanismSpec(**base)
 
 
+class TestDirections:
+    """``rng.directions`` hashes a run's keys in one pass; every word and
+    every direction must equal NumPy's own SeedSequence's, else a NumPy that
+    changed the hash would silently change every transcript."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**130), st.integers(1, 10**6), st.integers(0, 7),
+        st.integers(1, 40),
+    )
+    def test_words_and_directions_match_seed_sequence(self, seed, t, slot, dim):
+        words = rngmod.direction_words(
+            seed, np.array([t], dtype=np.uint32), np.array([slot], dtype=np.uint32)
+        )[0]
+        assert words.tobytes() == helpers.direction_state_words(seed, t, slot).tobytes()
+        z = rngmod.direction(words, dim)
+        assert z.tobytes() == helpers.direction_oracle(seed, t, slot, dim).tobytes()
+
+    @pytest.mark.parametrize(
+        "seed", [0, 7, 123456789, 2**63 - 5, 2**64 + 12345, 2**130 + 3]
+    )
+    def test_whole_run_matches_oracle(self, seed):
+        steps = list(rngmod.directions(seed, 60, 4, 9))
+        assert len(steps) == 60 and all(len(zs) == 4 for zs in steps)
+        for t in (1, 2, 31, 60):
+            for slot in (0, 1, 3):
+                oracle = helpers.direction_oracle(seed, t, slot, 9)
+                assert steps[t - 1][slot].tobytes() == oracle.tobytes()
+
+    def test_negative_seed_rejected(self):
+        # as SeedSequence does; a word splitter that shifts a negative int
+        # right would never reach zero
+        with pytest.raises(ValueError, match="non-negative"):
+            rngmod.directions(-1, 5, 1, 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            rngmod.direction_words(
+                -(2**70), np.array([1], dtype=np.uint32), np.array([0], dtype=np.uint32)
+            )
+
+    @pytest.mark.parametrize("t_total, k", [(2**32, 1), (0, 1), (5, 0), (5, 2**32)])
+    def test_keys_beyond_one_word_rejected(self, t_total, k):
+        # raised before any key array is built
+        with pytest.raises(ValueError, match="one key word"):
+            rngmod.directions(3, t_total, k, 2)
+
+    def test_key_arrays_must_be_uint32(self):
+        with pytest.raises(ValueError, match="uint32"):
+            rngmod.direction_words(3, np.array([2**32 + 1]), np.array([0], dtype=np.uint32))
+
+    def test_direction_takes_only_one_row_of_words(self):
+        words = rngmod.direction_words(
+            3, np.array([[1], [2]], dtype=np.uint32), np.array([0, 1], dtype=np.uint32)
+        )
+        assert words.shape == (2, 2, 4)
+        with pytest.raises(ValueError, match="state words"):
+            rngmod.direction(words[0], 4)
+        with pytest.raises(ValueError, match="state words"):
+            rngmod.direction(words[0, 0].astype(np.int64), 4)
+
+
 class TestTrainLoop:
     def test_single_unanimous_step_arithmetic(self):
         # identical targets force unanimity, so step 1 must be
@@ -214,7 +277,7 @@ class TestTrainLoop:
         assert rec.branch == BRANCH_UNANIMITY
         assert rec.beta_used == 0.0
 
-        z = rngmod.direction(60, 1, 0, task.dim)
+        z = helpers.direction_oracle(60, 1, 0, task.dim)
         scalar = float((task.init_params() - task.targets[0]) @ z)
         s = 1.0 if scalar >= 0.0 else -1.0
         assert rec.y == s
@@ -275,12 +338,15 @@ class TestTrainLoop:
         assert len(transcripts(mi_spec())) == 8
 
     def test_direction_stream_is_random_access(self):
-        z1 = rngmod.direction(5, 40, 0, 12)
-        z2 = rngmod.direction(5, 40, 0, 12)
-        assert np.array_equal(z1, z2)
-        assert not np.array_equal(z1, rngmod.direction(5, 41, 0, 12))
-        assert not np.array_equal(z1, rngmod.direction(5, 40, 1, 12))
-        assert not np.array_equal(z1, rngmod.direction(6, 40, 0, 12))
+        # step 40's first direction is the same whatever the run's length
+        # and k, and equals the one drawn for (seed, 40, 0) alone
+        z1 = list(rngmod.directions(5, 40, 1, 12))[39][0]
+        z2 = list(rngmod.directions(5, 45, 2, 12))[39][0]
+        assert z1.tobytes() == z2.tobytes()
+        assert z1.tobytes() == helpers.direction_oracle(5, 40, 0, 12).tobytes()
+        assert not np.array_equal(z1, helpers.direction_oracle(5, 41, 0, 12))
+        assert not np.array_equal(z1, helpers.direction_oracle(5, 40, 1, 12))
+        assert not np.array_equal(z1, helpers.direction_oracle(6, 40, 0, 12))
 
     def test_dev_eval_cadence(self):
         task = QuadraticTask(n_records=8, dim=4)
@@ -331,7 +397,7 @@ class TestTrainLoop:
         theta, records, directions = replayed[0]
         assert theta.tobytes() == task.init_params().tobytes()
         assert records == result.transcript.records[:1]
-        assert directions[0].tobytes() == rngmod.direction(3, 1, 0, task.dim).tobytes()
+        assert directions[0].tobytes() == helpers.direction_oracle(3, 1, 0, task.dim).tobytes()
         assert replayed[-1][1:] == ([], [])
 
     def test_k2_averages_slot_updates(self):
@@ -347,7 +413,7 @@ class TestTrainLoop:
         theta0 = task.init_params()
         moved = np.zeros(task.dim)
         for rec in result.transcript.records:
-            z = rngmod.direction(21, 1, rec.slot, task.dim)
+            z = helpers.direction_oracle(21, 1, rec.slot, task.dim)
             moved += rec.y * z
         expected = theta0 - 0.1 * moved / 2.0
         assert result.final_params == pytest.approx(expected, abs=1e-12)

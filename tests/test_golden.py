@@ -4,13 +4,16 @@ SHA-256 of the canonical transcript lines (``harness.transcript_lines``)
 over a fixed matrix: every task x {MI, ZPL, ZPL with a stray budget, K=2 MI,
 K=2 ZPL, the quant_half surrogate} x M in {8, 128} x two seeds, T=60.  A
 refactor or speed-up of the release path must leave every digest unchanged;
-a change that alters a transcript on purpose says why and re-pins it.
+a change that alters a transcript on purpose says why and re-pins it.  On
+every private case the public replay must also rebuild the run's final
+posterior byte for byte.
 """
 import hashlib
 
 import pytest
 
 from paczero.accounting import validate_transcript
+from paczero.adversary import replay_posterior
 from paczero.engine import TrainConfig, train
 from paczero.harness import transcript_lines
 from paczero.mechanism import MechanismSpec
@@ -121,14 +124,21 @@ CASES = [
 ]
 
 
-def run_case(case: str):
+PRIVATE_CASES = [case for case in CASES if "-quant_half-" not in case]
+
+
+def train_case(case: str):
     task_name, variant, m, seed = case.split("-")
     task = make_task(task_name, **TASKS[task_name])
     spec = MechanismSpec(n_subsets=int(m[1:]), clip=1.0, **VARIANTS[variant])
     config = TrainConfig(
         steps=STEPS, learning_rate=0.05, seed=int(seed[1:]), dev_eval_interval=20
     )
-    return train(task, config, spec).transcript
+    return task, train(task, config, spec)
+
+
+def run_case(case: str):
+    return train_case(case)[1].transcript
 
 
 def digest(transcript) -> str:
@@ -146,3 +156,12 @@ def test_transcript_digest(case):
 def test_transcript_validates(case):
     report = validate_transcript(run_case(case))
     assert report.ok, report.message
+
+
+@pytest.mark.parametrize("case", PRIVATE_CASES)
+def test_replay_matches_final_posterior(case):
+    # the public replay's block signs must fold to the mechanism's own
+    # posterior, byte for byte
+    task, result = train_case(case)
+    probs = replay_posterior(result.transcript, result.design, task)
+    assert probs.tobytes() == result.final_posterior.tobytes()

@@ -571,6 +571,21 @@ class TestCli:
         assert cli.main(["validate", str(bad)]) == 1
         assert "FAILED invariant:" in capsys.readouterr().err
 
+    def test_negative_train_seed_fails_cleanly(self, small_summary, tmp_path, capsys):
+        # the header's seed and its run_seed copy agree, so only the seed's
+        # own range check stops the file; it once validated [OK] and then
+        # crashed the replay
+        _, out, _ = small_summary
+        lines = (out / "seed_0" / "transcript.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["train"]["seed"] = header["run_seed"] = -1
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(SchemaError, match="seed must be nonnegative"):
+            load_transcript(bad)
+        assert cli.main(["validate", str(bad)]) == 1
+        assert "FAILED invariant:" in capsys.readouterr().err
+
     def test_bad_config_fails_cleanly(self, tmp_path, capsys):
         path = write_config(tmp_path, base_raw(seeds="florp"))
         assert cli.main(["run", "--config", str(path)]) == 1

@@ -270,6 +270,60 @@ class TestSubsetSigns:
         expected = helpers.loop_subset_signs(scalars, design.membership, clip)
         assert subset_signs(scalars, design, clip).tolist() == expected.tolist()
 
+    # six records, four subsets, each record in two: {0,1,2} {3,4,5} {0,1,3} {2,4,5}
+    BLOCK_SUBSETS = [[0, 1, 2], [3, 4, 5], [0, 1, 3], [2, 4, 5]]
+    BLOCK_ROWS = {
+        "zeros": [0.0, -0.0, 0.0, 0.0, -0.0, 0.0],
+        "ties": [1.0, -1.0, 0.0, 2.0, -2.0, 0.0],
+        "cancellation": [1e16, 3.0, -1e16, 2.0, 1.0, -3.0],
+        "order_dependent": [1e16, 1.0, -1e16, -1.0, 1.0, 0.5],
+        "floor": [1e-300, -1e-300, 5e-324, -5e-324, 2e-300, -1e-300],
+        "huge": [2.0**1020, -(2.0**1020), 2.0**1019, 2.0**1023, 2.0**1023, -(2.0**1023)],
+        "huge_cancel": [2.0**1021, 1.0, -(2.0**1021), -(2.0**1020), 2.0**1020, -1.0],
+        "inf": [math.inf, -math.inf, 1.0, 2.0, -3.0, 4.0],
+        "nan": [math.nan, 1.0, 2.0, -3.0, 0.5, 0.25],
+        "plain": [0.3, -0.7, 0.2, 0.9, -0.1, -0.4],
+    }
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_block_equals_stacked_rows(self, monkeypatch):
+        membership = np.zeros((6, 4), dtype=bool)
+        for m, members in enumerate(self.BLOCK_SUBSETS):
+            membership[members, m] = True
+        design = SubsetDesign(membership=membership, seed=0)
+        block = np.array(list(self.BLOCK_ROWS.values()))
+        rows = [subset_signs(row, design, math.inf) for row in block]
+        summed = []
+        subset_members = SubsetDesign.subset_members
+        monkeypatch.setattr(
+            SubsetDesign, "subset_members",
+            lambda self, m: summed.append(int(m)) or subset_members(self, m),
+        )
+        signs = subset_signs(block, design, math.inf)
+        assert signs.shape == (len(self.BLOCK_ROWS), 4)
+        assert signs.tolist() == [row.tolist() for row in rows]
+        assert signs.tolist() == [
+            helpers.loop_subset_signs(row, membership, math.inf).tolist() for row in block
+        ]
+        # every named fault row forced the exact fallback somewhere
+        assert len(summed) >= len(self.BLOCK_ROWS) - 1
+        clipped = subset_signs(block, design, 1.0)
+        assert clipped.tolist() == [subset_signs(r, design, 1.0).tolist() for r in block]
+
+    def test_block_of_one_row_and_of_none(self):
+        design = build_balanced_design(32, 8, seed=4)
+        scalars = np.random.default_rng(4).standard_normal(32)
+        one = subset_signs(scalars[None, :], design, 1.0)
+        assert one.shape == (1, 8)
+        assert one[0].tolist() == subset_signs(scalars, design, 1.0).tolist()
+        assert subset_signs(np.empty((0, 32)), design, 1.0).shape == (0, 8)
+
+    @pytest.mark.parametrize("shape", [(2, 31), (2, 2, 32), ()])
+    def test_block_shape_mismatch_rejected(self, shape):
+        with pytest.raises(ValueError, match="scalars per row"):
+            subset_signs(np.zeros(shape), build_balanced_design(32, 8, seed=4), 1.0)
+
 
 class TestBranching:
     def test_agreement_probability_hand_case(self):
