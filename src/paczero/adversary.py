@@ -44,7 +44,8 @@ __all__ = [
 ]
 
 
-# Disagreement steps whose candidate signs one subset_signs call gives.
+# Disagreement steps whose losses, candidate signs and posterior updates one
+# block evaluates.
 _SIGN_BLOCK = 64
 
 
@@ -56,9 +57,11 @@ def replay_posterior(
 
     Folds the Bayes updates the noisy releases induce over the public
     trajectory, in step order, recomputing the candidate sign vectors only
-    on disagreement steps: their scalars fill a block of rows, and each
-    full block gets its signs from one ``subset_signs`` call.  Reads the
-    step groups checked when the transcript was built
+    on disagreement steps: their thetas and directions fill a block of
+    rows, and each full block gets its probe losses from one
+    ``_two_point_all`` call, its signs from one ``subset_signs`` call and
+    its updates from one ``Posterior.updated_by_observation`` call.  Reads
+    the step groups checked when the transcript was built
     (``Transcript.steps``).  Matches the mechanism's internal posterior bit
     for bit on an honest transcript.
     """
@@ -73,33 +76,28 @@ def replay_posterior(
 
     smoothing = header.train.smoothing
     posterior = Posterior.uniform(design.n_subsets)
-    block = np.empty((_SIGN_BLOCK, design.n_records))
+    thetas, directions = np.empty((2, _SIGN_BLOCK, task.dim))
     pending: list[StepRecord] = []
-    for theta, records, directions in public_trajectory(transcript, task):
-        for rec, z in zip(records, directions):
+
+    def fold(n: int) -> Posterior:
+        scalars = _two_point_all(task, thetas[:n], directions[:n], smoothing)
+        return posterior.updated_by_observation(
+            np.array([rec.y_tilde for rec in pending]),
+            subset_signs(scalars, design, spec.clip),
+            np.array([rec.sigma for rec in pending]),
+        )
+
+    for theta, records, zs in public_trajectory(transcript, task):
+        for rec, z in zip(records, zs):
             if rec.branch == BRANCH_DISAGREEMENT:
-                block[len(pending)] = _two_point_all(task, theta, z, smoothing)
+                thetas[len(pending)], directions[len(pending)] = theta, z
                 pending.append(rec)
                 if len(pending) == _SIGN_BLOCK:
-                    posterior = _fold_block(posterior, block, pending, design, spec.clip)
+                    posterior = fold(_SIGN_BLOCK)
                     pending = []
     if pending:
-        posterior = _fold_block(
-            posterior, block[:len(pending)], pending, design, spec.clip
-        )
+        posterior = fold(len(pending))
     return posterior.probabilities()
-
-
-def _fold_block(
-    posterior: Posterior, scalars: np.ndarray, records: list[StepRecord],
-    design: SubsetDesign, clip: float,
-) -> Posterior:
-    """The posterior after the noisy releases ``records`` in order, the
-    scalars of each a row of ``scalars``."""
-    signs = subset_signs(scalars, design, clip)
-    for rec, row in zip(records, signs):
-        posterior = posterior.updated_by_observation(rec.y_tilde, row, rec.sigma)
-    return posterior
 
 
 def membership_attack(

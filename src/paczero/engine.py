@@ -90,7 +90,10 @@ class TrainConfig:
 
 def _two_point_all(task: LossTask, theta, z, mu: float) -> np.ndarray:
     """Symmetric-difference estimates of every record's directional
-    derivative at theta along z."""
+    derivative at theta along z.  A (B, dim) block of thetas and one of
+    directions give a (B, n_records) block, each row bit for bit its own
+    pair's; a non-finite estimate raises for the first bad record of the
+    first bad row, with that row's |theta|, as the row alone would."""
     if not mu > 0.0:
         raise ValueError("smoothing mu must be positive")
     up = task.per_sample_losses(theta + mu * z)
@@ -98,8 +101,9 @@ def _two_point_all(task: LossTask, theta, z, mu: float) -> np.ndarray:
     values = (up - down) / (2.0 * mu)
     bad = ~np.isfinite(values)
     if np.any(bad):
+        index = np.argwhere(bad)[0]  # (record,) for one theta, (row, record) for a block
         raise TwoPointNumericsError(
-            int(np.flatnonzero(bad)[0]), float(np.linalg.norm(theta))
+            int(index[-1]), float(np.linalg.norm(theta[tuple(index[:-1])]))
         )
     return values
 

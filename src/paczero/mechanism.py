@@ -142,10 +142,12 @@ def build_balanced_design(
 
 
 def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.max(a))
+    # the array methods make the same reductions as np.max and np.sum,
+    # without their Python-level dispatch
+    m = float(a.max())
     if not math.isfinite(m):
         return m
-    return m + math.log(float(np.sum(np.exp(a - m))))
+    return m + math.log(float(np.exp(a - m).sum()))
 
 
 @dataclass(frozen=True)
@@ -168,15 +170,46 @@ class Posterior:
     def probabilities(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
-    def updated_by_observation(
-        self, y_tilde: float, signs: np.ndarray, sigma: float
-    ) -> "Posterior":
+    def updated_by_observation(self, y_tilde, signs: np.ndarray, sigma) -> "Posterior":
         """Bayes update after seeing y_tilde = sign + N(0, sigma^2); the
-        Gaussian normalizer is common to all candidates and drops out."""
-        if sigma <= 0.0:
-            raise ValueError("observation update needs sigma > 0")
+        Gaussian normalizer is common to all candidates and drops out.
+
+        Arrays of B observations and noise levels, with a (B, n_candidates)
+        block of signs, fold the B updates in order, bit for bit as B single
+        updates: every penalty (y_tilde - sign)^2 / (2 sigma^2) in one pass,
+        each 2 sigma^2 taken on a Python float as the single update takes it
+        (``square`` may round otherwise than ``pow``), then one
+        normalisation per observation.  Raises ValueError unless every
+        sigma is finite and positive and every y_tilde finite."""
+        if isinstance(sigma, np.ndarray):
+            return self._updated_by_block(y_tilde, signs, sigma)
+        if not (0.0 < sigma < math.inf and math.isfinite(y_tilde)):
+            raise ValueError(
+                f"observation update needs a finite y_tilde and a finite sigma > 0, "
+                f"got y_tilde={y_tilde!r}, sigma={sigma!r}"
+            )
         lw = self.log_weights - (y_tilde - signs) ** 2 / (2.0 * sigma**2)
         return Posterior(lw - _logsumexp(lw))
+
+    def _updated_by_block(
+        self, y_tilde: np.ndarray, signs: np.ndarray, sigma: np.ndarray
+    ) -> "Posterior":
+        y_tilde = np.asarray(y_tilde, dtype=float)
+        if not (y_tilde.ndim == 1 and sigma.shape == y_tilde.shape
+                and signs.shape == y_tilde.shape + (self.n_candidates,)):
+            raise ValueError(
+                f"expected equal-length y_tilde and sigma and a (B, {self.n_candidates}) "
+                f"sign block, got {y_tilde.shape}, {sigma.shape} and {signs.shape}"
+            )
+        if not (np.all((sigma > 0.0) & (sigma < math.inf)) and np.all(np.isfinite(y_tilde))):
+            raise ValueError("observation update needs finite y_tilde and finite sigma > 0")
+        scale = np.array([2.0 * s**2 for s in sigma.tolist()])
+        penalties = (y_tilde[:, None] - signs) ** 2 / scale[:, None]
+        lw = self.log_weights
+        for penalty in penalties:
+            lw = lw - penalty
+            lw = lw - _logsumexp(lw)
+        return Posterior(lw)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ come from ``directions``, which hashes the keys of every step in one pass.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -34,19 +35,25 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def _low32(value):
+    """value mod 2**32: a Python int is masked, while uint32 array
+    arithmetic already wraps, so an array is returned as it is."""
+    return value if isinstance(value, np.ndarray) else value & _MASK32
+
+
 def _hashmix(value, hash_const: int, mult: int = _MULT_A):
     """SeedSequence's hashmix of one word, or of a uint32 array of words;
     returns the hashed value and the next hash constant."""
     value = value ^ hash_const
     hash_const = hash_const * mult & _MASK32
-    value = value * hash_const & _MASK32
+    value = _low32(value * hash_const)
     return value ^ (value >> 16), hash_const
 
 
 def _mix(x, y):
     """SeedSequence's mix of a pool word with a hashed word (either may be
     an array)."""
-    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    result = _low32(_low32(_MIX_MULT_L * x) - _low32(_MIX_MULT_R * y))
     return result ^ (result >> 16)
 
 
@@ -57,6 +64,8 @@ def direction_words(seed: int, t: np.ndarray, slot: np.ndarray) -> np.ndarray:
     shape + (4,).  The seed and the stream tag are hashed once as Python
     ints; t and slot enter as arrays, so each later hash step is one
     operation over every pair."""
+    # a Python int, so that _low32 masks every word that is not a uint32 array
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
     if t.dtype != np.uint32 or slot.dtype != np.uint32:

@@ -30,7 +30,12 @@ class LossTask:
     n_records: int
 
     def per_sample_losses(self, theta: np.ndarray) -> np.ndarray:
-        """Loss of every training record at theta, shape (n_records,)."""
+        """Loss of every training record at theta, shape (n_records,); a
+        (B, dim) block of thetas gives (B, n_records), each row bit for bit
+        its own theta's.  The block form takes its products with stacked
+        ``np.matmul``, which makes the same BLAS call per theta as the
+        single form; a 2-d ``xs @ thetas.T`` or ``einsum`` adds in another
+        order."""
         raise NotImplementedError
 
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
@@ -56,8 +61,10 @@ class LossTask:
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"theta must have shape ({self.dim},), got {theta.shape}")
+        if theta.shape != (self.dim,) and (theta.ndim != 2 or theta.shape[1] != self.dim):
+            raise ValueError(
+                f"theta must have shape ({self.dim},) or (B, {self.dim}), got {theta.shape}"
+            )
         return theta
 
 
@@ -124,7 +131,9 @@ class BlobsTask(LossTask):
 
     def _margins(self, theta, xs, ys):
         theta = self._check_theta(theta)
-        return ys * (xs @ theta[:-1] + theta[-1])
+        if theta.ndim == 1:
+            return ys * (xs @ theta[:-1] + theta[-1])
+        return ys * (np.matmul(xs, theta[:, :-1, None])[:, :, 0] + theta[:, -1:])
 
     def per_sample_losses(self, theta: np.ndarray) -> np.ndarray:
         # softplus(-margin), stable at both tails
@@ -184,17 +193,25 @@ class XorMlpTask(LossTask):
         return xs, labels
 
     def _unpack(self, theta: np.ndarray):
+        """w1, b1, w2 and b2 of one theta, or of each theta of a block, shaped
+        so that they broadcast over its rows."""
         theta = self._check_theta(theta)
         d, h = self.input_dim, self.hidden
-        w1 = theta[: d * h].reshape(d, h)
-        b1 = theta[d * h : d * h + h]
-        w2 = theta[d * h + h : d * h + 2 * h]
-        b2 = theta[-1]
-        return w1, b1, w2, b2
+        dh = d * h
+        if theta.ndim == 1:
+            return (
+                theta[:dh].reshape(d, h), theta[dh : dh + h],
+                theta[dh + h : dh + 2 * h], theta[-1],
+            )
+        return (
+            theta[:, :dh].reshape(-1, d, h), theta[:, None, dh : dh + h],
+            theta[:, dh + h : dh + 2 * h, None], theta[:, -1:],
+        )
 
     def _forward(self, theta, xs):
         w1, b1, w2, b2 = self._unpack(theta)
-        return np.tanh(xs @ w1 + b1) @ w2 + b2
+        out = np.tanh(xs @ w1 + b1) @ w2
+        return out + b2 if out.ndim == 1 else out[:, :, 0] + b2
 
     def per_sample_losses(self, theta: np.ndarray) -> np.ndarray:
         return np.logaddexp(0.0, -self.y_train * self._forward(theta, self.x_train))
@@ -249,8 +266,8 @@ class QuadraticTask(LossTask):
 
     def per_sample_losses(self, theta: np.ndarray) -> np.ndarray:
         theta = self._check_theta(theta)
-        diffs = theta[None, :] - self.targets
-        return 0.5 * np.sum(diffs * diffs, axis=1)
+        diffs = theta[..., None, :] - self.targets
+        return 0.5 * np.sum(diffs * diffs, axis=-1)
 
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
         # squashed mean loss; monotone in distance to the target cloud

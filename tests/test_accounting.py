@@ -212,6 +212,24 @@ class TestValidateTranscript:
         report = validate_transcript(bad)
         assert not report.ok
 
+    @pytest.mark.parametrize("sigma_first", [True, False], ids=["sigma_first", "beta_first"])
+    def test_first_violation_in_record_order(self, mi_run, sigma_first):
+        # the noise levels are checked in one pass before the walk, yet the
+        # report still names the earlier of two faults
+        records = mi_run.transcript.records
+        noisy = [n for n, rec in enumerate(records) if rec.branch == "disagreement"]
+        early, late = noisy[1], noisy[-2]
+        i, j = (late, early) if sigma_first else (early, late)
+        bad = helpers.tampered_transcript(
+            mi_run.transcript,
+            {j: {"sigma": records[j].sigma * 1.5}, i: {"beta_t": records[i].beta_t * 1.5}},
+        )
+        report = validate_transcript(bad)
+        assert not report.ok
+        assert report.first_violation == f"step {records[early].t} slot 0"
+        fault = "noise level carries" if sigma_first else "beta_t"
+        assert report.message.startswith(f"step {records[early].t} slot 0: {fault}")
+
     def test_truncated_transcript_rejected(self, mi_run, tmp_path):
         # a malformed layout is a structure fault: it cannot be built or
         # loaded, so the validator never reads it

@@ -235,3 +235,59 @@ class TestBitExactness:
                 assert got == reference_channel_mi(float(q), sigma)
         for q in (q1, q2, q1):
             assert invert_channel_mi(q, 0.1) == reference_invert_channel_mi(q, 0.1)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestArrayForm:
+    """channel_mi over arrays of (q_plus, sigma) against the scalar call on
+    each pair: exact equality of every bit, -0.0 included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.one_of(Q_PLUS, st.sampled_from([0.0, 1.0])), SIGMA),
+            min_size=0, max_size=300,
+        )
+    )
+    def test_array_is_the_scalar_form(self, pairs):
+        q = np.array([p[0] for p in pairs], dtype=float)
+        sigma = np.array([p[1] for p in pairs], dtype=float)
+        got = channel_mi(q, sigma)
+        assert got.shape == q.shape
+        assert _bits(got) == _bits(channel_mi(a, b) for a, b in pairs)
+
+    def test_special_cases_and_chunks(self):
+        # degenerate q, the noiseless clamp, sigma up to 1e12 and MI values
+        # that the scalar form clamps to 0, over more rows than one chunk
+        rng = np.random.default_rng(5)
+        n = 3 * binary_channel._CHUNK_ROWS + 7
+        q = rng.random(n)
+        sigma = 10.0 ** rng.uniform(-12.0, 12.0, n)
+        q[:20], q[20:40] = 0.0, 1.0
+        sigma[40:60] = rng.uniform(0.0, binary_channel.NOISELESS_SIGMA, 20)
+        sigma[60:80] = 1e12
+        sigma[80:200] = 10.0 ** rng.uniform(4.0, 12.0, 120)
+        scalar = [channel_mi(float(a), float(b)) for a, b in zip(q, sigma)]
+        assert sum(v == 0.0 for v in scalar[80:200]) >= 10  # the clamp is exercised
+        assert _bits(channel_mi(q, sigma)) == _bits(scalar)
+
+    @pytest.mark.parametrize(
+        "q, sigma, match",
+        [
+            ([0.5, 1.5], [1.0, 1.0], "q_plus out of range: 1.5"),
+            ([0.5, math.nan], [1.0, 1.0], "q_plus out of range: nan"),
+            ([0.5, 0.5], [1.0, -1.0], "sigma must be finite and nonnegative: -1.0"),
+            ([0.5, 0.5], [math.inf, 1.0], "sigma must be finite and nonnegative: inf"),
+            ([0.5, 0.5], [1.0, math.nan], "sigma must be finite and nonnegative: nan"),
+            # the first bad pair is reported, as a loop over the pairs would
+            ([0.5, 0.5, 2.0], [1.0, -1.0, 1.0], "sigma must be finite"),
+            ([0.5, 0.5], [1.0], "equal-length"),
+            ([[0.5]], [[1.0]], "equal-length"),
+        ],
+    )
+    def test_invalid_arrays_rejected(self, q, sigma, match):
+        with pytest.raises(ChannelError, match=match):
+            channel_mi(np.array(q), np.array(sigma))

@@ -157,6 +157,76 @@ class TestTwoPoint:
         assert worst <= 1e-4
 
 
+def _int_bits(values) -> list:
+    """Every float of ``values`` as its 64-bit pattern, for exact comparison."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+BLOCK_TASKS = {
+    "blobs": lambda: BlobsTask(n_records=32, seed=4),
+    "xor_mlp": lambda: XorMlpTask(n_records=32, seed=2),
+    "quadratic": lambda: QuadraticTask(n_records=8, dim=6, seed=3, target_spread=2.0),
+}
+
+
+class TestBlockLosses:
+    """A (B, dim) block of thetas against its rows one at a time: bit for
+    bit, at any BLAS thread count."""
+
+    @staticmethod
+    def block(task, rows: int, seed: int) -> np.ndarray:
+        # rows at several scales, so products meet many exponents
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.uniform(-3.0, 1.5, size=(rows, 1))
+        return rng.standard_normal((rows, task.dim)) * scales
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("name", sorted(BLOCK_TASKS))
+    def test_block_losses_equal_stacked_rows(self, name, rows):
+        task = BLOCK_TASKS[name]()
+        thetas = self.block(task, rows, seed=rows)
+        got = task.per_sample_losses(thetas)
+        assert got.shape == (rows, task.n_records)
+        assert _int_bits(got) == _int_bits([task.per_sample_losses(t) for t in thetas])
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("name", sorted(BLOCK_TASKS))
+    def test_block_two_point_equals_stacked_rows(self, name, rows):
+        task = BLOCK_TASKS[name]()
+        thetas = self.block(task, rows, seed=rows + 1)
+        zs = np.random.default_rng(rows).standard_normal(thetas.shape)
+        got = _two_point_all(task, thetas, zs, 1e-3)
+        assert _int_bits(got) == _int_bits(
+            [_two_point_all(task, t, z, 1e-3) for t, z in zip(thetas, zs)]
+        )
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_TASKS))
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 2, 0)])
+    def test_block_shape_mismatch_rejected(self, name, shape):
+        task = BLOCK_TASKS[name]()
+        bad = np.zeros(shape[:-1] + (task.dim + shape[-1],))
+        with pytest.raises(ValueError, match="theta must have shape"):
+            task.per_sample_losses(bad)
+
+    def test_block_numerics_error_names_the_rows_record(self):
+        # records 1 and 2 sit far enough out for their losses to overflow
+        # on the second row but not the first; one row at a time raises
+        # first on that row's record 1
+        task = QuadraticTask(n_records=3, dim=2, target_spread=0.0)
+        task.targets[1:, 0] = -1e154
+        thetas = np.array([[1.0, 2.0], [5e153, 0.0], [7e153, 1.0]])
+        zs = np.ones_like(thetas)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TwoPointNumericsError) as row_error:
+                for theta, z in zip(thetas, zs):
+                    _two_point_all(task, theta, z, 1e-3)
+            with pytest.raises(TwoPointNumericsError) as block_error:
+                _two_point_all(task, thetas, zs, 1e-3)
+        assert block_error.value.record_index == row_error.value.record_index == 1
+        assert block_error.value.theta_norm == row_error.value.theta_norm
+        assert block_error.value.theta_norm == float(np.linalg.norm(thetas[1]))
+
+
 def single_step(theta, eta, weight_decay, y, z):
     """One single-direction ``step_update`` at step size eta.  step_update
     reads only ``eta(t)`` and ``weight_decay`` from its config, so a stub
@@ -243,6 +313,13 @@ class TestDirections:
             rngmod.direction_words(
                 -(2**70), np.array([1], dtype=np.uint32), np.array([0], dtype=np.uint32)
             )
+
+    @pytest.mark.parametrize("seed", [np.int64(123456789), np.uint64(2**63 + 5), np.uint32(7)])
+    def test_numpy_integer_seed_hashes_as_its_int(self, seed):
+        t, slot = np.arange(1, 6, dtype=np.uint32)[:, None], np.arange(2, dtype=np.uint32)
+        words = rngmod.direction_words(seed, t, slot)
+        assert words.tobytes() == rngmod.direction_words(int(seed), t, slot).tobytes()
+        assert words[2, 1].tolist() == helpers.direction_state_words(int(seed), 3, 1).tolist()
 
     @pytest.mark.parametrize("t_total, k", [(2**32, 1), (0, 1), (5, 0), (5, 2**32)])
     def test_keys_beyond_one_word_rejected(self, t_total, k):

@@ -2,13 +2,16 @@
 
 SHA-256 of the canonical transcript lines (``harness.transcript_lines``)
 over a fixed matrix: every task x {MI, ZPL, ZPL with a stray budget, K=2 MI,
-K=2 ZPL, the quant_half surrogate} x M in {8, 128} x two seeds, T=60.  A
-refactor or speed-up of the release path must leave every digest unchanged;
+K=2 ZPL, the quant_half surrogate} x M in {8, 128} x two seeds, T=60, and
+of each case's validation report.  A refactor or speed-up of the release
+path or of the audit must leave every digest unchanged;
 a change that alters a transcript on purpose says why and re-pins it.  On
 every private case the public replay must also rebuild the run's final
 posterior byte for byte.
 """
+import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -118,6 +121,83 @@ PINS = {
     "quadratic-quant_half-M128-s1": "6cd785c2aad578e4d09b0f64625eb78a0ff1a45e4b8ac05be80fbfa16787f64b",
 }
 
+# SHA-256 of each case's ValidationReport (``report_digest``), pinned so that
+# a faster audit must reach the same verdict, totals and message.
+REPORT_PINS = {
+    "blobs-mi-M8-s0": "350eb71bcb7e4ae1a57094a4eb59aa1e6b0b0a9d45307769bebd94ee656dc209",
+    "blobs-mi-M8-s1": "e7adf0b751e1b83e19ddf05429a9c06dcd5cc5d8ab86a483d23d02f243f7133f",
+    "blobs-mi-M128-s0": "5ad0e7e86b181ebfeb29cf07804fad8736b78e68f295bfea256b568aaabe3335",
+    "blobs-mi-M128-s1": "c8592c92bf87ad18760d94811056c0df6a98abf3abd3f4766fe494dcff453b89",
+    "blobs-zpl-M8-s0": "d55f19baebd1739f3682a1b68803a4610fa7cf4ce66ea70b63d9fea5ca53cde3",
+    "blobs-zpl-M8-s1": "085176be2bd88b3b2ced85bce683b1aac814b4e547e2b973800d0b21fbd61b1c",
+    "blobs-zpl-M128-s0": "66edf463a56e9cf973336cc0c54a3aa27a1d9fa44e7f025682b34f1a399c2890",
+    "blobs-zpl-M128-s1": "769ff5384b1ac188c358a708630e3bb773d6218a3b75bc1c5c7dd51b26cfc53f",
+    "blobs-zpl_stray_budget-M8-s0": "d55f19baebd1739f3682a1b68803a4610fa7cf4ce66ea70b63d9fea5ca53cde3",
+    "blobs-zpl_stray_budget-M8-s1": "085176be2bd88b3b2ced85bce683b1aac814b4e547e2b973800d0b21fbd61b1c",
+    "blobs-zpl_stray_budget-M128-s0": "66edf463a56e9cf973336cc0c54a3aa27a1d9fa44e7f025682b34f1a399c2890",
+    "blobs-zpl_stray_budget-M128-s1": "769ff5384b1ac188c358a708630e3bb773d6218a3b75bc1c5c7dd51b26cfc53f",
+    "blobs-k2_mi-M8-s0": "4f51584ba543aa2d793758629ff3d88d407cc385c82de5550c1dbd1335102125",
+    "blobs-k2_mi-M8-s1": "e948693fcdb892d0eff2099392a87b8fa1bea78356edbae18ce2a80951062287",
+    "blobs-k2_mi-M128-s0": "388c2bc8c58011a7b83951e6850a3ac54f492bcdbc6075702b3482611f3fab46",
+    "blobs-k2_mi-M128-s1": "bafb8697b19363cb0045fd0b4b97e93c3c6acbf3559d5d105aeeb0a45a8968ee",
+    "blobs-k2_zpl-M8-s0": "ad0ab288d701ca4a2dddfa2cf531d0f979090c2182b6a0af7ade122fc589676d",
+    "blobs-k2_zpl-M8-s1": "1bae592d282b191fde6cda244ff4886b08de4e4ad7ca0b804e37d6b94f0f309f",
+    "blobs-k2_zpl-M128-s0": "bd7a95aca4266369918a7bf0367086a5106793d3688fc600b313d466f822815a",
+    "blobs-k2_zpl-M128-s1": "00c479a1d2d6e39235b9387e43e8ce024ba5fb9e85681d7628effe0c377b7767",
+    "blobs-quant_half-M8-s0": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+    "blobs-quant_half-M8-s1": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+    "blobs-quant_half-M128-s0": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+    "blobs-quant_half-M128-s1": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+    "xor_mlp-mi-M8-s0": "37e3c929cdce1e026e4e53857cee56ca2fb5d932817866281ebe7cbf53a24a2b",
+    "xor_mlp-mi-M8-s1": "93ff8cf3fb290b93700fbbbc17ffe977123165dcda40b232efe9b5c2f7bbec79",
+    "xor_mlp-mi-M128-s0": "335276f09fab10590ceec4805d01adf0cd697ba49f7296836360fe2dbeebb82f",
+    "xor_mlp-mi-M128-s1": "cc6633f18b533f63b507470e0394b4e66b67615880c6dc21ad1a44c4dd535875",
+    "xor_mlp-zpl-M8-s0": "0d32d9670622688d02a3d294d806ed3fe57cade070e3f9d6b028f9c566c6b865",
+    "xor_mlp-zpl-M8-s1": "b1570221f004a03508bb324f2cf5ccbfb95b2cb3cd492e4e70c98d03c13ce815",
+    "xor_mlp-zpl-M128-s0": "a1ef0e8bcf35c01900916c36b56e8c912708a7aac7a931822474f0be2ed05782",
+    "xor_mlp-zpl-M128-s1": "a1ef0e8bcf35c01900916c36b56e8c912708a7aac7a931822474f0be2ed05782",
+    "xor_mlp-zpl_stray_budget-M8-s0": "0d32d9670622688d02a3d294d806ed3fe57cade070e3f9d6b028f9c566c6b865",
+    "xor_mlp-zpl_stray_budget-M8-s1": "b1570221f004a03508bb324f2cf5ccbfb95b2cb3cd492e4e70c98d03c13ce815",
+    "xor_mlp-zpl_stray_budget-M128-s0": "a1ef0e8bcf35c01900916c36b56e8c912708a7aac7a931822474f0be2ed05782",
+    "xor_mlp-zpl_stray_budget-M128-s1": "a1ef0e8bcf35c01900916c36b56e8c912708a7aac7a931822474f0be2ed05782",
+    "xor_mlp-k2_mi-M8-s0": "8abcd177a1fd1c3022f1c3c11e8530ea8b6f84768caae44d7f79d0024c16b46f",
+    "xor_mlp-k2_mi-M8-s1": "d6517c1ee848f5c6168172b6534e0cd3879951c573fba33b3fea647de60b8886",
+    "xor_mlp-k2_mi-M128-s0": "f11e54e561dbfadd362bd3ec4df4aac66dcd91349e458fb280e2d85789bd8701",
+    "xor_mlp-k2_mi-M128-s1": "430fd20ccba1e738dfd1c6aa44efb45fb35303fcdffba9dd26d8783d773fbf8b",
+    "xor_mlp-k2_zpl-M8-s0": "95ec857e1817bd047939ef10d61b07e32a7bce329a666ab9b134d6c444a7afd4",
+    "xor_mlp-k2_zpl-M8-s1": "44bb0c2ecf412068a3ebb68332956bec3d26fcb5a17dd28e26caecf05081d298",
+    "xor_mlp-k2_zpl-M128-s0": "7b737a7630293e49877a94dfab2973d5de7912c5ebbcd6a69ad45513fee451c4",
+    "xor_mlp-k2_zpl-M128-s1": "7b737a7630293e49877a94dfab2973d5de7912c5ebbcd6a69ad45513fee451c4",
+    "xor_mlp-quant_half-M8-s0": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+    "xor_mlp-quant_half-M8-s1": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+    "xor_mlp-quant_half-M128-s0": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+    "xor_mlp-quant_half-M128-s1": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+    "quadratic-mi-M8-s0": "77cf707cdb180c700fc85061117dc22b7acaa4fe9d26f9c43c52ba4083e4c12a",
+    "quadratic-mi-M8-s1": "b5cbe9314b7e265fce28245a318da15cf2518e31c075d611a417b035ed6d6531",
+    "quadratic-mi-M128-s0": "348acadb8826239111d1bdd94e9cc6fea2f35c6232f6e8a95e340e73d85253a3",
+    "quadratic-mi-M128-s1": "e58630fac5bdff7b62686118a4e81394ffc13663d73c24ebd2c7cea24ed23d00",
+    "quadratic-zpl-M8-s0": "f5a71be6fa37c853aa26ad8eb8cdf8dfc0d1e8db0b65ca45a5cd3eadc612ed4a",
+    "quadratic-zpl-M8-s1": "1612dadaa100ff92a9883b04461799bfdc93fd27cfc1ad9664d24d76f9ac255b",
+    "quadratic-zpl-M128-s0": "ed71d8c99f1565e2a98deb415c95fa56bb7be41753807d219bc25896b5862235",
+    "quadratic-zpl-M128-s1": "d55f19baebd1739f3682a1b68803a4610fa7cf4ce66ea70b63d9fea5ca53cde3",
+    "quadratic-zpl_stray_budget-M8-s0": "f5a71be6fa37c853aa26ad8eb8cdf8dfc0d1e8db0b65ca45a5cd3eadc612ed4a",
+    "quadratic-zpl_stray_budget-M8-s1": "1612dadaa100ff92a9883b04461799bfdc93fd27cfc1ad9664d24d76f9ac255b",
+    "quadratic-zpl_stray_budget-M128-s0": "ed71d8c99f1565e2a98deb415c95fa56bb7be41753807d219bc25896b5862235",
+    "quadratic-zpl_stray_budget-M128-s1": "d55f19baebd1739f3682a1b68803a4610fa7cf4ce66ea70b63d9fea5ca53cde3",
+    "quadratic-k2_mi-M8-s0": "50994adfbeb3a8ffcb66679fae0f61ee460474e0991a2df6b571779c27ad33b7",
+    "quadratic-k2_mi-M8-s1": "3b34af5e87cfab50f042bdda2c9c032d79e57a3d2cbec9fc6617a09b2109a581",
+    "quadratic-k2_mi-M128-s0": "a52012ec1cd01923caee69c9241627d471d0278f16a82b02b1ec509020f47d69",
+    "quadratic-k2_mi-M128-s1": "d1a1fba8f25cc00eb5dce5f6b95aa43e3f2be271d76c6670341bcafffbc685e5",
+    "quadratic-k2_zpl-M8-s0": "95a36bda4e4cff49645fb6a38692ee4b98c97805eb2106161d8e18cbfa2eedff",
+    "quadratic-k2_zpl-M8-s1": "8ac1245f74523a9fc0da57ec20d3c4f52f783e5190dfb304f92542787d9aece0",
+    "quadratic-k2_zpl-M128-s0": "fb93cad904e18f8bd39213e048f191790386757244dd60be5a8de79a5df49ece",
+    "quadratic-k2_zpl-M128-s1": "f2a44378b3780550a13ade479c3acde0794d9a295f891e4e18ce38992d9ad46c",
+    "quadratic-quant_half-M8-s0": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+    "quadratic-quant_half-M8-s1": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+    "quadratic-quant_half-M128-s0": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+    "quadratic-quant_half-M128-s1": "10ad093a1c317cb01bdbd439c751d8858dee5c34a20bf2f4d94eabbaee6964c7",
+}
+
 CASES = [
     f"{task}-{variant}-M{m}-s{seed}"
     for task in TASKS for variant in VARIANTS for m in SUBSETS for seed in SEEDS
@@ -152,10 +232,16 @@ def test_transcript_digest(case):
     assert digest(transcript) == PINS[case]
 
 
+def report_digest(report) -> str:
+    text = json.dumps(dataclasses.asdict(report), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_transcript_validates(case):
     report = validate_transcript(run_case(case))
     assert report.ok, report.message
+    assert report_digest(report) == REPORT_PINS[case]
 
 
 @pytest.mark.parametrize("case", PRIVATE_CASES)

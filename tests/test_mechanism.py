@@ -201,6 +201,65 @@ class TestPosterior:
         with pytest.raises(ValueError):
             Posterior.uniform(2).updated_by_observation(0.1, np.array([1, -1]), 0.0)
 
+    # (y_tilde, sigma) pairs that no Gaussian observation can produce
+    BAD_OBSERVATIONS = {
+        "sigma_nan": (0.1, math.nan),
+        "sigma_inf": (0.1, math.inf),
+        "sigma_negative": (0.1, -0.5),
+        "y_tilde_nan": (math.nan, 0.5),
+        "y_tilde_inf": (math.inf, 0.5),
+        "y_tilde_minus_inf": (-math.inf, 0.5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_OBSERVATIONS))
+    def test_bad_observation_rejected(self, case):
+        y_tilde, sigma = self.BAD_OBSERVATIONS[case]
+        with pytest.raises(ValueError, match="finite"):
+            Posterior.uniform(2).updated_by_observation(y_tilde, np.array([1, -1]), sigma)
+
+    @pytest.mark.parametrize("case", sorted(BAD_OBSERVATIONS))
+    def test_bad_observation_rejected_in_a_block(self, case):
+        # the bad observation comes last, after two good ones
+        y_tilde, sigma = self.BAD_OBSERVATIONS[case]
+        signs = np.array([[1, -1], [-1, 1], [1, -1]])
+        with pytest.raises(ValueError, match="finite"):
+            Posterior.uniform(2).updated_by_observation(
+                np.array([0.3, -0.2, y_tilde]), signs, np.array([0.5, 0.7, sigma])
+            )
+
+    @pytest.mark.parametrize(
+        "y_shape, sigma_shape, signs_shape",
+        [
+            ((3,), (2,), (3, 4)), ((3,), (3,), (3, 5)), ((3,), (3,), (2, 4)),
+            ((1, 3), (1, 3), (3, 4)),
+        ],
+    )
+    def test_block_shape_mismatch_rejected(self, y_shape, sigma_shape, signs_shape):
+        with pytest.raises(ValueError, match="sign block"):
+            Posterior.uniform(4).updated_by_observation(
+                np.zeros(y_shape), np.ones(signs_shape, dtype=int), np.ones(sigma_shape)
+            )
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_block_fold_equals_step_fold(self, rows):
+        rng = np.random.default_rng(rows)
+        n = 128
+        start = posterior_from(rng.dirichlet(np.ones(n)))
+        signs = np.where(rng.random((rows, n)) < 0.5, 1, -1)
+        sigmas = 10.0 ** rng.uniform(-1.5, 1.5, rows)
+        secret = rng.integers(n)
+        y_tildes = signs[:, secret] + sigmas * rng.standard_normal(rows)
+        stepped = start
+        for y_tilde, row, sigma in zip(y_tildes.tolist(), signs, sigmas.tolist()):
+            stepped = stepped.updated_by_observation(y_tilde, row, sigma)
+        folded = start.updated_by_observation(y_tildes, signs, sigmas)
+        assert folded.log_weights.tobytes() == stepped.log_weights.tobytes()
+
+    def test_empty_block_keeps_the_posterior(self):
+        p = posterior_from([0.25, 0.75])
+        folded = p.updated_by_observation(np.empty(0), np.empty((0, 2), dtype=int), np.empty(0))
+        assert folded.log_weights.tobytes() == p.log_weights.tobytes()
+
 
 class TestSubsetSigns:
     def test_hand_case_with_clip(self):
