@@ -179,31 +179,27 @@ class Posterior:
         updates: every penalty (y_tilde - sign)^2 / (2 sigma^2) in one pass,
         each 2 sigma^2 taken on a Python float as the single update takes it
         (``square`` may round otherwise than ``pow``), then one
-        normalisation per observation.  Raises ValueError unless every
-        sigma is finite and positive and every y_tilde finite."""
+        normalisation per observation.  A single observation is the block of
+        one.  Raises ValueError unless every sigma is finite and positive and
+        every y_tilde finite."""
         if isinstance(sigma, np.ndarray):
-            return self._updated_by_block(y_tilde, signs, sigma)
-        if not (0.0 < sigma < math.inf and math.isfinite(y_tilde)):
-            raise ValueError(
-                f"observation update needs a finite y_tilde and a finite sigma > 0, "
-                f"got y_tilde={y_tilde!r}, sigma={sigma!r}"
-            )
-        lw = self.log_weights - (y_tilde - signs) ** 2 / (2.0 * sigma**2)
-        return Posterior(lw - _logsumexp(lw))
-
-    def _updated_by_block(
-        self, y_tilde: np.ndarray, signs: np.ndarray, sigma: np.ndarray
-    ) -> "Posterior":
-        y_tilde = np.asarray(y_tilde, dtype=float)
+            y_tilde = np.asarray(y_tilde, dtype=float)
+        else:
+            y_tilde, signs, sigma = np.array([y_tilde]), signs[None], np.array([sigma])
         if not (y_tilde.ndim == 1 and sigma.shape == y_tilde.shape
                 and signs.shape == y_tilde.shape + (self.n_candidates,)):
             raise ValueError(
                 f"expected equal-length y_tilde and sigma and a (B, {self.n_candidates}) "
                 f"sign block, got {y_tilde.shape}, {sigma.shape} and {signs.shape}"
             )
-        if not (np.all((sigma > 0.0) & (sigma < math.inf)) and np.all(np.isfinite(y_tilde))):
-            raise ValueError("observation update needs finite y_tilde and finite sigma > 0")
-        scale = np.array([2.0 * s**2 for s in sigma.tolist()])
+        sigmas = sigma.tolist()
+        if not (all(0.0 < s < math.inf for s in sigmas)
+                and all(math.isfinite(y) for y in y_tilde.tolist())):
+            raise ValueError(
+                "observation update needs finite y_tilde and finite sigma > 0, "
+                f"got y_tilde={y_tilde}, sigma={sigma}"
+            )
+        scale = np.array([2.0 * s**2 for s in sigmas])
         penalties = (y_tilde[:, None] - signs) ** 2 / scale[:, None]
         lw = self.log_weights
         for penalty in penalties:

@@ -59,12 +59,15 @@ class LossTask:
             "train": (self.x_train, self.y_train),
         }[split]
 
-    def _check_theta(self, theta: np.ndarray) -> np.ndarray:
+    def _check_theta(self, theta: np.ndarray, block: bool = False) -> np.ndarray:
+        """theta as a float array of shape (dim,), or with ``block`` also a
+        (B, dim) block; raises ValueError otherwise."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,) and (theta.ndim != 2 or theta.shape[1] != self.dim):
-            raise ValueError(
-                f"theta must have shape ({self.dim},) or (B, {self.dim}), got {theta.shape}"
-            )
+        if theta.shape != (self.dim,) and not (
+            block and theta.ndim == 2 and theta.shape[1] == self.dim
+        ):
+            expected = f"({self.dim},) or (B, {self.dim})" if block else f"({self.dim},)"
+            raise ValueError(f"theta must have shape {expected}, got {theta.shape}")
         return theta
 
 
@@ -129,19 +132,16 @@ class BlobsTask(LossTask):
                     break
         return xs, labels
 
-    def _margins(self, theta, xs, ys):
-        theta = self._check_theta(theta)
-        if theta.ndim == 1:
-            return ys * (xs @ theta[:-1] + theta[-1])
-        return ys * (np.matmul(xs, theta[:, :-1, None])[:, :, 0] + theta[:, -1:])
-
     def per_sample_losses(self, theta: np.ndarray) -> np.ndarray:
+        theta = self._check_theta(theta, block=True)
+        scores = np.matmul(self.x_train, theta[..., :-1, None])[..., 0] + theta[..., -1:]
         # softplus(-margin), stable at both tails
-        return np.logaddexp(0.0, -self._margins(theta, self.x_train, self.y_train))
+        return np.logaddexp(0.0, -self.y_train * scores)
 
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
         xs, ys = self._split(split)
-        scores = xs @ np.asarray(theta, dtype=float)[:-1] + theta[-1]
+        theta = self._check_theta(theta)
+        scores = xs @ theta[:-1] + theta[-1]
         predicted = np.where(scores >= 0.0, 1.0, -1.0)
         return float(np.mean(predicted == ys))
 
@@ -192,33 +192,23 @@ class XorMlpTask(LossTask):
         labels = np.where(xy[:, 0] * xy[:, 1] > 0.0, 1.0, -1.0)
         return xs, labels
 
-    def _unpack(self, theta: np.ndarray):
-        """w1, b1, w2 and b2 of one theta, or of each theta of a block, shaped
-        so that they broadcast over its rows."""
-        theta = self._check_theta(theta)
+    def _forward(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Network output on every row of xs, for one checked theta or for
+        each theta of a block."""
         d, h = self.input_dim, self.hidden
         dh = d * h
-        if theta.ndim == 1:
-            return (
-                theta[:dh].reshape(d, h), theta[dh : dh + h],
-                theta[dh + h : dh + 2 * h], theta[-1],
-            )
-        return (
-            theta[:, :dh].reshape(-1, d, h), theta[:, None, dh : dh + h],
-            theta[:, dh + h : dh + 2 * h, None], theta[:, -1:],
-        )
-
-    def _forward(self, theta, xs):
-        w1, b1, w2, b2 = self._unpack(theta)
-        out = np.tanh(xs @ w1 + b1) @ w2
-        return out + b2 if out.ndim == 1 else out[:, :, 0] + b2
+        w1 = theta[..., :dh].reshape(theta.shape[:-1] + (d, h))
+        hidden = np.tanh(np.matmul(xs, w1) + theta[..., None, dh : dh + h])
+        out = np.matmul(hidden, theta[..., dh + h : dh + 2 * h, None])
+        return out[..., 0] + theta[..., -1:]
 
     def per_sample_losses(self, theta: np.ndarray) -> np.ndarray:
+        theta = self._check_theta(theta, block=True)
         return np.logaddexp(0.0, -self.y_train * self._forward(theta, self.x_train))
 
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
         xs, ys = self._split(split)
-        predicted = np.where(self._forward(theta, xs) >= 0.0, 1.0, -1.0)
+        predicted = np.where(self._forward(self._check_theta(theta), xs) >= 0.0, 1.0, -1.0)
         return float(np.mean(predicted == ys))
 
     def init_params(self) -> np.ndarray:
@@ -265,13 +255,13 @@ class QuadraticTask(LossTask):
             self.targets = rng.standard_normal((n_records, dim)) * target_spread
 
     def per_sample_losses(self, theta: np.ndarray) -> np.ndarray:
-        theta = self._check_theta(theta)
+        theta = self._check_theta(theta, block=True)
         diffs = theta[..., None, :] - self.targets
         return 0.5 * np.sum(diffs * diffs, axis=-1)
 
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
         # squashed mean loss; monotone in distance to the target cloud
-        return 1.0 / (1.0 + float(np.mean(self.per_sample_losses(theta))))
+        return 1.0 / (1.0 + float(np.mean(self.per_sample_losses(self._check_theta(theta)))))
 
     def init_params(self) -> np.ndarray:
         return np.ones(self.dim)

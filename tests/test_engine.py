@@ -208,6 +208,14 @@ class TestBlockLosses:
         with pytest.raises(ValueError, match="theta must have shape"):
             task.per_sample_losses(bad)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("name", sorted(BLOCK_TASKS))
+    def test_eval_metric_rejects_a_block(self, name, rows):
+        # a block is a loss-side form; one score is of one theta
+        task = BLOCK_TASKS[name]()
+        with pytest.raises(ValueError, match=rf"theta must have shape \({task.dim},\),"):
+            task.eval_metric(self.block(task, rows, seed=rows), "dev")
+
     def test_block_numerics_error_names_the_rows_record(self):
         # records 1 and 2 sit far enough out for their losses to overflow
         # on the second row but not the first; one row at a time raises
