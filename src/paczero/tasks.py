@@ -32,10 +32,10 @@ class LossTask:
     def per_sample_losses(self, theta: np.ndarray) -> np.ndarray:
         """Loss of every training record at theta, shape (n_records,); a
         (B, dim) block of thetas gives (B, n_records), each row bit for bit
-        its own theta's.  The block form takes its products with stacked
-        ``np.matmul``, which makes the same BLAS call per theta as the
-        single form; a 2-d ``xs @ thetas.T`` or ``einsum`` adds in another
-        order."""
+        its own theta's.  Both forms are one expression: its products are
+        stacked ``np.matmul`` calls, which make one BLAS call per theta,
+        and one theta is the block of one; a 2-d ``xs @ thetas.T`` or
+        ``einsum`` adds in another order."""
         raise NotImplementedError
 
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
