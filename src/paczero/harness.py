@@ -259,9 +259,8 @@ def transcript_lines(transcript: Transcript) -> list[str]:
     }
     lines = [_dump_line(header)]
     for rec in transcript.records:
-        obj = dataclasses.asdict(rec)
-        obj["type"] = "release"
-        lines.append(_dump_line(obj))
+        # a record's fields are scalars, so a shallow copy is the whole record
+        lines.append(_dump_line(vars(rec) | {"type": "release"}))
     summary = {"type": "summary", "dev_evals": [[t, m] for t, m in transcript.dev_evals]}
     return lines + [_dump_line(_summary_copies(transcript) | summary)]
 

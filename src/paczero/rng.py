@@ -35,26 +35,41 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _low32(value):
-    """value mod 2**32: a Python int is masked, while uint32 array
-    arithmetic already wraps, so an array is returned as it is."""
-    return value if isinstance(value, np.ndarray) else value & _MASK32
-
-
-def _hashmix(value, hash_const: int, mult: int = _MULT_A):
-    """SeedSequence's hashmix of one word, or of a uint32 array of words;
-    returns the hashed value and the next hash constant."""
-    value = value ^ hash_const
+def _hashmix(value: int, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of one word; returns the hashed value and the
+    next hash constant."""
+    value ^= hash_const
     hash_const = hash_const * mult & _MASK32
-    value = _low32(value * hash_const)
+    value = value * hash_const & _MASK32
     return value ^ (value >> 16), hash_const
 
 
 def _mix(x, y):
-    """SeedSequence's mix of a pool word with a hashed word (either may be
-    an array)."""
-    result = _low32(_low32(_MIX_MULT_L * x) - _low32(_MIX_MULT_R * y))
+    """SeedSequence's mix of a pool word with a hashed word: Python ints, or
+    uint32 arrays (whose arithmetic already wraps)."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
     return result ^ (result >> 16)
+
+
+def _hash_constants(hash_const: int, n: int, mult: int) -> list[int]:
+    """The n + 1 hash constants that n successive hashmix calls step through."""
+    consts = [hash_const]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _hashmix_stacked(words: np.ndarray, consts: list[int]) -> np.ndarray:
+    """The hashmix of each uint32 array words[i] with the i-th of
+    len(consts) - 1 successive calls; words of length 1 on axis 0 are
+    hashed by every call."""
+    c = np.array(consts, dtype=np.uint32).reshape((-1,) + (1,) * (words.ndim - 1))
+    value = (words ^ c[:-1]) * c[1:]
+    return value ^ (value >> 16)
+
+
+# The constants of the hashmix of each of the eight output words.
+_OUTPUT_CONSTS = _hash_constants(_INIT_B, 2 * _POOL_SIZE, _MULT_B)
 
 
 def direction_words(seed: int, t: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -62,9 +77,10 @@ def direction_words(seed: int, t: np.ndarray, slot: np.ndarray) -> np.ndarray:
     slot)).generate_state(4, np.uint64)`` of every (t, slot) pair of two
     uint32 arrays that broadcast together, in an array of their broadcast
     shape + (4,).  The seed and the stream tag are hashed once as Python
-    ints; t and slot enter as arrays, so each later hash step is one
-    operation over every pair."""
-    # a Python int, so that _low32 masks every word that is not a uint32 array
+    ints.  Each of t and slot is hashed into the four pool words in one
+    operation over a stacked (4, ...) array, since the hash constants are
+    known in advance, and the eight output words come from one (8, ...)
+    pass."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
@@ -76,7 +92,7 @@ def direction_words(seed: int, t: np.ndarray, slot: np.ndarray) -> np.ndarray:
         seed_words.append(seed & _MASK32)
     # a spawn key pads the run entropy to the pool size with zeros, so the
     # entropy always outnumbers the pool
-    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + [DIRECTIONS_STREAM, t, slot]
+    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + [DIRECTIONS_STREAM]
     hash_const = _INIT_A
     pool = []
     for word in entropy[:_POOL_SIZE]:
@@ -91,12 +107,19 @@ def direction_words(seed: int, t: np.ndarray, slot: np.ndarray) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             value, hash_const = _hashmix(word, hash_const)
             pool[dst] = _mix(pool[dst], value)
-    state, hash_const = [], _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-        state.append(value)
+    # t and slot with one number of axes, so that both broadcast along the
+    # pool's axis 0
+    ndim = max(t.ndim, slot.ndim)
+    pool = np.array(pool, dtype=np.uint32).reshape((_POOL_SIZE,) + (1,) * ndim)
+    for word in (t, slot):
+        consts = _hash_constants(hash_const, _POOL_SIZE, _MULT_A)
+        word = word.reshape((1,) * (1 + ndim - word.ndim) + word.shape)
+        pool = _mix(pool, _hashmix_stacked(word, consts))
+        hash_const = consts[-1]
+    state = _hashmix_stacked(np.concatenate([pool, pool]), _OUTPUT_CONSTS)
     # pairs of uint32 words read as little-endian uint64, as generate_state does
-    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+    state = np.moveaxis(state, 0, -1).astype("<u4", order="C")
+    return state.view("<u8").astype(np.uint64)
 
 
 @functools.cache

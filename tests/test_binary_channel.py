@@ -291,3 +291,110 @@ class TestArrayForm:
     def test_invalid_arrays_rejected(self, q, sigma, match):
         with pytest.raises(ChannelError, match=match):
             channel_mi(np.array(q), np.array(sigma))
+
+
+class TestSigmaArrayForm:
+    """channel_mi of one q_plus over an array of sigma against the scalar
+    call at each sigma: exact equality of every bit, -0.0 included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(Q_PLUS, st.sampled_from([0.0, 1.0])), st.lists(SIGMA, max_size=300))
+    def test_sigma_array_is_the_scalar_form(self, q, sigmas):
+        got = channel_mi(q, np.array(sigmas, dtype=float))
+        assert got.shape == (len(sigmas),)
+        assert _bits(got) == _bits(channel_mi(q, s) for s in sigmas)
+
+    @pytest.mark.parametrize("q", [0.0, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0])
+    def test_special_cases_and_chunks(self, q):
+        # the noiseless clamp, sigma up to 1e12 and MI values that the
+        # scalar form clamps to 0, over more rows than one chunk
+        rng = np.random.default_rng(11)
+        n = 2 * binary_channel._CHUNK_ROWS + 5
+        sigma = 10.0 ** rng.uniform(-12.0, 12.0, n)
+        sigma[:20] = rng.uniform(0.0, binary_channel.NOISELESS_SIGMA, 20)
+        sigma[20:25] = 0.0, 1e-12, binary_channel.NOISELESS_SIGMA, 1e12, 1e12
+        sigma[25:145] = 10.0 ** rng.uniform(4.0, 12.0, 120)
+        scalar = [channel_mi(q, float(s)) for s in sigma]
+        if q == 0.3:
+            assert sum(v == 0.0 for v in scalar[25:145]) >= 10  # the clamp is exercised
+        assert _bits(channel_mi(q, sigma)) == _bits(scalar)
+
+    def test_degenerate_q_gives_zeros(self):
+        for q in (0.0, 1.0):
+            assert _bits(channel_mi(q, np.array([0.0, 1.0, 1e12]))) == _bits([0.0] * 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_invalid_sigma_raises_the_scalar_message(self, bad):
+        with pytest.raises(ChannelError) as scalar:
+            channel_mi(0.5, bad)
+        # the first bad sigma is reported, as a loop over them would
+        with pytest.raises(ChannelError) as array:
+            channel_mi(0.5, np.array([1.0, bad, -2.0]))
+        assert str(array.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("sigma", [np.array(1.0), np.ones((2, 3)), np.ones((1, 1))])
+    def test_sigma_array_must_be_1d(self, sigma):
+        with pytest.raises(ChannelError, match="1-d sigma"):
+            channel_mi(0.5, sigma)
+
+    def test_q_plus_is_checked_first(self):
+        with pytest.raises(ChannelError, match="q_plus out of range: 1.5"):
+            channel_mi(1.5, np.array([math.nan]))
+
+
+# (q, beta) cases for the batched walk: the bracket as it starts, a beta just
+# below h(q), which expands the lower end below NOISELESS_SIGMA, and betas
+# down to 1e-17, which expand the upper end
+_WALK_CASES = [
+    (q, beta)
+    for q in (5e-324, 1e-300, 0.05, 0.3, 0.5, 0.77, 1.0 - 2.0**-53)
+    for beta in (
+        math.nextafter(binary_entropy(q), 0.0), (1.0 - 1e-9) * binary_entropy(q),
+        0.5 * binary_entropy(q), 0.1, 1e-3, 1e-6, 1e-11, 1e-13, 1e-15, 1e-17,
+    )
+    if beta < binary_entropy(q)
+]
+
+
+class TestBatchedWalk:
+    """invert_channel_mi evaluates the bisection's midpoints in batches along
+    a guessed path; sigma must not depend on the batch lengths."""
+
+    def test_cases_expand_both_bracket_ends(self):
+        lows = [b for q, b in _WALK_CASES if channel_mi(q, binary_channel.BRACKET_LO) <= b]
+        highs = [b for q, b in _WALK_CASES if channel_mi(q, binary_channel.BRACKET_HI) >= b]
+        assert lows and highs
+
+    @pytest.mark.parametrize("lookahead", [1, 64, None])
+    def test_any_lookahead_is_the_reference_bisection(self, monkeypatch, lookahead):
+        if lookahead is not None:
+            monkeypatch.setattr(binary_channel, "_LOOKAHEAD_FIRST", lookahead)
+            monkeypatch.setattr(binary_channel, "_LOOKAHEAD_NEXT", lookahead)
+        for q, beta in _WALK_CASES:
+            assert _sigma_or_error(invert_channel_mi, q, beta) == _sigma_or_error(
+                reference_invert_channel_mi, q, beta
+            ), (q, beta)
+
+    @pytest.mark.parametrize(
+        "q, beta", [(0.5, 0.1), (0.3, 1e-6), (0.5, 1e-17), (0.4, 0.999 * binary_entropy(0.4))]
+    )
+    def test_every_visited_midpoint_is_evaluated(self, monkeypatch, q, beta):
+        evaluated, passes, visited = set(), [], []
+        channel, reference = binary_channel.channel_mi, helpers.reference_channel_mi
+
+        def spy(q_plus, sigma):
+            passes.append(sigma)
+            evaluated.update(np.atleast_1d(sigma).tolist())
+            return channel(q_plus, sigma)
+
+        def reference_spy(q_plus, sigma):
+            visited.append(sigma)
+            return reference(q_plus, sigma)
+
+        monkeypatch.setattr(binary_channel, "channel_mi", spy)
+        monkeypatch.setattr(helpers, "reference_channel_mi", reference_spy)
+        assert invert_channel_mi(q, beta) == reference_invert_channel_mi(q, beta)
+        assert set(visited) <= evaluated
+        # the two bracket ends are scalar calls, the midpoints come in batches
+        assert all(isinstance(s, float) for s in passes[:2])
+        assert len(passes) < len(visited)
