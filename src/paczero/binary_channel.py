@@ -11,30 +11,29 @@ The integral is evaluated with fixed-order Gauss-Hermite quadrature after
 substituting y = s + sqrt(2)*sigma*x per input symbol s.  The Gaussian
 normalizing constants cancel inside the log-ratio, so the integrand reduces
 to -x^2 minus a two-term log-sum-exp and stays finite for any sigma > 0.
-One evaluator per q_plus (``_Channel``, cached for the last q_plus) holds its
-constants and evaluates both branches per sigma in one (2, GH_ORDER) pass,
-bit for bit as two passes: no node is zero, so (x + 0)^2 = x^2, logaddexp is
-symmetric, and each row has its own dot (a batched sum adds in another order).
 
-``channel_mi`` also takes a 1-d array of sigma for one q_plus, as the
-calibration walk does, and equal-length arrays of q_plus and sigma, as the
-validator does to check every recorded noise level at once.  Both evaluate
-in (R, 2, GH_ORDER) chunks of at most 128 rows through one shared pass
-(``_mi_rows``), bit for bit as the scalar call on each row: the sigma form
-takes the cached evaluator's constants, the pair form takes the logs of
-each q_plus per element with ``math``, the degenerate and noiseless rows
-take the scalar path's values, and each chunk is reduced by one
-``np.vecdot(s, weights)``, which takes the dot of each row alone, as
-``np.dot(weights, row)`` does.  On 5,000 rows (2,500 pairs, q_plus uniform,
-sigma log-uniform on [1e-2, 1e3]) vecdot differed from that dot in none,
-while ``rows @ weights`` differed in 3,667 and ``einsum`` in 3,902.
+Every form of ``channel_mi`` runs one kernel (``_mi_rows``): a pass over at
+most 128 rows, each row both branches of one (q_plus, sigma) in a
+(2, GH_ORDER) block, written in place into one reused buffer.  A scalar
+call is the one-row case; a float q_plus with a 1-d array of sigma, as the
+calibration walk calls it, takes that q_plus's cached constants
+(``_constants``); equal-length arrays of q_plus and sigma, as the validator
+checks every recorded noise level at once, take the logs of each q_plus per
+element with ``math``.  Each row is reduced by ``np.vecdot(s, weights)``,
+which takes the dot of each row alone, as ``np.dot(weights, row)`` does, so
+every value is the two-branch form's bit for bit: no node is zero, so
+(x + 0)^2 = x^2, and logaddexp is symmetric.  On 5,000 rows (2,500 pairs,
+q_plus uniform, sigma log-uniform on [1e-2, 1e3]) vecdot differed from that
+dot in none, while ``rows @ weights`` differed in 3,667 and ``einsum`` in
+3,902.
 
 ``invert_channel_mi`` bisects in log sigma, one decision per midpoint, but
-reads the midpoints' MI from batches: it evaluates the next midpoints the
-walk would visit if the root sat at a guess in one sigma-array call, and
-only a wrong guess sends it back for another batch.  A midpoint is a
-function of the bracket alone and its MI is the scalar call's bit for bit,
-so every decision, and the sigma returned, is the one-at-a-time walk's
+reads the midpoints' MI from a few array calls: the first evaluates the
+default bracket's ends with the midpoints the walk would visit if the root
+sat at a closed-form guess, and each later one the midpoints from the
+bracket where the walk left that path, along a better guess.  A midpoint is
+a function of the bracket alone and its MI is the scalar call's bit for
+bit, so every decision, and the sigma returned, is the one-at-a-time walk's
 whatever the guess.
 
 The tests check this against an independent composite-trapezoid evaluation
@@ -73,9 +72,10 @@ BRACKET_HI_MAX = 1e12
 MI_MATCH_TOL = 1e-10
 LOG_SIGMA_WIDTH_TOL = 1e-12
 # Midpoints per batch of the calibration walk: the first batch follows the
-# closed-form guess, each later one a secant through exact values.
-_LOOKAHEAD_FIRST = 16
-_LOOKAHEAD_NEXT = 12
+# closed-form guess; each later one follows a guess through exact values and
+# holds as many midpoints as the MI tolerance needs, at most _LOOKAHEAD_NEXT.
+_LOOKAHEAD_FIRST = 15
+_LOOKAHEAD_NEXT = 32
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(GH_ORDER)
 _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
@@ -83,7 +83,16 @@ _NEG_X2 = np.tile(-_GH_NODES * _GH_NODES, (2, 1))
 # Subtracted from (log q, log 1-q, log 1-q, log q) to give, in one pass, a
 # q_plus's k1 = (log q, log 1-q) - x^2 and k2 = (log 1-q, log q) - 0.
 _CONST_SHIFTS = np.vstack([-_NEG_X2, np.zeros((2, GH_ORDER))])
-_GAP_SIGNS = np.array([[1.0], [-1.0]])
+# Divided by sigma: the symbol distance in node units, +gap conditioning on
+# xi = +1 and -gap on -1 (IEEE division is exact under a sign flip).
+_SQRT2_SIGNS = np.array([[math.sqrt(2.0)], [-math.sqrt(2.0)]])
+
+# Rows per pass of the array forms, and the buffers every pass writes into
+# in place: not thread-safe.
+_CHUNK_ROWS = 128
+_GAPS = np.empty((_CHUNK_ROWS, 2, 1))
+_PASS = np.empty((_CHUNK_ROWS, 2, GH_ORDER))
+_SUMS = np.empty((_CHUNK_ROWS, 2))
 
 
 class ChannelError(ValueError):
@@ -109,32 +118,13 @@ def binary_entropy(q: float) -> float:
     return -q * math.log(q) - (1.0 - q) * math.log1p(-q)
 
 
-class _Channel:
-    """One q_plus's constants, and buffers that every call reuses: not thread-safe."""
-
-    def __init__(self, q_plus: float):
-        log_q, log_1mq = math.log(q_plus), math.log1p(-q_plus)
-        consts = np.array((log_q, log_1mq, log_1mq, log_q))[:, None] - _CONST_SHIFTS
-        self.q, self.k1, self.k2 = float(q_plus), consts[:2], consts[2:]
-        self.gap, self.s = np.empty((2, 1)), np.empty((2, GH_ORDER))
-
-    def mi(self, sigma: float) -> float:
-        s, gap = self.s, math.sqrt(2.0) / sigma  # symbol distance in node units
-        self.gap[:, 0] = gap, -gap
-        np.add(_GH_NODES, self.gap, out=s)  # row 0 conditions on xi = +1, row 1 on -1
-        np.square(s, out=s)
-        np.subtract(self.k2, s, out=s)
-        np.logaddexp(self.k1, s, out=s)
-        np.subtract(_NEG_X2, s, out=s)
-        plus, minus = np.dot(_GH_WEIGHTS, s[0]), np.dot(_GH_WEIGHTS, s[1])
-        # Quadrature noise can land an exact-zero integral a few ulp negative.
-        return max(self.q * float(plus) + (1.0 - self.q) * float(minus), 0.0)
-
-
-_channel = functools.lru_cache(maxsize=1)(_Channel)
-
-# Rows per pass of the array forms: bounds their buffers at (128, 2, GH_ORDER).
-_CHUNK_ROWS = 128
+@functools.lru_cache(maxsize=1)
+def _constants(q_plus: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One q_plus's k1 = (log q, log 1-q) - x^2, k2 = (log 1-q, log q) and
+    branch weights (q, 1-q), shaped as a pass broadcasts them."""
+    log_q, log_1mq = math.log(q_plus), math.log1p(-q_plus)
+    consts = np.array((log_q, log_1mq, log_1mq, log_q))[:, None] - _CONST_SHIFTS
+    return consts[:2], consts[2:], np.array((q_plus, 1.0 - q_plus))
 
 
 def channel_mi(q_plus, sigma):
@@ -148,7 +138,7 @@ def channel_mi(q_plus, sigma):
     call's.
     """
     if isinstance(q_plus, np.ndarray):
-        return _channel_mi_array(q_plus, sigma)
+        return _channel_mi_pairs(q_plus, sigma)
     if not 0.0 <= q_plus <= 1.0:
         raise ChannelError(f"q_plus out of range: {q_plus!r}")
     if isinstance(sigma, np.ndarray):
@@ -159,7 +149,9 @@ def channel_mi(q_plus, sigma):
         return 0.0
     if sigma < NOISELESS_SIGMA:
         return binary_entropy(q_plus)
-    return _channel(q_plus).mi(sigma)
+    out = np.empty(1)
+    _mi_rows(*_constants(q_plus), np.array((sigma,), dtype=float), out)
+    return float(out[0])
 
 
 def _bad_sigma(sigma: np.ndarray) -> np.ndarray:
@@ -180,14 +172,14 @@ def _channel_mi_sigmas(q_plus: float, sigma: np.ndarray) -> np.ndarray:
     if low < NOISELESS_SIGMA:  # evaluated at the clamp, then given the entropy
         clamped = _channel_mi_sigmas(q_plus, np.maximum(sigma, NOISELESS_SIGMA))
         return np.where(sigma < NOISELESS_SIGMA, binary_entropy(q_plus), clamped)
-    ch, out = _channel(q_plus), np.empty(sigma.shape)
+    consts, out = _constants(q_plus), np.empty(sigma.shape)
     for start in range(0, sigma.size, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        out[rows] = _mi_rows(ch.q, ch.k1, ch.k2, sigma[rows])
+        _mi_rows(*consts, sigma[rows], out[rows])
     return out
 
 
-def _channel_mi_array(q_plus: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _channel_mi_pairs(q_plus: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     q, sigma = np.asarray(q_plus, dtype=float), np.asarray(sigma, dtype=float)
     if q.ndim != 1 or sigma.shape != q.shape:
         raise ChannelError(
@@ -207,27 +199,34 @@ def _channel_mi_array(q_plus: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(~noiseless & (q > 0.0) & (q < 1.0))
     for start in range(0, rows.size, _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
-        qc = q[chunk]
+        qc, mi = q[chunk], np.empty(chunk.size)
         logs = np.array([(math.log(v), math.log1p(-v)) for v in qc.tolist()])[:, :, None]
-        # k1 = log - x^2 and k2 = the other symbol's log, as _Channel holds them
-        out[chunk] = _mi_rows(qc, logs + _NEG_X2[0], logs[:, ::-1], sigma[chunk])
+        # k1, k2 and the branch weights per row, as _constants makes them
+        weights = np.stack((qc, 1.0 - qc), axis=1)
+        _mi_rows(logs + _NEG_X2[0], logs[:, ::-1], weights, sigma[chunk], mi)
+        out[chunk] = mi
     return out
 
 
-def _mi_rows(q, k1, k2, sigma: np.ndarray) -> np.ndarray:
-    """``_Channel(q).mi(sigma)`` of each row, from one (R, 2, GH_ORDER) pass
-    of the scalar form's operations in its order: q is a float or an (R,)
-    array, and k1 and k2 broadcast against the pass as ``_Channel``'s do.
-    The clamp keeps a -0.0, as ``max(mi, 0.0)`` does."""
-    gap = (math.sqrt(2.0) / sigma)[:, None, None] * _GAP_SIGNS  # (gap, -gap) per row
-    s = _GH_NODES + gap
+def _mi_rows(k1, k2, weights, sigma: np.ndarray, out: np.ndarray) -> None:
+    """Writes the MI of each of at most ``_CHUNK_ROWS`` rows into out, from
+    one (R, 2, GH_ORDER) pass in the shared buffers: k1, k2 and the branch
+    weights broadcast against the pass as ``_constants`` makes them.  Row 0
+    of each pair conditions on xi = +1, row 1 on -1."""
+    n = sigma.shape[0]
+    gaps, s, sums = _GAPS[:n], _PASS[:n], _SUMS[:n]
+    np.divide(_SQRT2_SIGNS, sigma[:, None, None], out=gaps)
+    np.add(_GH_NODES, gaps, out=s)
     np.square(s, out=s)
     np.subtract(k2, s, out=s)  # k2 - (x + gap)^2
     np.logaddexp(k1, s, out=s)
     np.subtract(_NEG_X2, s, out=s)
-    plus, minus = np.vecdot(s, _GH_WEIGHTS).T
-    mi = q * plus + (1.0 - q) * minus
-    return np.where(mi < 0.0, 0.0, mi)
+    np.vecdot(s, _GH_WEIGHTS, out=sums)
+    np.multiply(sums, weights, out=sums)
+    np.add(sums[:, 0], sums[:, 1], out=out)  # q * plus + (1 - q) * minus
+    # Quadrature noise can land an exact-zero integral a few ulp negative;
+    # a -0.0 stays, as max(mi, 0.0) keeps it.
+    np.copyto(out, 0.0, where=out < 0.0)
 
 
 def invert_channel_mi(q_plus: float, beta: float) -> float:
@@ -239,14 +238,20 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
     is narrower than 1e-12, and raises ChannelError if neither happens
     within 200 bisection steps.
 
-    The walk reads its midpoints' MI from batches: when it reaches a
-    midpoint that the last batch does not hold, the next few midpoints it
-    would visit if the root sat at a guess are computed with the walk's own
-    arithmetic and evaluated in one array call of ``channel_mi``.  The first
-    guess is the closed form in ``_first_guess``, each later one a log-log
-    secant between the bracket ends.  Every decision still reads the MI of
-    the exact midpoint, bit for bit the scalar call's, so sigma does not
-    depend on the guess; a poor guess only costs another batch.
+    The walk reads its midpoints' MI from batches, usually two.  A batch is
+    the path of midpoints the walk would visit if the root sat at a guess,
+    as (sigma, log sigma) pairs made with the walk's own arithmetic, and one
+    array call of ``channel_mi`` evaluates it.  The first call also
+    evaluates the default bracket's ends; only a bracket that misses beta is
+    expanded, by scalar calls, and its path dropped.  The walk takes the
+    pairs in order while its decisions agree with the guess; the first that
+    does not, or the end of the path, starts the next batch from the
+    current bracket.  The first guess is the closed form in
+    ``_first_guess``; each later one comes from exact values in
+    ``_next_guess``, and its path stops where ``_steps_to_tolerance`` says
+    the MI tolerance must be met.  Every decision still reads the MI of the
+    exact midpoint, bit for bit the scalar call's, so sigma does not depend
+    on the guess; a poor guess only costs another batch.
     """
     if not 0.0 <= q_plus <= 1.0:
         raise ChannelError(f"q_plus out of range: {q_plus!r}")
@@ -262,39 +267,54 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
             f"requested {beta} nats but a sign with P(+1)={q_plus} carries at most {entropy}"
         )
 
-    lo, hi = BRACKET_LO, BRACKET_HI
-    # channel_mi(q, lo) must sit above beta; guaranteed once lo enters the
-    # noiseless regime because beta < entropy.
-    while (mi_lo := channel_mi(q_plus, lo)) <= beta:
-        lo /= 10.0
-        if lo < BRACKET_LO_MIN:
-            raise ChannelError(
-                f"no sigma >= {BRACKET_LO_MIN} attains {beta} nats at q_plus={q_plus}"
-            )
-    while (mi_hi := channel_mi(q_plus, hi)) >= beta:
-        hi *= 10.0
-        if hi > BRACKET_HI_MAX:
-            raise ChannelError(
-                f"no sigma <= {BRACKET_HI_MAX} attains {beta} nats at q_plus={q_plus}"
-            )
+    log_lo, log_hi = math.log(BRACKET_LO), math.log(BRACKET_HI)
+    log_guess = _first_guess(q_plus, beta, entropy)
+    path = _midpoints(log_lo, log_hi, log_guess, _LOOKAHEAD_FIRST)
+    ends_and_path = [BRACKET_LO, BRACKET_HI] + [sigma for sigma, _ in path]
+    mi_lo, mi_hi, *mis = channel_mi(q_plus, np.array(ends_and_path)).tolist()
+    if not mi_lo > beta > mi_hi:
+        # channel_mi(q, lo) must sit above beta; guaranteed once lo enters
+        # the noiseless regime because beta < entropy.
+        lo, hi = BRACKET_LO, BRACKET_HI
+        while mi_lo <= beta:
+            lo /= 10.0
+            if lo < BRACKET_LO_MIN:
+                raise ChannelError(
+                    f"no sigma >= {BRACKET_LO_MIN} attains {beta} nats at q_plus={q_plus}"
+                )
+            mi_lo = channel_mi(q_plus, lo)
+        while mi_hi >= beta:
+            hi *= 10.0
+            if hi > BRACKET_HI_MAX:
+                raise ChannelError(
+                    f"no sigma <= {BRACKET_HI_MAX} attains {beta} nats at q_plus={q_plus}"
+                )
+            mi_hi = channel_mi(q_plus, hi)
+        log_lo, log_hi, path = math.log(lo), math.log(hi), []  # not this bracket's path
 
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    log_guess, lookahead, batch = _first_guess(q_plus, beta, entropy), _LOOKAHEAD_FIRST, {}
+    taken, beyond = 0, None
     for _ in range(200):
-        sigma = math.exp(0.5 * (log_lo + log_hi))
-        mi = batch.get(sigma)
-        if mi is None:
-            if batch:
-                log_guess = _secant_guess(log_lo, log_hi, mi_lo, mi_hi, beta, log_guess)
+        if taken == len(path):
+            lookahead = _LOOKAHEAD_NEXT
+            if path:  # the walk left the path or ran past its end
+                log_guess = _next_guess(log_lo, log_hi, mi_lo, mi_hi, beta, log_guess, beyond)
+                lookahead = min(lookahead, _steps_to_tolerance(mi_lo, mi_hi))
             path = _midpoints(log_lo, log_hi, log_guess, lookahead)
-            batch = dict(zip(path, channel_mi(q_plus, np.array(path)).tolist()))
-            mi, lookahead = batch[sigma], _LOOKAHEAD_NEXT
+            mis = channel_mi(q_plus, np.array([sigma for sigma, _ in path])).tolist()
+            taken, beyond = 0, None
+        (sigma, log_sigma), mi = path[taken], mis[taken]
+        taken += 1
         if abs(mi - beta) <= MI_MATCH_TOL:
             return sigma
-        if mi > beta:
-            log_lo, mi_lo = math.log(sigma), mi
+        above = mi > beta
+        if above:
+            log_lo, mi_lo = log_sigma, mi
         else:
-            log_hi, mi_hi = math.log(sigma), mi
+            log_hi, mi_hi = log_sigma, mi
+        if above != (log_sigma < log_guess):  # the walk leaves the guessed path
+            if taken < len(path):
+                beyond = path[taken][1], mis[taken]
+            taken = len(path)
         if log_hi - log_lo < LOG_SIGMA_WIDTH_TOL:
             return math.exp(0.5 * (log_lo + log_hi))
     raise ChannelError(
@@ -313,29 +333,53 @@ def _first_guess(q_plus: float, beta: float, entropy: float) -> float:
     )
 
 
-def _secant_guess(log_lo, log_hi, mi_lo, mi_hi, beta, log_guess) -> float:
-    """Where the line through (log sigma, log MI) at the bracket ends meets
-    log beta; the last guess when an end's MI has no usable log."""
+def _next_guess(log_lo, log_hi, mi_lo, mi_hi, beta, log_guess, beyond) -> float:
+    """Where log sigma meets log beta on the curve through (log sigma, log MI)
+    at the bracket ends, and at ``beyond`` when that is the (log sigma, MI)
+    of the path's midpoint after the one that left it: a secant through two
+    points, an inverse quadratic through three (the secant when the
+    quadratic leaves the bracket).  The last guess when an end's MI has no
+    usable log."""
     if not mi_lo > mi_hi > 0.0:
         return log_guess
-    y_lo, y_hi = math.log(mi_lo), math.log(mi_hi)
+    y, y_lo, y_hi = math.log(beta), math.log(mi_lo), math.log(mi_hi)
     if y_lo == y_hi:
         return log_guess
-    return log_lo + (y_lo - math.log(beta)) * (log_hi - log_lo) / (y_lo - y_hi)
+    slope = (log_hi - log_lo) / (y_hi - y_lo)
+    secant = log_lo + (y - y_lo) * slope
+    if beyond is None or not beyond[1] > 0.0:
+        return secant
+    x_3, y_3 = beyond[0], math.log(beyond[1])
+    if y_3 in (y_lo, y_hi):
+        return secant
+    curve = ((x_3 - log_hi) / (y_3 - y_hi) - slope) / (y_3 - y_lo)
+    quadratic = secant + (y - y_lo) * (y - y_hi) * curve
+    return quadratic if log_lo < quadratic < log_hi else secant
 
 
-def _midpoints(log_lo: float, log_hi: float, log_guess: float, n: int) -> list[float]:
-    """The next n midpoints of the log-sigma bisection, in its arithmetic,
-    if the root were at exp(log_guess); stops where the walk's width test
-    would."""
+def _steps_to_tolerance(mi_lo: float, mi_hi: float) -> int:
+    """Midpoints the walk visits at most before it meets ``MI_MATCH_TOL``,
+    if MI falls linearly across the bracket: each midpoint's mismatch is at
+    most half the bracket's MI drop, which halves with every step.  Counted
+    in binary exponents."""
+    return max(1, math.frexp(mi_lo - mi_hi)[1] - math.frexp(MI_MATCH_TOL)[1])
+
+
+def _midpoints(
+    log_lo: float, log_hi: float, log_guess: float, n: int
+) -> list[tuple[float, float]]:
+    """The next n midpoints of the log-sigma bisection, as (sigma, log sigma)
+    in its arithmetic, if the root were at exp(log_guess); stops where the
+    walk's width test would."""
     path = []
     for _ in range(n):
         sigma = math.exp(0.5 * (log_lo + log_hi))
-        path.append(sigma)
-        if math.log(sigma) < log_guess:  # the guess says MI here exceeds beta
-            log_lo = math.log(sigma)
+        log_sigma = math.log(sigma)
+        path.append((sigma, log_sigma))
+        if log_sigma < log_guess:  # the guess says MI here exceeds beta
+            log_lo = log_sigma
         else:
-            log_hi = math.log(sigma)
+            log_hi = log_sigma
         if log_hi - log_lo < LOG_SIGMA_WIDTH_TOL:
             break
     return path

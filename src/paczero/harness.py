@@ -269,24 +269,43 @@ def write_transcript(path: str | Path, transcript: Transcript) -> None:
     Path(path).write_text("\n".join(transcript_lines(transcript)) + "\n")
 
 
-def _finite_float(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise SchemaError(f"non-finite number {token} in transcript")
-    return value
+def _reject_constant(token: str) -> float:
+    raise SchemaError(f"non-finite number {token} in transcript")
+
+
+# One decoder for every line: the C scanner parses numbers itself and calls
+# back only for the constants NaN, Infinity and -Infinity, which it rejects.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_RELEASE_FLOATS = ("q_plus", "sigma", "y", "y_tilde", "beta_t", "beta_used", "cum_mi")
 
 
 def _parse_line(line: str) -> dict:
-    # NaN/Infinity arrive as constants, overflowing literals (1e999) as floats
     try:
-        obj = json.loads(line, parse_constant=_finite_float, parse_float=_finite_float)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON line: {exc}") from exc
+        obj = _DECODER.decode(line)
+    except SchemaError:
+        raise
     except RecursionError as exc:
         raise SchemaError("JSON line nested too deeply") from exc
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise SchemaError(f"invalid JSON line: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("every transcript line must be a JSON object")
     return obj
+
+
+def _reject_non_finite(obj: dict) -> None:
+    """An overflowing literal such as 1e999 parses to an infinite float;
+    reject one anywhere in a parsed line, however deep."""
+    pending = [obj]
+    while pending:
+        value = pending.pop()
+        if type(value) is float:
+            if not math.isfinite(value):
+                raise SchemaError(f"non-finite number {value!r} in transcript")
+        elif type(value) is dict:
+            pending.extend(value.values())
+        elif type(value) is list:
+            pending.extend(value)
 
 
 def _require_fields(obj: dict, fields: dict, where: str) -> None:
@@ -317,6 +336,7 @@ def load_transcript(path: str | Path) -> Transcript:
     header_obj = _parse_line(lines[0])
     if header_obj.get("type") != "header":
         raise SchemaError("first line must be the header")
+    _reject_non_finite(header_obj)
     _require_fields(header_obj, _HEADER_FIELDS, "header")
     if header_obj["format_version"] != FORMAT_VERSION:
         raise SchemaError(f"unsupported format version {header_obj['format_version']}")
@@ -335,6 +355,7 @@ def load_transcript(path: str | Path) -> Transcript:
     summary_obj = _parse_line(lines[-1])
     if summary_obj.get("type") != "summary":
         raise SchemaError("last line must be the summary")
+    _reject_non_finite(summary_obj)
     _require_fields(summary_obj, _SUMMARY_FIELDS, "summary")
     dev_evals = summary_obj["dev_evals"]
     if not all(type(e) is list and list(map(type, e)) == [int, float] for e in dev_evals):
@@ -346,6 +367,10 @@ def load_transcript(path: str | Path) -> Transcript:
         if obj.get("type") != "release":
             raise SchemaError(f"line {n}: expected a release record")
         _require_fields(obj, _RELEASE_FIELDS, f"line {n}")
+        for key in _RELEASE_FLOATS:
+            value = obj[key]
+            if type(value) is float and not math.isfinite(value):
+                raise SchemaError(f"line {n}: non-finite number {value!r} in transcript")
         obj.pop("type")
         records.append(StepRecord(**obj))
     try:

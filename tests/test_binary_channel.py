@@ -395,6 +395,33 @@ class TestBatchedWalk:
         monkeypatch.setattr(helpers, "reference_channel_mi", reference_spy)
         assert invert_channel_mi(q, beta) == reference_invert_channel_mi(q, beta)
         assert set(visited) <= evaluated
-        # the two bracket ends are scalar calls, the midpoints come in batches
-        assert all(isinstance(s, float) for s in passes[:2])
+        # the first pass holds both bracket ends ahead of the first midpoints
+        assert passes[0][:2].tolist() == [binary_channel.BRACKET_LO, binary_channel.BRACKET_HI]
         assert len(passes) < len(visited)
+
+    @pytest.mark.parametrize(
+        "q, share, calls",
+        [
+            # beta/h near 1e-3, as most train_m128 steps ask
+            (0.5, 1e-3, 2), (0.3, 1.2e-3, 2),
+            # beta/h near 2e-2, as most attack_m8 steps ask
+            (0.5, 2e-2, 2), (0.2, 1.9e-2, 2),
+            # the upper end expands by two scalar decades before the walk
+            (0.5, 1e-17 / binary_entropy(0.5), 4),
+        ],
+    )
+    def test_calls_per_inversion(self, monkeypatch, q, share, calls):
+        passes, channel = [], binary_channel.channel_mi
+
+        def spy(q_plus, sigma):
+            passes.append(sigma)
+            return channel(q_plus, sigma)
+
+        monkeypatch.setattr(binary_channel, "channel_mi", spy)
+        beta = share * binary_entropy(q)
+        assert invert_channel_mi(q, beta) == reference_invert_channel_mi(q, beta)
+        assert len(passes) == calls
+        lo, hi = binary_channel.BRACKET_LO, binary_channel.BRACKET_HI
+        assert passes[0][:2].tolist() == [lo, hi]
+        if channel(q, lo) > beta > channel(q, hi):  # the default bracket holds
+            assert all(isinstance(s, np.ndarray) for s in passes)

@@ -305,6 +305,41 @@ class TestTranscriptIO:
             with pytest.raises(SchemaError, match="non-finite"):
                 load_transcript(self.write_tampered(out, tmp_path, poison))
 
+    @pytest.mark.parametrize("line, path", [
+        (0, ["task_params", "separation"]),
+        (0, ["mechanism", "mi_total"]),
+        (-1, ["dev_evals", 0, 1]),
+        (-1, ["cum_mi"]),
+    ])
+    def test_overflowing_literal_rejected_in_header_and_summary(
+        self, small_summary, tmp_path, line, path
+    ):
+        _, out, _ = small_summary
+
+        def poison(lines):
+            obj = node = json.loads(lines[line])
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = 0.123456789
+            lines[line] = json.dumps(obj).replace("0.123456789", "-1e999")
+            assert "-1e999" in lines[line]
+            return lines
+
+        with pytest.raises(SchemaError, match="non-finite"):
+            load_transcript(self.write_tampered(out, tmp_path, poison))
+
+    def test_integer_past_the_digit_limit_rejected(self, small_summary, tmp_path):
+        # Python refuses to convert a decimal string of more than 4300 digits
+        _, out, _ = small_summary
+
+        def widen(lines):
+            lines[1] = lines[1].replace('"slot":0', '"slot":' + "1" * 5000)
+            assert "1" * 5000 in lines[1]
+            return lines
+
+        with pytest.raises(SchemaError, match="invalid JSON line"):
+            load_transcript(self.write_tampered(out, tmp_path, widen))
+
     def test_empty_file_rejected(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -548,6 +583,7 @@ class TestCli:
             pytest.param("file", None, '{"type": "header"', id="invalid-json-line"),
             pytest.param("file", None, "[1]", id="non-object-line"),
             pytest.param("file", None, "[" * 200_000, id="deeply-nested-line"),
+            pytest.param("file", None, '{"a": ' + "1" * 5000 + "}", id="oversized-integer"),
         ],
     )
     def test_validate_names_every_malformed_file(self, small_summary, tmp_path, capsys,
