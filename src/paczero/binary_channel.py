@@ -138,7 +138,7 @@ def channel_mi(q_plus, sigma):
     call's.
     """
     if isinstance(q_plus, np.ndarray):
-        return _channel_mi_pairs(q_plus, sigma)
+        return _channel_mi_array(q_plus, sigma)
     if not 0.0 <= q_plus <= 1.0:
         raise ChannelError(f"q_plus out of range: {q_plus!r}")
     if isinstance(sigma, np.ndarray):
@@ -179,7 +179,7 @@ def _channel_mi_sigmas(q_plus: float, sigma: np.ndarray) -> np.ndarray:
     return out
 
 
-def _channel_mi_pairs(q_plus: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _channel_mi_array(q_plus: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     q, sigma = np.asarray(q_plus, dtype=float), np.asarray(sigma, dtype=float)
     if q.ndim != 1 or sigma.shape != q.shape:
         raise ChannelError(
