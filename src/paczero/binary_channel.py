@@ -14,18 +14,18 @@ to -x^2 minus a two-term log-sum-exp and stays finite for any sigma > 0.
 
 Every form of ``channel_mi`` runs one kernel (``_mi_rows``): a pass over at
 most 128 rows, each row both branches of one (q_plus, sigma) in a
-(2, GH_ORDER) block, written in place into one reused buffer.  A scalar
-call is the one-row case; a float q_plus with a 1-d array of sigma, as the
-calibration walk calls it, takes that q_plus's cached constants
-(``_constants``); equal-length arrays of q_plus and sigma, as the validator
-checks every recorded noise level at once, take the logs of each q_plus per
-element with ``math``.  Each row is reduced by ``np.vecdot(s, weights)``,
-which takes the dot of each row alone, as ``np.dot(weights, row)`` does, so
-every value is the two-branch form's bit for bit: no node is zero, so
-(x + 0)^2 = x^2, and logaddexp is symmetric.  On 5,000 rows (2,500 pairs,
-q_plus uniform, sigma log-uniform on [1e-2, 1e3]) vecdot differed from that
-dot in none, while ``rows @ weights`` differed in 3,667 and ``einsum`` in
-3,902.
+(2, GH_ORDER) block, written in place into one reused buffer.  A float
+q_plus with a 1-d array of sigma, as the calibration walk calls it, takes
+that q_plus's cached constants (``_constants``), and a float sigma is its
+one-row case, with the same checks and rules; equal-length arrays of
+q_plus and sigma, as the validator checks every recorded noise level at
+once, take the logs of each q_plus per element with ``math``.  Each row is
+reduced by ``np.vecdot(s, weights)``, which takes the dot of each row
+alone, as ``np.dot(weights, row)`` does, so every value is the two-branch
+form's bit for bit: no node is zero, so (x + 0)^2 = x^2, and logaddexp is
+symmetric.  On 5,000 rows (2,500 pairs, q_plus uniform, sigma log-uniform
+on [1e-2, 1e3]) vecdot differed from that dot in none, while
+``rows @ weights`` differed in 3,667 and ``einsum`` in 3,902.
 
 ``invert_channel_mi`` bisects in log sigma, one decision per midpoint, but
 reads the midpoints' MI from a few array calls: the first evaluates the
@@ -80,9 +80,6 @@ _LOOKAHEAD_NEXT = 32
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(GH_ORDER)
 _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
 _NEG_X2 = np.tile(-_GH_NODES * _GH_NODES, (2, 1))
-# Subtracted from (log q, log 1-q, log 1-q, log q) to give, in one pass, a
-# q_plus's k1 = (log q, log 1-q) - x^2 and k2 = (log 1-q, log q) - 0.
-_CONST_SHIFTS = np.vstack([-_NEG_X2, np.zeros((2, GH_ORDER))])
 # Divided by sigma: the symbol distance in node units, +gap conditioning on
 # xi = +1 and -gap on -1 (IEEE division is exact under a sign flip).
 _SQRT2_SIGNS = np.array([[math.sqrt(2.0)], [-math.sqrt(2.0)]])
@@ -122,9 +119,9 @@ def binary_entropy(q: float) -> float:
 def _constants(q_plus: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One q_plus's k1 = (log q, log 1-q) - x^2, k2 = (log 1-q, log q) and
     branch weights (q, 1-q), shaped as a pass broadcasts them."""
-    log_q, log_1mq = math.log(q_plus), math.log1p(-q_plus)
-    consts = np.array((log_q, log_1mq, log_1mq, log_q))[:, None] - _CONST_SHIFTS
-    return consts[:2], consts[2:], np.array((q_plus, 1.0 - q_plus))
+    logs = np.array((math.log(q_plus), math.log1p(-q_plus)))[:, None]
+    # k2 at full width: the kernel's subtraction runs slower on a broadcast
+    return logs + _NEG_X2, logs[::-1].repeat(GH_ORDER, 1), np.array((q_plus, 1.0 - q_plus))
 
 
 def channel_mi(q_plus, sigma):
@@ -143,15 +140,7 @@ def channel_mi(q_plus, sigma):
         raise ChannelError(f"q_plus out of range: {q_plus!r}")
     if isinstance(sigma, np.ndarray):
         return _channel_mi_sigmas(q_plus, sigma)
-    if sigma < 0.0 or not math.isfinite(sigma):
-        raise ChannelError(f"sigma must be finite and nonnegative: {sigma!r}")
-    if q_plus == 0.0 or q_plus == 1.0:
-        return 0.0
-    if sigma < NOISELESS_SIGMA:
-        return binary_entropy(q_plus)
-    out = np.empty(1)
-    _mi_rows(*_constants(q_plus), np.array((sigma,), dtype=float), out)
-    return float(out[0])
+    return float(_channel_mi_sigmas(q_plus, np.array((sigma,)))[0])
 
 
 def _bad_sigma(sigma: np.ndarray) -> np.ndarray:

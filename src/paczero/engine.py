@@ -71,6 +71,9 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         rates = (self.learning_rate, self.lr_decay, self.weight_decay, self.smoothing)
+        if any(type(v) is bool for v in rates) or type(self.load_best_dev) is not bool:
+            raise ValueError("learning_rate, lr_decay, weight_decay and smoothing must be "
+                             "numbers, and load_best_dev a boolean")
         if not all(math.isfinite(v) for v in rates):
             raise ValueError("learning_rate, lr_decay, weight_decay and smoothing must be finite")
         if self.learning_rate <= 0.0:

@@ -269,21 +269,12 @@ def write_transcript(path: str | Path, transcript: Transcript) -> None:
     Path(path).write_text("\n".join(transcript_lines(transcript)) + "\n")
 
 
-def _reject_constant(token: str) -> float:
-    raise SchemaError(f"non-finite number {token} in transcript")
-
-
-# One decoder for every line: the C scanner parses numbers itself and calls
-# back only for the constants NaN, Infinity and -Infinity, which it rejects.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _RELEASE_FLOATS = ("q_plus", "sigma", "y", "y_tilde", "beta_t", "beta_used", "cum_mi")
 
 
 def _parse_line(line: str) -> dict:
     try:
-        obj = _DECODER.decode(line)
-    except SchemaError:
-        raise
+        obj = json.loads(line)
     except RecursionError as exc:
         raise SchemaError("JSON line nested too deeply") from exc
     except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
@@ -294,8 +285,9 @@ def _parse_line(line: str) -> dict:
 
 
 def _reject_non_finite(obj: dict) -> None:
-    """An overflowing literal such as 1e999 parses to an infinite float;
-    reject one anywhere in a parsed line, however deep."""
+    """A NaN or Infinity token, or an overflowing literal such as 1e999,
+    parses to a non-finite float; reject one anywhere in a parsed line,
+    however deep."""
     pending = [obj]
     while pending:
         value = pending.pop()

@@ -354,6 +354,8 @@ class MechanismSpec:
                 raise ValueError(f"unknown surrogate mode {self.surrogate_mode!r}")
         elif self.surrogate_mode is not None:
             raise ValueError("surrogate_mode only applies to the surrogate variant")
+        if any(type(v) is bool for v in (self.mi_total, self.clip, self.unanimity_tolerance)):
+            raise ValueError("mi_total, clip and unanimity_tolerance must be numbers, not booleans")
         if not (math.isfinite(self.mi_total) and self.mi_total >= 0.0):
             raise ValueError(f"mi_total must be finite and nonnegative, got {self.mi_total!r}")
         if self.bit_rule() == "mi" and self.mi_total == 0.0:

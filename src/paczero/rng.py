@@ -4,7 +4,8 @@ Every consumer of randomness gets its own generator derived from the master
 seed through a fixed spawn key, so streams never alias: training directions
 are keyed by (step, direction-slot), the mechanism's noise/coin stream is
 sequential, and design sampling is keyed per attempt.  A run's directions
-come from ``directions``, which hashes the keys of every step in one pass.
+come from ``directions``, which takes the pool of (seed, directions stream)
+from NumPy's SeedSequence and hashes the keys of every step in one pass.
 """
 
 from __future__ import annotations
@@ -35,19 +36,10 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _hashmix(value: int, hash_const: int, mult: int = _MULT_A):
-    """SeedSequence's hashmix of one word; returns the hashed value and the
-    next hash constant."""
-    value ^= hash_const
-    hash_const = hash_const * mult & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ (value >> 16), hash_const
-
-
 def _mix(x, y):
-    """SeedSequence's mix of a pool word with a hashed word: Python ints, or
-    uint32 arrays (whose arithmetic already wraps)."""
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
+    """SeedSequence's mix of pool words with hashed words, as uint32 arrays
+    (whose arithmetic already wraps)."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ (result >> 16)
 
 
@@ -76,41 +68,23 @@ def direction_words(seed: int, t: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """The state words ``SeedSequence(seed, spawn_key=(DIRECTIONS_STREAM, t,
     slot)).generate_state(4, np.uint64)`` of every (t, slot) pair of two
     uint32 arrays that broadcast together, in an array of their broadcast
-    shape + (4,).  The seed and the stream tag are hashed once as Python
-    ints.  Each of t and slot is hashed into the four pool words in one
+    shape + (4,).  The pool of the seed and the stream tag is NumPy's own
+    SeedSequence's, made once.  Each of t and slot is hashed into the four pool words in one
     operation over a stacked (4, ...) array, since the hash constants are
     known in advance, and the eight output words come from one (8, ...)
     pass."""
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
+    pool = np.random.SeedSequence(seed, spawn_key=(DIRECTIONS_STREAM,)).pool
     if t.dtype != np.uint32 or slot.dtype != np.uint32:
         raise ValueError("t and slot must be uint32 arrays, one key word each")
-    seed_words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        seed_words.append(seed & _MASK32)
-    # a spawn key pads the run entropy to the pool size with zeros, so the
-    # entropy always outnumbers the pool
-    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + [DIRECTIONS_STREAM]
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
+    # the pool took four hashmix calls per entropy word: the seed's 32-bit
+    # words padded to the pool size, then the stream tag
+    n_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 4 * n_words + 4, 2**32) & _MASK32
     # t and slot with one number of axes, so that both broadcast along the
     # pool's axis 0
     ndim = max(t.ndim, slot.ndim)
-    pool = np.array(pool, dtype=np.uint32).reshape((_POOL_SIZE,) + (1,) * ndim)
+    pool = pool.reshape((_POOL_SIZE,) + (1,) * ndim)
     for word in (t, slot):
         consts = _hash_constants(hash_const, _POOL_SIZE, _MULT_A)
         word = word.reshape((1,) * (1 + ndim - word.ndim) + word.shape)

@@ -302,7 +302,7 @@ class TestDirections:
         assert z.tobytes() == helpers.direction_oracle(seed, t, slot, dim).tobytes()
 
     @pytest.mark.parametrize(
-        "seed", [0, 7, 123456789, 2**63 - 5, 2**64 + 12345, 2**130 + 3]
+        "seed", [0, 7, 123456789, 2**63 - 5, 2**64 + 12345, 2**130 + 3, 2**200 + 11]
     )
     def test_whole_run_matches_oracle(self, seed):
         steps = list(rngmod.directions(seed, 60, 4, 9))
@@ -421,6 +421,30 @@ class TestTrainLoop:
             variant="k_aggregate", n_subsets=8, k=2, inner_variant="paczero_zpl"
         ))) == 1
         assert len(transcripts(mi_spec())) == 8
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(["blobs", "quadratic"]), st.sampled_from([2, 4, 8]),
+        st.sampled_from([1, 2]), st.integers(0, 2**32), st.integers(0, 2**32),
+        st.integers(1, 20),
+    )
+    def test_zpl_transcript_is_the_same_for_every_secret_drawn(
+        self, name, n_subsets, k, task_seed, seed, steps
+    ):
+        # over small tasks, designs and seeds, as the test above at one
+        task = make_task(name=name, n_records=12, seed=task_seed)
+        design = build_balanced_design(task.n_records, n_subsets, seed=seed)
+        spec = MechanismSpec(variant="paczero_zpl", n_subsets=n_subsets) if k == 1 else (
+            MechanismSpec(variant="k_aggregate", n_subsets=n_subsets, k=k,
+                          inner_variant="paczero_zpl"))
+        cfg = TrainConfig(steps=steps, seed=seed, dev_eval_interval=steps)
+        transcripts = {
+            "\n".join(transcript_lines(
+                train(task, cfg, spec, design=design, secret_index=j).transcript
+            ))
+            for j in range(n_subsets)
+        }
+        assert len(transcripts) == 1
 
     def test_direction_stream_is_random_access(self):
         # step 40's first direction is the same whatever the run's length

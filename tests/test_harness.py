@@ -657,6 +657,12 @@ class TestCli:
             (["--set", "mechanism.variant=paczero_zpl", "--set", "mechanism.mi_total=.nan"], None),
             (["--set", "mechanism.variant=surrogate", "--set", "mechanism.surrogate_mode=raw_full",
               "--set", "mechanism.mi_total=-1.0"], None),
+            # booleans that once passed as numbers: YAML's yes gave a 1-nat
+            # budget, and any truthy string loaded the best dev parameters
+            (["--set", "mechanism.mi_total=yes"], None),
+            (["--set", "mechanism.clip=true"], None),
+            (["--set", "train.learning_rate=true"], None),
+            (["--set", "train.load_best_dev=maybe"], None),
             # a root that is not a mapping once met the override as a TypeError
             (["--set", "label=x"], "[1, 2]\n"),
             (["--set", "label=x"], "just a string\n"),
@@ -666,6 +672,7 @@ class TestCli:
             "task-seed-string", "train-steps-float", "train-steps-bool", "n_subsets-float",
             "k-float", "unsatisfiable-design", "learning_rate-nan", "weight_decay-nan",
             "lr_decay-inf", "zpl-mi_total-nan", "surrogate-mi_total-negative",
+            "mi_total-bool", "clip-bool", "learning_rate-bool", "load_best_dev-string",
             "root-list", "root-string",
         ],
     )
