@@ -69,10 +69,10 @@ def direction_words(seed: int, t: np.ndarray, slot: np.ndarray) -> np.ndarray:
     slot)).generate_state(4, np.uint64)`` of every (t, slot) pair of two
     uint32 arrays that broadcast together, in an array of their broadcast
     shape + (4,).  The pool of the seed and the stream tag is NumPy's own
-    SeedSequence's, made once.  Each of t and slot is hashed into the four pool words in one
-    operation over a stacked (4, ...) array, since the hash constants are
-    known in advance, and the eight output words come from one (8, ...)
-    pass."""
+    SeedSequence's, made once.  Each of t and slot is hashed into the four
+    pool words in one operation over a stacked (4, ...) array, since the
+    hash constants are known in advance, and the eight output words come
+    from one (8, ...) pass."""
     seed = operator.index(seed)
     pool = np.random.SeedSequence(seed, spawn_key=(DIRECTIONS_STREAM,)).pool
     if t.dtype != np.uint32 or slot.dtype != np.uint32:

@@ -434,9 +434,10 @@ class TestTrainLoop:
         # over small tasks, designs and seeds, as the test above at one
         task = make_task(name=name, n_records=12, seed=task_seed)
         design = build_balanced_design(task.n_records, n_subsets, seed=seed)
-        spec = MechanismSpec(variant="paczero_zpl", n_subsets=n_subsets) if k == 1 else (
-            MechanismSpec(variant="k_aggregate", n_subsets=n_subsets, k=k,
-                          inner_variant="paczero_zpl"))
+        spec = MechanismSpec(
+            variant="k_aggregate" if k > 1 else "paczero_zpl", n_subsets=n_subsets, k=k,
+            inner_variant="paczero_zpl",
+        )
         cfg = TrainConfig(steps=steps, seed=seed, dev_eval_interval=steps)
         transcripts = {
             "\n".join(transcript_lines(
