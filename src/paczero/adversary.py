@@ -29,7 +29,6 @@ from .mechanism import (
     BRANCH_DISAGREEMENT,
     MechanismSpec,
     Posterior,
-    StepRecord,
     SubsetDesign,
     build_balanced_design,
     subset_signs,
@@ -44,8 +43,8 @@ __all__ = [
 ]
 
 
-# Disagreement steps whose losses, candidate signs and posterior updates one
-# block evaluates.
+# Disagreement records whose losses, candidate signs and posterior updates
+# one block evaluates.
 _SIGN_BLOCK = 64
 
 
@@ -55,15 +54,16 @@ def replay_posterior(
     """Reconstruct the observer's posterior over the secret index from
     public information only.
 
-    Folds the Bayes updates the noisy releases induce over the public
-    trajectory, in step order, recomputing the candidate sign vectors only
-    on disagreement steps: their thetas and directions fill a block of
-    rows, and each full block gets its probe losses from one
-    ``_two_point_all`` call, its signs from one ``subset_signs`` call and
-    its updates from one ``Posterior.updated_by_observation`` call.  Reads
-    the step groups checked when the transcript was built
-    (``Transcript.steps``).  Matches the mechanism's internal posterior bit
-    for bit on an honest transcript.
+    Folds the Bayes updates the noisy releases induce, in record order,
+    recomputing the candidate sign vectors only on disagreement records.
+    Record i is probed at theta after i // k steps along slot i % k's
+    direction, so the rows of each block of ``_SIGN_BLOCK`` such records are
+    taken from ``public_trajectory``'s arrays by index; a block gets its
+    probe losses from one ``_two_point_all`` call, its signs from one
+    ``subset_signs`` call and its updates from one
+    ``Posterior.updated_by_observation`` call.  Reads the records checked
+    when the transcript was built.  Matches the mechanism's internal
+    posterior bit for bit on an honest transcript.
     """
     header = transcript.header
     spec = header.mechanism
@@ -74,29 +74,21 @@ def replay_posterior(
     if task is None:
         task = header.task
 
-    smoothing = header.train.smoothing
+    thetas, directions = public_trajectory(transcript, task)
+    records = transcript.records
+    i = np.flatnonzero([rec.branch == BRANCH_DISAGREEMENT for rec in records])
+    t, slot = np.divmod(i, spec.k)
+    y_tilde = np.array([records[n].y_tilde for n in i])
+    sigma = np.array([records[n].sigma for n in i])
     posterior = Posterior.uniform(design.n_subsets)
-    thetas, directions = np.empty((2, _SIGN_BLOCK, task.dim))
-    pending: list[StepRecord] = []
-
-    def fold(n: int) -> Posterior:
-        scalars = _two_point_all(task, thetas[:n], directions[:n], smoothing)
-        return posterior.updated_by_observation(
-            np.array([rec.y_tilde for rec in pending]),
-            subset_signs(scalars, design, spec.clip),
-            np.array([rec.sigma for rec in pending]),
+    for start in range(0, len(i), _SIGN_BLOCK):
+        rows = slice(start, start + _SIGN_BLOCK)
+        scalars = _two_point_all(
+            task, thetas[t[rows]], directions[t[rows], slot[rows]], header.train.smoothing
         )
-
-    for theta, records, zs in public_trajectory(transcript, task):
-        for rec, z in zip(records, zs):
-            if rec.branch == BRANCH_DISAGREEMENT:
-                thetas[len(pending)], directions[len(pending)] = theta, z
-                pending.append(rec)
-                if len(pending) == _SIGN_BLOCK:
-                    posterior = fold(_SIGN_BLOCK)
-                    pending = []
-    if pending:
-        posterior = fold(len(pending))
+        posterior = posterior.updated_by_observation(
+            y_tilde[rows], subset_signs(scalars, design, spec.clip), sigma[rows]
+        )
     return posterior.probabilities()
 
 

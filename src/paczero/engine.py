@@ -126,22 +126,37 @@ def step_update(
 
 
 def public_trajectory(transcript: Transcript, task: LossTask):
-    """Rebuild the parameter trajectory from the transcript alone.
+    """Rebuild the parameter trajectory from the transcript alone, as
+    arrays: ``thetas`` (t_total + 1, dim), whose row t holds theta after t
+    steps, and the seeded ``directions`` (t_total, k, dim), whose row t - 1
+    holds step t's.
 
-    Yields t_total + 1 triples (theta, records, directions): the i-th holds
-    theta after i steps, with the records and seeded directions of the step
-    it probes next; the last holds the final theta and two empty lists.
-    Matches training bit for bit on an honest transcript.
+    Every step's move is formed in one pass per slot over all steps, with
+    ``step_update``'s operations in its order (the slots' y * z summed, then
+    / k, then eta_t *).  Only ``(1 - eta_t * weight_decay) * theta - move``
+    runs step by step, into the preallocated rows; without weight decay the
+    factor is exactly 1.0, so the rows are one running difference.  Matches
+    training bit for bit on an honest transcript.
     """
-    config = transcript.header.train
-    theta = task.init_params()
-    seeded = rngmod.directions(
-        config.seed, transcript.header.t_total, transcript.header.mechanism.k, task.dim
-    )
-    for t, (records, directions) in enumerate(zip(transcript.steps, seeded), start=1):
-        yield theta, records, directions
-        theta = step_update(theta, config, t, [rec.y for rec in records], directions)
-    yield theta, [], []
+    header, config = transcript.header, transcript.header.train
+    k, t_total = header.mechanism.k, header.t_total
+    directions = np.array(list(rngmod.directions(config.seed, t_total, k, task.dim)))
+    ys = np.array([rec.y for rec in transcript.records]).reshape(t_total, k, 1)
+    moved = directions[:, 0] * ys[:, 0]
+    for slot in range(1, k):
+        moved = moved + ys[:, slot] * directions[:, slot]
+    etas = [config.eta(t) for t in range(1, t_total + 1)]
+    moved = np.array(etas)[:, None] * (moved / k)
+    thetas = np.empty((t_total + 1, task.dim))
+    thetas[0] = task.init_params()
+    if config.weight_decay == 0.0:
+        thetas[1:] = moved
+        np.subtract.accumulate(thetas, axis=0, out=thetas)
+    else:
+        for t, eta in enumerate(etas):
+            np.multiply(1.0 - eta * config.weight_decay, thetas[t], out=thetas[t + 1])
+            np.subtract(thetas[t + 1], moved[t], out=thetas[t + 1])
+    return thetas, directions
 
 
 @dataclass(frozen=True)

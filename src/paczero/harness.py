@@ -270,6 +270,7 @@ def write_transcript(path: str | Path, transcript: Transcript) -> None:
 
 
 _RELEASE_FLOATS = ("q_plus", "sigma", "y", "y_tilde", "beta_t", "beta_used", "cum_mi")
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _parse_line(line: str) -> dict:
@@ -282,6 +283,20 @@ def _parse_line(line: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError("every transcript line must be a JSON object")
     return obj
+
+
+def _parse_release(line: str) -> dict:
+    """A release line's object, decoded directly when the line is one JSON
+    object from its first character to its last; any other line loads or
+    fails through ``_parse_line``."""
+    if line.startswith("{"):
+        try:
+            obj, end = _raw_decode(line)
+            if end == len(line):
+                return obj
+        except (ValueError, RecursionError):
+            pass
+    return _parse_line(line)
 
 
 def _reject_non_finite(obj: dict) -> None:
@@ -321,7 +336,11 @@ def load_transcript(path: str | Path) -> Transcript:
     field types, configs and a task that decode, repeated values that match
     what the configs and records derive) or that holds a NaN or infinite
     number.  The records' layout and shapes are checked as the
-    ``Transcript`` is built, after the header's copies."""
+    ``Transcript`` is built, after the header's copies.  A release line is
+    decoded directly when it is one JSON object from its first character to
+    its last, and any other takes ``json.loads``, so its fault reads the
+    same; a record whose field set is StepRecord's is filled without the
+    frozen ``__init__``."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SchemaError("empty transcript file")
@@ -355,16 +374,20 @@ def load_transcript(path: str | Path) -> Transcript:
 
     records = []
     for n, line in enumerate(lines[1:-1], start=2):
-        obj = _parse_line(line)
+        obj = _parse_release(line)
         if obj.get("type") != "release":
             raise SchemaError(f"line {n}: expected a release record")
-        _require_fields(obj, _RELEASE_FIELDS, f"line {n}")
+        if obj.keys() != _RELEASE_FIELDS.keys():
+            _require_fields(obj, _RELEASE_FIELDS, f"line {n}")
         for key in _RELEASE_FLOATS:
             value = obj[key]
             if type(value) is float and not math.isfinite(value):
                 raise SchemaError(f"line {n}: non-finite number {value!r} in transcript")
-        obj.pop("type")
-        records.append(StepRecord(**obj))
+        del obj["type"]
+        # StepRecord's field set, filled past the frozen __init__; the Transcript checks shapes
+        record = object.__new__(StepRecord)
+        record.__dict__.update(obj)
+        records.append(record)
     try:
         transcript = Transcript(header, records, [(t, m) for t, m in dev_evals])
     except ValueError as exc:
@@ -584,11 +607,10 @@ def sweep_t_ladder(
     summary = run_experiment(long_config, out_dir=None)
     task = long_config.make_task()
     for result in summary.results:
-        for t, (theta, _, _) in enumerate(public_trajectory(result.transcript, task)):
-            if t in per_rung:
-                per_rung[t].append(
-                    (task.eval_metric(theta, "dev"), task.eval_metric(theta, "test"))
-                )
+        thetas, _ = public_trajectory(result.transcript, task)
+        for rung, pairs in per_rung.items():
+            pairs.append((task.eval_metric(thetas[rung], "dev"),
+                          task.eval_metric(thetas[rung], "test")))
     rows = []
     rung_test_means = {}
     for rung in rungs:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from paczero import engine
 from paczero import rng as rngmod
+from paczero.adversary import replay_posterior
 from paczero.engine import (
     TrainConfig,
     TwoPointNumericsError,
@@ -277,6 +278,18 @@ class TestApplyUpdate:
         assert lhs == pytest.approx(rhs, abs=1e-15)
 
 
+def train_capturing_iterates(monkeypatch, task, config, spec):
+    """Train, returning the result and every iterate ``step_update`` made."""
+    trained = []
+    real_update = engine.step_update
+    monkeypatch.setattr(
+        engine, "step_update", lambda *args: trained.append(real_update(*args)) or trained[-1],
+    )
+    result = train(task, config, spec)
+    monkeypatch.undo()
+    return result, trained
+
+
 def mi_spec(**kw) -> MechanismSpec:
     base = {"variant": "paczero_mi", "mi_total": 0.3, "n_subsets": 8, "clip": 1.0}
     base.update(kw)
@@ -490,25 +503,48 @@ class TestTrainLoop:
         # the public replay rebuilds every iterate of training bit for bit
         task = QuadraticTask(n_records=8, dim=4)
         cfg = TrainConfig(steps=10, seed=3, dev_eval_interval=5)
-        trained = []
-        real_update = engine.step_update
-        monkeypatch.setattr(
-            engine, "step_update",
-            lambda *args: trained.append(real_update(*args)) or trained[-1],
-        )
-        result = train(task, cfg, mi_spec(n_subsets=4))
-        monkeypatch.undo()
-        replayed = list(public_trajectory(result.transcript, task))
-        assert len(replayed) == len(trained) + 1 == 11
-        thetas = [theta for theta, _, _ in replayed]
+        result, trained = train_capturing_iterates(monkeypatch, task, cfg, mi_spec(n_subsets=4))
+        thetas, directions = public_trajectory(result.transcript, task)
+        assert thetas.shape == (len(trained) + 1, task.dim) == (11, task.dim)
+        assert directions.shape == (10, 1, task.dim)
         assert thetas[3].tobytes() == trained[2].tobytes()
         assert thetas[-1].tobytes() == result.final_params.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(thetas[1:], trained))
-        theta, records, directions = replayed[0]
-        assert theta.tobytes() == task.init_params().tobytes()
-        assert records == result.transcript.records[:1]
-        assert directions[0].tobytes() == helpers.direction_oracle(3, 1, 0, task.dim).tobytes()
-        assert replayed[-1][1:] == ([], [])
+        assert thetas[0].tobytes() == task.init_params().tobytes()
+        assert directions[0, 0].tobytes() == helpers.direction_oracle(3, 1, 0, task.dim).tobytes()
+
+    @pytest.mark.parametrize("train_kw, spec", [
+        pytest.param({"lr_decay": 0.3}, mi_spec(), id="lr_decay"),
+        pytest.param({"weight_decay": 0.7}, mi_spec(variant="paczero_zpl"), id="weight_decay"),
+        pytest.param({"lr_decay": 0.2, "weight_decay": 0.4},
+                     mi_spec(variant="k_aggregate", k=1), id="k1-both-decays"),
+        pytest.param({"weight_decay": 0.5}, mi_spec(variant="k_aggregate", k=2), id="k2"),
+        pytest.param({"lr_decay": 0.1, "weight_decay": 0.3},
+                     mi_spec(variant="k_aggregate", inner_variant="paczero_zpl", k=3),
+                     id="k3-zpl"),
+        pytest.param({"lr_decay": 0.2, "weight_decay": 0.6},
+                     mi_spec(variant="surrogate", surrogate_mode="raw_full", mi_total=0.0),
+                     id="surrogate-raw_full"),
+    ])
+    def test_array_trajectory_is_training_bit_for_bit(self, monkeypatch, train_kw, spec):
+        # every golden case trains with lr_decay = weight_decay = 0, so the
+        # decayed and multi-slot forms of the array recurrence are pinned here
+        task = BlobsTask(n_records=24, seed=4)
+        cfg = TrainConfig(steps=30, learning_rate=0.3, seed=6, dev_eval_interval=30, **train_kw)
+        result, trained = train_capturing_iterates(monkeypatch, task, cfg, spec)
+        thetas, directions = public_trajectory(result.transcript, task)
+        assert thetas.shape == (31, task.dim)
+        assert directions.shape == (30, spec.k, task.dim)
+        assert thetas[0].tobytes() == task.init_params().tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(thetas[1:], trained))
+        assert thetas[-1].tobytes() == result.final_params.tobytes()
+        assert directions[-1, -1].tobytes() == helpers.direction_oracle(
+            6, 30, spec.k - 1, task.dim).tobytes()
+        if spec.variant == "surrogate":
+            assert len({rec.y for rec in result.transcript.records} - {-1.0, 1.0}) > 1
+        else:
+            probs = replay_posterior(result.transcript, result.design, task)
+            assert probs.tobytes() == result.final_posterior.tobytes()
 
     def test_k2_averages_slot_updates(self):
         task = QuadraticTask(n_records=16, dim=6, seed=8, identical_targets=True)

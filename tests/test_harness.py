@@ -7,6 +7,7 @@ import pytest
 
 from paczero import cli, harness
 from paczero.accounting import validate_transcript
+from paczero.engine import Transcript
 from paczero.harness import (
     BOUNDS_DISCLAIMER,
     ConfigError,
@@ -40,6 +41,17 @@ def base_raw(**over) -> dict:
     }
     raw.update(over)
     return raw
+
+
+def beta_t_spelled(token: str):
+    """An edit of a transcript's lines that spells the first release
+    line's beta_t as ``token``."""
+    def edit(lines: list[str]) -> list[str]:
+        beta_t = json.dumps(json.loads(lines[1])["beta_t"])
+        poisoned = lines[1].replace(f'"beta_t":{beta_t}', f'"beta_t":{token}')
+        assert token in poisoned
+        return [lines[0], poisoned, *lines[2:]]
+    return edit
 
 
 def write_config(tmp_path: Path, raw: dict) -> Path:
@@ -327,6 +339,53 @@ class TestTranscriptIO:
 
         with pytest.raises(SchemaError, match="non-finite"):
             load_transcript(self.write_tampered(out, tmp_path, poison))
+
+    @pytest.mark.parametrize("edit, expected", [
+        pytest.param(lambda ls: ls, None, id="unedited"),
+        pytest.param(lambda ls: [ls[0], " \t" + ls[1], *ls[2:]], None, id="leading-whitespace"),
+        pytest.param(lambda ls: [ls[0], ls[1] + " \t", *ls[2:]], None, id="trailing-whitespace"),
+        pytest.param(lambda ls: [ls[0], "\ufeff" + ls[1], *ls[2:]], "Unexpected UTF-8 BOM",
+                     id="bom"),
+        pytest.param(lambda ls: [ls[0], ls[1] + ls[2], *ls[3:]], "Extra data",
+                     id="two-objects-on-a-line"),
+        # line count unchanged: record 1 over two lines, records 3 and 4 on one
+        pytest.param(lambda ls: [ls[0], ls[1][:40], ls[1][40:], ls[2], ls[3] + ls[4], *ls[5:]],
+                     "invalid JSON line", id="split-and-joined-records"),
+        pytest.param(lambda ls: [ls[0], ls[1][:-1] + ',"type":"release"}', *ls[2:]], None,
+                     id="duplicate-key"),
+        pytest.param(lambda ls: [ls[0], ls[1][:-1] + ',"type":"summary"}', *ls[2:]],
+                     "expected a release record", id="duplicate-key-last-wins"),
+        *(pytest.param(beta_t_spelled(token), "non-finite number", id=token)
+          for token in ("NaN", "Infinity", "-Infinity", "1e999")),
+        pytest.param(lambda ls: [ls[0], ls[1].replace('"slot":0', '"slot":' + "1" * 5000),
+                                 *ls[2:]], "integer string conversion", id="5000-digit-integer"),
+        pytest.param(lambda ls: [ls[0], '{"a":' * 100_000 + "1" + "}" * 100_000, *ls[2:]],
+                     "nested too deeply", id="deeply-nested-object"),
+    ])
+    def test_fast_release_path_matches_per_line_load(self, small_summary, tmp_path, edit,
+                                                     expected):
+        # release lines that are one JSON object, first character to last,
+        # skip json.loads and the frozen StepRecord.__init__; every other
+        # line must read, or fail, exactly as the per-line path reads it
+        _, out, _ = small_summary
+        lines = (out / "seed_0" / "transcript.jsonl").read_text().splitlines()
+        path = tmp_path / "edited.jsonl"
+        path.write_text("\n".join(edit(lines)) + "\n")
+
+        def outcome(load):
+            try:
+                return load(path)
+            except SchemaError as exc:
+                return str(exc)
+
+        got, reference = outcome(load_transcript), outcome(helpers.per_line_load_transcript)
+        if expected is None:
+            assert isinstance(got, Transcript) and got == reference
+            assert transcript_lines(got) == transcript_lines(reference)
+            assert [vars(a) for a in got.records] == [vars(b) for b in reference.records]
+        else:
+            assert isinstance(got, str) and expected in got
+            assert got == reference
 
     def test_empty_file_rejected(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
