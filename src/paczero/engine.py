@@ -134,13 +134,14 @@ def public_trajectory(transcript: Transcript, task: LossTask):
     Every step's move is formed in one pass per slot over all steps, with
     ``step_update``'s operations in its order (the slots' y * z summed, then
     / k, then eta_t *).  Only ``(1 - eta_t * weight_decay) * theta - move``
-    runs step by step, into the preallocated rows; without weight decay the
-    factor is exactly 1.0, so the rows are one running difference.  Matches
-    training bit for bit on an honest transcript.
+    runs step by step, into the preallocated rows.  Matches training bit
+    for bit on an honest transcript.  Memory grows as t_total * k * dim.
     """
     header, config = transcript.header, transcript.header.train
     k, t_total = header.mechanism.k, header.t_total
-    directions = np.array(list(rngmod.directions(config.seed, t_total, k, task.dim)))
+    directions = np.empty((t_total, k, task.dim))
+    for row, step in zip(directions, rngmod.directions(config.seed, t_total, k, task.dim)):
+        row[:] = step
     ys = np.array([rec.y for rec in transcript.records]).reshape(t_total, k, 1)
     moved = directions[:, 0] * ys[:, 0]
     for slot in range(1, k):
@@ -149,13 +150,9 @@ def public_trajectory(transcript: Transcript, task: LossTask):
     moved = np.array(etas)[:, None] * (moved / k)
     thetas = np.empty((t_total + 1, task.dim))
     thetas[0] = task.init_params()
-    if config.weight_decay == 0.0:
-        thetas[1:] = moved
-        np.subtract.accumulate(thetas, axis=0, out=thetas)
-    else:
-        for t, eta in enumerate(etas):
-            np.multiply(1.0 - eta * config.weight_decay, thetas[t], out=thetas[t + 1])
-            np.subtract(thetas[t + 1], moved[t], out=thetas[t + 1])
+    for t, eta in enumerate(etas):
+        np.multiply(1.0 - eta * config.weight_decay, thetas[t], out=thetas[t + 1])
+        np.subtract(thetas[t + 1], moved[t], out=thetas[t + 1])
     return thetas, directions
 
 

@@ -339,8 +339,7 @@ def load_transcript(path: str | Path) -> Transcript:
     ``Transcript`` is built, after the header's copies.  A release line is
     decoded directly when it is one JSON object from its first character to
     its last, and any other takes ``json.loads``, so its fault reads the
-    same; a record whose field set is StepRecord's is filled without the
-    frozen ``__init__``."""
+    same; its checked fields fill ``StepRecord._from_checked``."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SchemaError("empty transcript file")
@@ -384,10 +383,7 @@ def load_transcript(path: str | Path) -> Transcript:
             if type(value) is float and not math.isfinite(value):
                 raise SchemaError(f"line {n}: non-finite number {value!r} in transcript")
         del obj["type"]
-        # StepRecord's field set, filled past the frozen __init__; the Transcript checks shapes
-        record = object.__new__(StepRecord)
-        record.__dict__.update(obj)
-        records.append(record)
+        records.append(StepRecord._from_checked(obj))  # the Transcript checks shapes
     try:
         transcript = Transcript(header, records, [(t, m) for t, m in dev_evals])
     except ValueError as exc:

@@ -228,6 +228,14 @@ class StepRecord:
     cum_mi: float
     unanimity_count: int
 
+    @classmethod
+    def _from_checked(cls, fields: dict) -> "StepRecord":
+        """A record of ``fields``, a key set already checked to be exactly
+        StepRecord's: skips the frozen ``__init__``, so for such sets only."""
+        record = object.__new__(cls)
+        record.__dict__.update(fields)
+        return record
+
     def shape_fault(self, private: bool) -> str | None:
         """Why this record cannot be a private (else surrogate) release at
         all, on field types and presence alone (NaN is a value); else None."""

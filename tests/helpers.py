@@ -15,8 +15,6 @@ transcript's construction check.  The record faults (``drop_last``,
 ``repeat_last``, ``swap_fourth_and_fifth``, ``set_on_first_noisy``) edit the
 plain-dict records of a k = 1 run, and ``assert_build_and_load_reject``
 checks that such a layout can be neither built nor loaded.
-``per_line_load_transcript`` is the loader as it read every line before its
-release lines took a direct decode: the reference for that fast path.
 """
 
 import dataclasses
@@ -27,9 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paczero import harness
 from paczero.binary_channel import ChannelError
-from paczero.engine import TrainConfig, Transcript, TranscriptHeader
+from paczero.engine import Transcript
 from paczero.harness import SchemaError, load_transcript, transcript_lines
 from paczero.mechanism import StepRecord
 from paczero.rng import DIRECTIONS_STREAM
@@ -345,59 +342,3 @@ def assert_build_and_load_reject(transcript, tmp_path, fault) -> None:
     path.write_text("\n".join([lines[0], *releases, lines[-1]]) + "\n")
     with pytest.raises(SchemaError, match=where):
         load_transcript(path)
-
-
-def per_line_load_transcript(path) -> Transcript:
-    """``load_transcript`` with every line through ``json.loads`` (the
-    package's ``_parse_line``), each release line's fields checked by
-    ``_require_fields`` and each record built by the frozen
-    ``StepRecord.__init__``."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise SchemaError("empty transcript file")
-    header_obj = harness._parse_line(lines[0])
-    if header_obj.get("type") != "header":
-        raise SchemaError("first line must be the header")
-    harness._reject_non_finite(header_obj)
-    harness._require_fields(header_obj, harness._HEADER_FIELDS, "header")
-    if header_obj["format_version"] != harness.FORMAT_VERSION:
-        raise SchemaError(f"unsupported format version {header_obj['format_version']}")
-    try:
-        header = TranscriptHeader(
-            task_name=header_obj["task_name"], task_params=header_obj["task_params"],
-            train=TrainConfig(**header_obj["train"]),
-            mechanism=harness.mechanism_from_dict(header_obj["mechanism"]),
-            design_seed=header_obj["design_seed"], design_hash=header_obj["design_hash"],
-        )
-        header.task
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"header: {exc}") from exc
-    harness._check_copies(header_obj, harness._header_copies(header), "header")
-
-    summary_obj = harness._parse_line(lines[-1])
-    if summary_obj.get("type") != "summary":
-        raise SchemaError("last line must be the summary")
-    harness._reject_non_finite(summary_obj)
-    harness._require_fields(summary_obj, harness._SUMMARY_FIELDS, "summary")
-    dev_evals = summary_obj["dev_evals"]
-    if not all(type(e) is list and list(map(type, e)) == [int, float] for e in dev_evals):
-        raise SchemaError("summary: dev_evals must be [step, metric] pairs")
-
-    records = []
-    for n, line in enumerate(lines[1:-1], start=2):
-        obj = harness._parse_line(line)
-        if obj.get("type") != "release":
-            raise SchemaError(f"line {n}: expected a release record")
-        harness._require_fields(obj, harness._RELEASE_FIELDS, f"line {n}")
-        for key in harness._RELEASE_FLOATS:
-            value = obj[key]
-            if type(value) is float and not math.isfinite(value):
-                raise SchemaError(f"line {n}: non-finite number {value!r} in transcript")
-        obj.pop("type")
-        records.append(StepRecord(**obj))
-    try:
-        transcript = Transcript(header, records, [(t, m) for t, m in dev_evals])
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    harness._check_copies(summary_obj, harness._summary_copies(transcript), "summary")
-    return transcript

@@ -8,6 +8,7 @@ import pytest
 from paczero import cli, harness
 from paczero.accounting import validate_transcript
 from paczero.engine import Transcript
+from paczero.mechanism import StepRecord
 from paczero.harness import (
     BOUNDS_DISCLAIMER,
     ConfigError,
@@ -362,11 +363,11 @@ class TestTranscriptIO:
         pytest.param(lambda ls: [ls[0], '{"a":' * 100_000 + "1" + "}" * 100_000, *ls[2:]],
                      "nested too deeply", id="deeply-nested-object"),
     ])
-    def test_fast_release_path_matches_per_line_load(self, small_summary, tmp_path, edit,
-                                                     expected):
+    def test_fast_release_path_matches_per_line_load(self, small_summary, tmp_path,
+                                                     monkeypatch, edit, expected):
         # release lines that are one JSON object, first character to last,
-        # skip json.loads and the frozen StepRecord.__init__; every other
-        # line must read, or fail, exactly as the per-line path reads it
+        # skip json.loads; every other line must read, or fail, exactly as
+        # the per-line path (every release line through _parse_line) reads it
         _, out, _ = small_summary
         lines = (out / "seed_0" / "transcript.jsonl").read_text().splitlines()
         path = tmp_path / "edited.jsonl"
@@ -378,10 +379,15 @@ class TestTranscriptIO:
             except SchemaError as exc:
                 return str(exc)
 
-        got, reference = outcome(load_transcript), outcome(helpers.per_line_load_transcript)
+        got = outcome(load_transcript)
+        monkeypatch.setattr(harness, "_parse_release", harness._parse_line)
+        reference = outcome(load_transcript)
         if expected is None:
             assert isinstance(got, Transcript) and got == reference
             assert transcript_lines(got) == transcript_lines(reference)
+            # the records past the frozen __init__ are the ones it would build
+            built = [StepRecord(**vars(rec)) for rec in got.records]
+            assert [vars(a) for a in got.records] == [vars(b) for b in built]
             assert [vars(a) for a in got.records] == [vars(b) for b in reference.records]
         else:
             assert isinstance(got, str) and expected in got
