@@ -150,9 +150,9 @@ def public_trajectory(transcript: Transcript, task: LossTask):
     moved = np.array(etas)[:, None] * (moved / k)
     thetas = np.empty((t_total + 1, task.dim))
     thetas[0] = task.init_params()
-    for t, eta in enumerate(etas):
-        np.multiply(1.0 - eta * config.weight_decay, thetas[t], out=thetas[t + 1])
-        np.subtract(thetas[t + 1], moved[t], out=thetas[t + 1])
+    for theta, after, move, eta in zip(thetas, thetas[1:], moved, etas):
+        np.multiply(1.0 - eta * config.weight_decay, theta, out=after)
+        np.subtract(after, move, out=after)
     return thetas, directions
 
 
