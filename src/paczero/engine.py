@@ -96,15 +96,18 @@ def _two_point_all(task: LossTask, theta, z, mu: float) -> np.ndarray:
     derivative at theta along z.  A (B, dim) block of thetas and one of
     directions give a (B, n_records) block, each row bit for bit its own
     pair's; a non-finite estimate raises for the first bad record of the
-    first bad row, with that row's |theta|, as the row alone would."""
+    first bad row, with that row's |theta|, as the row alone would.  The
+    probe offset mu * z is formed once, and the bad record is looked for
+    only after one finiteness test over all estimates has failed."""
     if not mu > 0.0:
         raise ValueError("smoothing mu must be positive")
-    up = task.per_sample_losses(theta + mu * z)
-    down = task.per_sample_losses(theta - mu * z)
+    offset = mu * z
+    up = task.per_sample_losses(theta + offset)
+    down = task.per_sample_losses(theta - offset)
     values = (up - down) / (2.0 * mu)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        index = np.argwhere(bad)[0]  # (record,) for one theta, (row, record) for a block
+    if not np.isfinite(values).all():
+        # (record,) for one theta, (row, record) for a block
+        index = np.argwhere(~np.isfinite(values))[0]
         raise TwoPointNumericsError(
             int(index[-1]), float(np.linalg.norm(theta[tuple(index[:-1])]))
         )

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .accounting import (
     ValidationReport,
@@ -175,6 +174,10 @@ class ExperimentConfig:
 
 
 def _parse_yaml(text: str, source: str):
+    # imported here, the one place that reads YAML, so that importing
+    # paczero does not pay for the parser
+    import yaml
+
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -339,7 +342,9 @@ def load_transcript(path: str | Path) -> Transcript:
     ``Transcript`` is built, after the header's copies.  A release line is
     decoded directly when it is one JSON object from its first character to
     its last, and any other takes ``json.loads``, so its fault reads the
-    same; its checked fields fill ``StepRecord._from_checked``."""
+    same, after the ``line N:`` that names its file line.  Its checked
+    fields fill ``StepRecord._from_checked``, which builds the record as
+    the ledger does."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SchemaError("empty transcript file")
@@ -373,7 +378,10 @@ def load_transcript(path: str | Path) -> Transcript:
 
     records = []
     for n, line in enumerate(lines[1:-1], start=2):
-        obj = _parse_release(line)
+        try:
+            obj = _parse_release(line)
+        except SchemaError as exc:
+            raise SchemaError(f"line {n}: {exc}") from exc
         if obj.get("type") != "release":
             raise SchemaError(f"line {n}: expected a release record")
         if obj.keys() != _RELEASE_FIELDS.keys():
@@ -383,7 +391,7 @@ def load_transcript(path: str | Path) -> Transcript:
             if type(value) is float and not math.isfinite(value):
                 raise SchemaError(f"line {n}: non-finite number {value!r} in transcript")
         del obj["type"]
-        records.append(StepRecord._from_checked(obj))  # the Transcript checks shapes
+        records.append(StepRecord._from_checked(**obj))  # the Transcript checks shapes
     try:
         transcript = Transcript(header, records, [(t, m) for t, m in dev_evals])
     except ValueError as exc:

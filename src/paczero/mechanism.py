@@ -180,8 +180,19 @@ class Posterior:
         each 2 sigma^2 taken on a Python float as the single update takes it
         (``square`` may round otherwise than ``pow``), then one
         normalisation per observation.  A single observation is the block of
-        one.  Raises ValueError unless every sigma is finite and positive and
-        every y_tilde finite."""
+        one: one finite y_tilde, one finite positive sigma and an integer
+        (n_candidates,) sign vector take those operations, in that order,
+        without the block's wrapping; any other single input is wrapped as a
+        block of one.  Raises ValueError unless every sigma is finite and
+        positive and every y_tilde finite."""
+        lw = self.log_weights
+        if (isinstance(sigma, float) and isinstance(y_tilde, float)
+                and isinstance(signs, np.ndarray) and signs.shape == lw.shape
+                and signs.dtype.kind in "biu"):
+            y, s = float(y_tilde), float(sigma)
+            if 0.0 < s < math.inf and math.isfinite(y):
+                lw = lw - (y - signs) ** 2 / (2.0 * s**2)
+                return Posterior(lw - _logsumexp(lw))
         if isinstance(sigma, np.ndarray):
             y_tilde = np.asarray(y_tilde, dtype=float)
         else:
@@ -201,7 +212,6 @@ class Posterior:
             )
         scale = np.array([2.0 * s**2 for s in sigmas])
         penalties = (y_tilde[:, None] - signs) ** 2 / scale[:, None]
-        lw = self.log_weights
         for penalty in penalties:
             lw = lw - penalty
             lw = lw - _logsumexp(lw)
@@ -229,20 +239,40 @@ class StepRecord:
     unanimity_count: int
 
     @classmethod
-    def _from_checked(cls, fields: dict) -> "StepRecord":
-        """A record of ``fields``, a key set already checked to be exactly
-        StepRecord's: skips the frozen ``__init__``, so for such sets only."""
+    def _from_checked(
+        cls, t, slot, branch, q_plus, sigma, y, y_tilde, beta_t, beta_used, cum_mi,
+        unanimity_count,
+    ) -> "StepRecord":
+        """The record of these fields, built without the frozen ``__init__``
+        (StepRecord has no ``__post_init__``), so only for values that are a
+        whole record: the ledger's, or a release line's checked key set.
+        The fields go in one at a time in declaration order, as ``__init__``
+        sets them, so the instance dict keeps sharing the class's keys; a
+        ``dict.update`` in another order would give each record a full dict
+        of its own."""
         record = object.__new__(cls)
-        record.__dict__.update(fields)
+        fields = record.__dict__
+        fields["t"] = t
+        fields["slot"] = slot
+        fields["branch"] = branch
+        fields["q_plus"] = q_plus
+        fields["sigma"] = sigma
+        fields["y"] = y
+        fields["y_tilde"] = y_tilde
+        fields["beta_t"] = beta_t
+        fields["beta_used"] = beta_used
+        fields["cum_mi"] = cum_mi
+        fields["unanimity_count"] = unanimity_count
         return record
 
     def shape_fault(self, private: bool) -> str | None:
         """Why this record cannot be a private (else surrogate) release at
         all, on field types and presence alone (NaN is a value); else None."""
-        if not all(type(v) is int for v in (self.t, self.slot, self.unanimity_count)):
+        if not (type(self.t) is int and type(self.slot) is int
+                and type(self.unanimity_count) is int):
             return "t, slot and unanimity_count must be integers"
-        floats = (self.y, self.beta_t, self.beta_used, self.cum_mi)
-        if not all(isinstance(v, float) for v in floats):
+        if not (isinstance(self.y, float) and isinstance(self.beta_t, float)
+                and isinstance(self.beta_used, float) and isinstance(self.cum_mi, float)):
             return "y, beta_t, beta_used and cum_mi must be floats"
         if not private:
             if self.branch != BRANCH_SURROGATE or self.q_plus is not None:
@@ -333,7 +363,7 @@ class BudgetLedger:
         self._step_left = max(0.0, self._step_left - beta_used)
         if branch == BRANCH_UNANIMITY:
             self.unanimity_bits += 1
-        return StepRecord(
+        return StepRecord._from_checked(
             t, slot, branch, q_plus, sigma, y, y_tilde, beta_t, beta_used,
             self.mi_spent, self.unanimity_bits,
         )
@@ -411,7 +441,10 @@ def subset_signs(scalars: np.ndarray, design: SubsetDesign, clip: float) -> np.n
     |s| > 4 n eps a + 1e-300 (eps = 2**-52) and a < 2**1020 (no order
     overflows), s and a per-subset sum share one nonzero sign, and the floor
     keeps that sum over the size from rounding to -0.0.  Every other
-    subset, NaN and inf included, is summed alone."""
+    subset, NaN and inf included, is summed alone; a call whose subsets are
+    all certified returns the signs of the products.  The clip is
+    ``minimum(maximum(x, -clip), clip)``, which keeps NaN, signed zeros and
+    infinities as ``np.clip`` does, without its Python-level wrapper."""
     scalars = np.asarray(scalars, dtype=float)
     if scalars.ndim not in (1, 2) or scalars.shape[-1] != design.n_records:
         raise ValueError(
@@ -419,11 +452,13 @@ def subset_signs(scalars: np.ndarray, design: SubsetDesign, clip: float) -> np.n
         )
     if not clip > 0.0:
         raise ValueError("clip must be positive (may be inf)")
-    clipped = np.clip(scalars, -clip, clip)
+    clipped = np.minimum(np.maximum(scalars, -clip), clip)
     w = design.weights
     s, a = clipped @ w, np.abs(clipped) @ w
     signs = np.where(s >= 0.0, 1, -1)
     certain = (np.abs(s) > 2.0**-50 * design.n_records * a + 1e-300) & (a < 2.0**1020)
+    if certain.all():
+        return signs
     for index in zip(*(~certain).nonzero()):
         # index is (m,) for a vector and (row, m) for a block
         members = design.subset_members(index[-1])

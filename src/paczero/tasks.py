@@ -9,6 +9,7 @@ task seed alone; parameters are plain float64 vectors.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 
@@ -110,6 +111,7 @@ class BlobsTask(LossTask):
         g = substream(seed, _GEOMETRY_KEY).standard_normal(input_dim)
         self.axis = g / np.linalg.norm(g)
         self.x_train, self.y_train = self._sample(n_records, _TRAIN_SPLIT)
+        self._negated_labels = -self.y_train  # negation is exact, so once is enough
         self.x_dev, self.y_dev = self._sample(n_records // 4, _DEV_SPLIT)
         self.x_test, self.y_test = self._sample(n_records // 2, _TEST_SPLIT)
 
@@ -136,7 +138,7 @@ class BlobsTask(LossTask):
         theta = self._check_theta(theta, block=True)
         scores = np.matmul(self.x_train, theta[..., :-1, None])[..., 0] + theta[..., -1:]
         # softplus(-margin), stable at both tails
-        return np.logaddexp(0.0, -self.y_train * scores)
+        return np.logaddexp(0.0, self._negated_labels * scores)
 
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
         xs, ys = self._split(split)
@@ -179,6 +181,7 @@ class XorMlpTask(LossTask):
         self.dim = input_dim * hidden + hidden + hidden + 1
 
         self.x_train, self.y_train = self._sample(n_records, _TRAIN_SPLIT)
+        self._negated_labels = -self.y_train  # negation is exact, so once is enough
         self.x_dev, self.y_dev = self._sample(max(4, n_records // 4), _DEV_SPLIT)
         self.x_test, self.y_test = self._sample(max(4, n_records // 2), _TEST_SPLIT)
 
@@ -204,7 +207,7 @@ class XorMlpTask(LossTask):
 
     def per_sample_losses(self, theta: np.ndarray) -> np.ndarray:
         theta = self._check_theta(theta, block=True)
-        return np.logaddexp(0.0, -self.y_train * self._forward(theta, self.x_train))
+        return np.logaddexp(0.0, self._negated_labels * self._forward(theta, self.x_train))
 
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
         xs, ys = self._split(split)
@@ -270,8 +273,11 @@ class QuadraticTask(LossTask):
 _TASKS = {"blobs": BlobsTask, "xor_mlp": XorMlpTask, "quadratic": QuadraticTask}
 
 
-def _constructor_args(cls: type) -> list[str]:
-    return [p for p in inspect.signature(cls.__init__).parameters if p != "self"]
+@functools.cache
+def _constructor_args(cls: type) -> tuple[str, ...]:
+    """The constructor's parameter names, read once per class: ``spec_dict``
+    asks on every training run."""
+    return tuple(p for p in inspect.signature(cls.__init__).parameters if p != "self")
 
 
 def make_task(name: str, **params) -> LossTask:
@@ -279,7 +285,7 @@ def make_task(name: str, **params) -> LossTask:
     ``name`` is a task whose constructor takes every key of ``params``."""
     if not isinstance(name, str) or name not in _TASKS:
         raise ValueError(f"unknown task {name!r}; available: {sorted(_TASKS)}")
-    accepted = _constructor_args(_TASKS[name])
+    accepted = list(_constructor_args(_TASKS[name]))
     unknown = sorted(map(str, set(params) - set(accepted)))
     if unknown:
         raise ValueError(f"task {name!r} takes no parameter {unknown}; it takes {accepted}")

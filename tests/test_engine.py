@@ -144,6 +144,33 @@ class TestTwoPoint:
         assert err.record_index == 1
         assert err.theta_norm == pytest.approx(float(np.linalg.norm(theta)))
 
+    @pytest.mark.parametrize("record", [0, 2, 4])
+    def test_non_finite_record_named_for_one_theta_and_a_block(self, record):
+        # record j's loss is inf wherever theta[0] > 1: the second of three
+        # rows, alone or in the block, raises for record j with its |theta|
+        base = QuadraticTask(n_records=5, dim=3, target_spread=1.0)
+
+        def losses(theta):
+            out = base.per_sample_losses(theta)
+            out[..., record] = np.where(theta[..., 0] > 1.0, math.inf, out[..., record])
+            return out
+
+        task = SimpleNamespace(per_sample_losses=losses)
+        thetas = np.array([[0.1, 0.2, 0.3], [2.0, -1.0, 0.5], [3.0, 1.0, 1.0]])
+        zs = np.ones_like(thetas)
+        assert np.isfinite(_two_point_all(task, thetas[0], zs[0], 1e-3)).all()
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TwoPointNumericsError) as one:
+                _two_point_all(task, thetas[1], zs[1], 1e-3)
+            with pytest.raises(TwoPointNumericsError) as block:
+                _two_point_all(task, thetas, zs, 1e-3)
+        norm = float(np.linalg.norm(thetas[1]))
+        for err in (one.value, block.value):
+            assert err.record_index == record and err.theta_norm == norm
+            assert str(err) == (
+                f"non-finite two-point estimate for record {record} at |theta| = {norm:.6g}"
+            )
+
     def test_matches_analytic_logistic_gradient(self):
         task = BlobsTask(n_records=16, seed=4)
         rng = np.random.default_rng(42)

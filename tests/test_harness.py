@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +163,17 @@ class TestExperimentConfig:
         path = write_config(tmp_path, base_raw())
         with pytest.raises(ConfigError, match="^override 'seeds=\\[': invalid YAML"):
             ExperimentConfig.from_yaml(path, ["seeds=["])
+
+    def test_import_leaves_yaml_unloaded(self):
+        # only loading a YAML config reads YAML, so importing the package
+        # (and its CLI) must not import the parser
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sys, paczero, paczero.cli; print('yaml' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("text", ["[1, 2]\n", "just a string\n"], ids=["list", "string"])
     def test_non_mapping_root_rejected_before_overrides(self, tmp_path, text):
@@ -347,11 +361,13 @@ class TestTranscriptIO:
         pytest.param(lambda ls: [ls[0], ls[1] + " \t", *ls[2:]], None, id="trailing-whitespace"),
         pytest.param(lambda ls: [ls[0], "\ufeff" + ls[1], *ls[2:]], "Unexpected UTF-8 BOM",
                      id="bom"),
-        pytest.param(lambda ls: [ls[0], ls[1] + ls[2], *ls[3:]], "Extra data",
+        # a decoder fault names the file line, then the decoder's own position
+        pytest.param(lambda ls: [ls[0], ls[1] + ls[2], *ls[3:]],
+                     "line 2: invalid JSON line: Extra data: line 1 column ",
                      id="two-objects-on-a-line"),
         # line count unchanged: record 1 over two lines, records 3 and 4 on one
         pytest.param(lambda ls: [ls[0], ls[1][:40], ls[1][40:], ls[2], ls[3] + ls[4], *ls[5:]],
-                     "invalid JSON line", id="split-and-joined-records"),
+                     "line 2: invalid JSON line", id="split-and-joined-records"),
         pytest.param(lambda ls: [ls[0], ls[1][:-1] + ',"type":"release"}', *ls[2:]], None,
                      id="duplicate-key"),
         pytest.param(lambda ls: [ls[0], ls[1][:-1] + ',"type":"summary"}', *ls[2:]],
@@ -389,8 +405,13 @@ class TestTranscriptIO:
             built = [StepRecord(**vars(rec)) for rec in got.records]
             assert [vars(a) for a in got.records] == [vars(b) for b in built]
             assert [vars(a) for a in got.records] == [vars(b) for b in reference.records]
+            # ... and keep their key-sharing dicts
+            sizes = {sys.getsizeof(vars(rec)) for rec in got.records + reference.records}
+            assert sizes == {sys.getsizeof(vars(rec)) for rec in built}
+            assert len(sizes) == 1
         else:
-            assert isinstance(got, str) and expected in got
+            # every fault of a release line names its file line first
+            assert isinstance(got, str) and got.startswith("line 2: ") and expected in got
             assert got == reference
 
     def test_empty_file_rejected(self, tmp_path):

@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from paczero.mechanism import (
     MechanismSpec,
     Posterior,
     ReleaseMechanism,
+    StepRecord,
     SubsetDesign,
     agreed_sign,
     agreement_probability,
@@ -206,16 +210,60 @@ class TestPosterior:
         "sigma_nan": (0.1, math.nan),
         "sigma_inf": (0.1, math.inf),
         "sigma_negative": (0.1, -0.5),
+        "sigma_zero": (0.1, 0.0),
+        "sigma_minus_zero": (0.1, -0.0),
         "y_tilde_nan": (math.nan, 0.5),
         "y_tilde_inf": (math.inf, 0.5),
         "y_tilde_minus_inf": (-math.inf, 0.5),
     }
 
+    @pytest.mark.parametrize("scalar", [float, np.float64])
     @pytest.mark.parametrize("case", sorted(BAD_OBSERVATIONS))
-    def test_bad_observation_rejected(self, case):
-        y_tilde, sigma = self.BAD_OBSERVATIONS[case]
-        with pytest.raises(ValueError, match="finite"):
-            Posterior.uniform(2).updated_by_observation(y_tilde, np.array([1, -1]), sigma)
+    def test_bad_observation_rejected(self, case, scalar):
+        # one observation fails as the block of one fails, with its text
+        y_tilde, sigma = map(scalar, self.BAD_OBSERVATIONS[case])
+        signs = np.array([1, -1])
+        with pytest.raises(ValueError, match="finite") as one:
+            Posterior.uniform(2).updated_by_observation(y_tilde, signs, sigma)
+        with pytest.raises(ValueError) as block:
+            Posterior.uniform(2).updated_by_observation(
+                np.array([y_tilde]), signs[None], np.array([sigma])
+            )
+        assert str(one.value) == str(block.value) == (
+            "observation update needs finite y_tilde and finite sigma > 0, "
+            f"got y_tilde={np.array([y_tilde])}, sigma={np.array([sigma])}"
+        )
+
+    @pytest.mark.parametrize("signs_shape", [(3,), (1,), (), (1, 2), (2, 2)])
+    def test_one_observation_sign_shape_mismatch_rejected(self, signs_shape):
+        with pytest.raises(ValueError) as exc_info:
+            Posterior.uniform(2).updated_by_observation(
+                0.3, np.ones(signs_shape, dtype=int), 0.5
+            )
+        assert str(exc_info.value) == (
+            "expected equal-length y_tilde and sigma and a (B, 2) sign block, "
+            f"got (1,), (1,) and {(1,) + signs_shape}"
+        )
+
+    @pytest.mark.parametrize("n", [2, 8, 128])
+    def test_one_observation_equals_block_of_one(self, n):
+        # y_tilde near every sign and sigma from 1e-3 to 1e6, the posterior
+        # carried forward so that it sharpens; Python floats and NumPy
+        # scalars take the direct path, and other sign dtypes the block's
+        rng = np.random.default_rng(n)
+        posterior = posterior_from(rng.dirichlet(np.ones(n)))
+        for _ in range(100):
+            signs = np.where(rng.random(n) < 0.5, 1, -1)
+            sigma = float(10.0 ** rng.uniform(-3.0, 6.0))
+            y_tilde = float(signs[rng.integers(n)] + sigma * rng.standard_normal())
+            block = posterior.updated_by_observation(
+                np.array([y_tilde]), signs[None], np.array([sigma])
+            )
+            for y, s in ((y_tilde, sigma), (np.float64(y_tilde), np.float64(sigma))):
+                for dtype in (np.int64, np.int8, np.float64):
+                    one = posterior.updated_by_observation(y, signs.astype(dtype), s)
+                    assert one.log_weights.tobytes() == block.log_weights.tobytes()
+            posterior = block
 
     @pytest.mark.parametrize("case", sorted(BAD_OBSERVATIONS))
     def test_bad_observation_rejected_in_a_block(self, case):
@@ -369,6 +417,42 @@ class TestSubsetSigns:
         assert len(summed) >= len(self.BLOCK_ROWS) - 1
         clipped = subset_signs(block, design, 1.0)
         assert clipped.tolist() == [subset_signs(r, design, 1.0).tolist() for r in block]
+
+    # one row each: every subset certified, a NaN, an infinity of each
+    # sign, negative and positive zeros, and sums that nearly cancel
+    SPECIAL_ROWS = {
+        "certified": lambda row: row,
+        "nan": lambda row: np.where(np.arange(row.size) == 3, math.nan, row),
+        "inf": lambda row: np.where(np.arange(row.size) == 5, math.inf, row),
+        "minus_inf": lambda row: np.where(np.arange(row.size) == 7, -math.inf, row),
+        "zeros": lambda row: np.where(np.arange(row.size) % 3 == 0, 0.0, -0.0),
+        "minus_zeros": lambda row: np.where(row < 0.0, -0.0, row),
+        "near_cancel": lambda row: np.where(
+            np.arange(row.size) % 2 == 0, 1e16, -1e16
+        ) + np.where(np.arange(row.size) < 4, row, 0.0),
+    }
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("clip", [math.inf, 1.0, 1e16])
+    @pytest.mark.parametrize("case", sorted(SPECIAL_ROWS))
+    def test_special_rows_equal_per_subset_loop(self, case, clip, monkeypatch):
+        design = build_balanced_design(32, 8, seed=5)
+        row = self.SPECIAL_ROWS[case](np.random.default_rng(5).standard_normal(32))
+        summed = []
+        subset_members = SubsetDesign.subset_members
+        monkeypatch.setattr(
+            SubsetDesign, "subset_members",
+            lambda self, m: summed.append(int(m)) or subset_members(self, m),
+        )
+        signs = subset_signs(row, design, clip)
+        expected = helpers.loop_subset_signs(row, design.membership, clip)
+        assert signs.tolist() == expected.tolist()
+        if case == "certified":  # returns before the per-subset fallback
+            assert summed == []
+        block = np.stack([row, -row, np.ones(32)])
+        assert subset_signs(block, design, clip).tolist() == [
+            helpers.loop_subset_signs(r, design.membership, clip).tolist() for r in block
+        ]
 
     def test_block_of_one_row_and_of_none(self):
         design = build_balanced_design(32, 8, seed=4)
@@ -846,6 +930,30 @@ class TestBudgetLedger:
         assert [rec.unanimity_count for rec in records] == [1, 1, 2]
         assert ledger.unanimity_bits == 2
         assert ledger.remaining() == pytest.approx(0.9)
+
+    def test_charged_records_are_init_records(self):
+        # the ledger builds records past the frozen __init__; each must equal
+        # the __init__ record of its fields and keep a key-sharing dict
+        ledger = make_ledger(1.0, 2, k=2)
+        records = [
+            ledger.charge(1, 0, BRANCH_DISAGREEMENT, 0.25, 0.8, -1.0, -0.4, 0.1),
+            ledger.charge(1, 1, BRANCH_UNANIMITY, 1.0, None, 1.0, None, 0.0),
+            ledger.charge(2, 0, BRANCH_COIN, 0.5, None, 1.0, None, 0.0),
+            ledger.charge(2, 1, BRANCH_SURROGATE, None, None, 0.3, None, 0.0),
+        ]
+        names = [f.name for f in dataclasses.fields(StepRecord)]
+        for rec in records:
+            built = StepRecord(*(getattr(rec, name) for name in names))
+            assert type(rec) is StepRecord and rec == built
+            assert list(vars(rec).items()) == list(vars(built).items())
+            assert sys.getsizeof(vars(rec)) == sys.getsizeof(vars(built))
+
+    def test_record_constructor_skips_nothing(self):
+        # _from_checked bypasses __init__, so there must be nothing past the
+        # field assignments to skip, and it must take every field in order
+        assert not hasattr(StepRecord, "__post_init__")
+        params = list(inspect.signature(StepRecord._from_checked).parameters)
+        assert params == [f.name for f in dataclasses.fields(StepRecord)]
 
 
 class SecretProbe:
