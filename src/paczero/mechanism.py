@@ -248,8 +248,8 @@ class StepRecord:
         whole record: the ledger's, or a release line's checked key set.
         The fields go in one at a time in declaration order, as ``__init__``
         sets them, so the instance dict keeps sharing the class's keys; a
-        ``dict.update`` in another order would give each record a full dict
-        of its own."""
+        ``dict.update`` from a fresh dict of the fields would copy that
+        dict's own key table into every record."""
         record = object.__new__(cls)
         fields = record.__dict__
         fields["t"] = t

@@ -217,22 +217,23 @@ class TestPosterior:
         "y_tilde_minus_inf": (-math.inf, 0.5),
     }
 
-    @pytest.mark.parametrize("scalar", [float, np.float64])
     @pytest.mark.parametrize("case", sorted(BAD_OBSERVATIONS))
-    def test_bad_observation_rejected(self, case, scalar):
-        # one observation fails as the block of one fails, with its text
-        y_tilde, sigma = map(scalar, self.BAD_OBSERVATIONS[case])
+    def test_bad_observation_rejected(self, case):
+        # one observation, as Python floats or NumPy scalars, fails as the
+        # block of one fails, with its text
         signs = np.array([1, -1])
-        with pytest.raises(ValueError, match="finite") as one:
-            Posterior.uniform(2).updated_by_observation(y_tilde, signs, sigma)
-        with pytest.raises(ValueError) as block:
-            Posterior.uniform(2).updated_by_observation(
-                np.array([y_tilde]), signs[None], np.array([sigma])
+        for scalar in (float, np.float64):
+            y_tilde, sigma = map(scalar, self.BAD_OBSERVATIONS[case])
+            with pytest.raises(ValueError, match="finite") as one:
+                Posterior.uniform(2).updated_by_observation(y_tilde, signs, sigma)
+            with pytest.raises(ValueError) as block:
+                Posterior.uniform(2).updated_by_observation(
+                    np.array([y_tilde]), signs[None], np.array([sigma])
+                )
+            assert str(one.value) == str(block.value) == (
+                "observation update needs finite y_tilde and finite sigma > 0, "
+                f"got y_tilde={np.array([y_tilde])}, sigma={np.array([sigma])}"
             )
-        assert str(one.value) == str(block.value) == (
-            "observation update needs finite y_tilde and finite sigma > 0, "
-            f"got y_tilde={np.array([y_tilde])}, sigma={np.array([sigma])}"
-        )
 
     @pytest.mark.parametrize("signs_shape", [(3,), (1,), (), (1, 2), (2, 2)])
     def test_one_observation_sign_shape_mismatch_rejected(self, signs_shape):
