@@ -188,29 +188,29 @@ def validate_transcript(transcript: Transcript) -> ValidationReport:
 
     ledger = BudgetLedger(mi_total, transcript.header.t_total, spec.k, spec.unanimity_tolerance)
     residual = 0.0
-    for t, records in enumerate(transcript.steps, start=1):
-        ledger.open_step(t)
-        for slot, rec in enumerate(records):
-            q, y, branch, beta = rec.q_plus, rec.y, BRANCH_SURROGATE, 0.0
-            if not non_private:
-                beta, branch = ledger.decide(q)
-                if branch == BRANCH_UNANIMITY:
-                    y = float(agreed_sign(q))
-                    residual += binary_entropy(q)
-            expected = ledger.charge(t, slot, branch, q, rec.sigma, y, rec.y_tilde, beta)
-            where = f"step {t} slot {slot}"
-            if expected != rec:  # else every field is the same, exactly
-                for name, want in vars(expected).items():
-                    got = getattr(rec, name)
-                    if not _same(got, want):
-                        return fail(where, f"{name} {got!r} does not re-derive (expected {want!r})")
-            if branch == BRANCH_DISAGREEMENT:
-                calibrated = next(carried)
-                if not abs(calibrated - rec.beta_t) <= _CALIBRATION_TOL:
-                    return fail(
-                        where,
-                        f"noise level carries {calibrated} nats, allocation was {rec.beta_t}",
-                    )
+    for i, rec in enumerate(transcript.records):
+        t, slot = divmod(i, spec.k)
+        t += 1
+        if slot == 0:
+            ledger.open_step(t)
+        q, y, branch, beta = rec.q_plus, rec.y, BRANCH_SURROGATE, 0.0
+        if not non_private:
+            beta, branch = ledger.decide(q)
+            if branch == BRANCH_UNANIMITY:
+                y = float(agreed_sign(q))
+                residual += binary_entropy(q)
+        expected = ledger.charge(t, slot, branch, q, rec.sigma, y, rec.y_tilde, beta)
+        where = f"step {t} slot {slot}"
+        if expected != rec:  # else every field is the same, exactly
+            for name, want, got in zip(expected._fields, expected, rec):
+                if not _same(got, want):
+                    return fail(where, f"{name} {got!r} does not re-derive (expected {want!r})")
+        if branch == BRANCH_DISAGREEMENT:
+            calibrated = next(carried)
+            if not abs(calibrated - rec.beta_t) <= _CALIBRATION_TOL:
+                return fail(
+                    where, f"noise level carries {calibrated} nats, allocation was {rec.beta_t}"
+                )
 
     spent, unanimity_bits = ledger.mi_spent, ledger.unanimity_bits
     if not spent <= mi_total:

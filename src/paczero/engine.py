@@ -188,12 +188,11 @@ class Transcript:
     running totals the last record's.  Building one checks, once, that the
     records are t_total x k in (t, slot) order, each shaped as a release of
     the variant (``StepRecord.shape_fault``), else ValueError names the
-    first record that is not; ``steps`` holds them grouped by step."""
+    first record that is not.  Record i is step i // k + 1, slot i % k."""
 
     header: TranscriptHeader
     records: tuple[StepRecord, ...]
     dev_evals: list[tuple[int, float]] = field(default_factory=list)
-    steps: tuple[tuple[StepRecord, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         records, k = tuple(self.records), self.header.mechanism.k
@@ -213,7 +212,6 @@ class Transcript:
             if fault is not None:
                 raise ValueError(f"record at step {t + 1} slot {slot}: {fault}")
         object.__setattr__(self, "records", records)
-        object.__setattr__(self, "steps", tuple(records[i:i + k] for i in range(0, expected, k)))
 
     @property
     def cum_mi(self) -> float:

@@ -71,7 +71,7 @@ _HEADER_FIELDS = {
     "type": str, "format_version": int, "task_name": str, "task_params": dict, "train": dict,
     "mechanism": dict, "design_seed": int, "design_hash": str, "variant": str,
 } | dict.fromkeys(["k", "run_seed", "n_subsets", "t_total", "n_records"], int)
-_RELEASE_FIELDS = dict.fromkeys([f.name for f in dataclasses.fields(StepRecord)] + ["type"])
+_RELEASE_FIELDS = dict.fromkeys(StepRecord._fields + ("type",))
 _SUMMARY_FIELDS = {
     "type": str, "cum_mi": float, "unanimity_bits": int, "total_bits": int, "dev_evals": list,
 }
@@ -262,8 +262,7 @@ def transcript_lines(transcript: Transcript) -> list[str]:
     }
     lines = [_dump_line(header)]
     for rec in transcript.records:
-        # a record's fields are scalars, so a shallow copy is the whole record
-        lines.append(_dump_line(vars(rec) | {"type": "release"}))
+        lines.append(_dump_line(rec._asdict() | {"type": "release"}))
     summary = {"type": "summary", "dev_evals": [[t, m] for t, m in transcript.dev_evals]}
     return lines + [_dump_line(_summary_copies(transcript) | summary)]
 
@@ -276,19 +275,20 @@ _RELEASE_FLOATS = ("q_plus", "sigma", "y", "y_tilde", "beta_t", "beta_used", "cu
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _parse_line(line: str) -> dict:
+def _parse_line(line: str, n: int) -> dict:
+    """File line n's object; a decode fault names the line first."""
     try:
         obj = json.loads(line)
     except RecursionError as exc:
-        raise SchemaError("JSON line nested too deeply") from exc
+        raise SchemaError(f"line {n}: JSON line nested too deeply") from exc
     except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
-        raise SchemaError(f"invalid JSON line: {exc}") from exc
+        raise SchemaError(f"line {n}: invalid JSON line: {exc}") from exc
     if not isinstance(obj, dict):
-        raise SchemaError("every transcript line must be a JSON object")
+        raise SchemaError(f"line {n}: every transcript line must be a JSON object")
     return obj
 
 
-def _parse_release(line: str) -> dict:
+def _parse_release(line: str, n: int) -> dict:
     """A release line's object, decoded directly when the line is one JSON
     object from its first character to its last; any other line loads or
     fails through ``_parse_line``."""
@@ -299,7 +299,7 @@ def _parse_release(line: str) -> dict:
                 return obj
         except (ValueError, RecursionError):
             pass
-    return _parse_line(line)
+    return _parse_line(line, n)
 
 
 def _reject_non_finite(obj: dict) -> None:
@@ -341,14 +341,14 @@ def load_transcript(path: str | Path) -> Transcript:
     number.  The records' layout and shapes are checked as the
     ``Transcript`` is built, after the header's copies.  A release line is
     decoded directly when it is one JSON object from its first character to
-    its last, and any other takes ``json.loads``, so its fault reads the
-    same, after the ``line N:`` that names its file line.  Its checked
-    fields fill ``StepRecord._from_checked``, which builds the record as
-    the ledger does."""
+    its last, and any other takes ``json.loads``; a decode fault of any
+    line reads ``line N:``, its file line, then the decoder's message.  A
+    release line's checked fields build its ``StepRecord`` positionally,
+    as the ledger builds one."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SchemaError("empty transcript file")
-    header_obj = _parse_line(lines[0])
+    header_obj = _parse_line(lines[0], 1)
     if header_obj.get("type") != "header":
         raise SchemaError("first line must be the header")
     _reject_non_finite(header_obj)
@@ -367,7 +367,7 @@ def load_transcript(path: str | Path) -> Transcript:
         raise SchemaError(f"header: {exc}") from exc
     _check_copies(header_obj, _header_copies(header), "header")
 
-    summary_obj = _parse_line(lines[-1])
+    summary_obj = _parse_line(lines[-1], len(lines))
     if summary_obj.get("type") != "summary":
         raise SchemaError("last line must be the summary")
     _reject_non_finite(summary_obj)
@@ -378,10 +378,7 @@ def load_transcript(path: str | Path) -> Transcript:
 
     records = []
     for n, line in enumerate(lines[1:-1], start=2):
-        try:
-            obj = _parse_release(line)
-        except SchemaError as exc:
-            raise SchemaError(f"line {n}: {exc}") from exc
+        obj = _parse_release(line, n)
         if obj.get("type") != "release":
             raise SchemaError(f"line {n}: expected a release record")
         if obj.keys() != _RELEASE_FIELDS.keys():
@@ -392,7 +389,7 @@ def load_transcript(path: str | Path) -> Transcript:
                 raise SchemaError(f"line {n}: non-finite number {value!r} in transcript")
         # positional: passing obj as keywords costs about 1.5 us more a line;
         # the Transcript checks shapes
-        records.append(StepRecord._from_checked(
+        records.append(StepRecord(
             obj["t"], obj["slot"], obj["branch"], obj["q_plus"], obj["sigma"], obj["y"],
             obj["y_tilde"], obj["beta_t"], obj["beta_used"], obj["cum_mi"], obj["unanimity_count"],
         ))

@@ -19,6 +19,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,13 +219,14 @@ class Posterior:
         return Posterior(lw)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Public per-release line of the transcript, made whole by
-    ``BudgetLedger.charge``.  One record per released bit: ``slot`` is 0
-    for the base variants and indexes the aggregated directions otherwise;
-    ``cum_mi`` and ``unanimity_count`` are the ledger's running totals after
-    this bit.  ``Transcript`` checks each record's shape as it is built."""
+class StepRecord(NamedTuple):
+    """Public per-release line of the transcript, made by
+    ``BudgetLedger.charge`` or loaded from a release line.  One record per
+    released bit: ``slot`` is 0 for the base variants and indexes the
+    aggregated directions otherwise; ``cum_mi`` and ``unanimity_count`` are
+    the ledger's running totals after this bit.  A tuple, so immutable and
+    without an instance dict; ``Transcript`` checks each record's shape as
+    it is built."""
 
     t: int
     slot: int
@@ -237,33 +239,6 @@ class StepRecord:
     beta_used: float
     cum_mi: float
     unanimity_count: int
-
-    @classmethod
-    def _from_checked(
-        cls, t, slot, branch, q_plus, sigma, y, y_tilde, beta_t, beta_used, cum_mi,
-        unanimity_count,
-    ) -> "StepRecord":
-        """The record of these fields, built without the frozen ``__init__``
-        (StepRecord has no ``__post_init__``), so only for values that are a
-        whole record: the ledger's, or a release line's checked key set.
-        The fields go in one at a time in declaration order, as ``__init__``
-        sets them, so the instance dict keeps sharing the class's keys; a
-        ``dict.update`` from a fresh dict of the fields would copy that
-        dict's own key table into every record."""
-        record = object.__new__(cls)
-        fields = record.__dict__
-        fields["t"] = t
-        fields["slot"] = slot
-        fields["branch"] = branch
-        fields["q_plus"] = q_plus
-        fields["sigma"] = sigma
-        fields["y"] = y
-        fields["y_tilde"] = y_tilde
-        fields["beta_t"] = beta_t
-        fields["beta_used"] = beta_used
-        fields["cum_mi"] = cum_mi
-        fields["unanimity_count"] = unanimity_count
-        return record
 
     def shape_fault(self, private: bool) -> str | None:
         """Why this record cannot be a private (else surrogate) release at
@@ -356,14 +331,15 @@ class BudgetLedger:
         self, t: int, slot: int, branch: str, q_plus: float | None, sigma: float | None,
         y: float, y_tilde: float | None, beta_t: float,
     ) -> StepRecord:
-        """Book one released bit and return its record: only a noisy sign
-        consumes its allocation, and the running totals are the ledger's."""
+        """Book one released bit and return its ``StepRecord``, the tuple a
+        loaded release line also builds: only a noisy sign consumes its
+        allocation, and the running totals are the ledger's after this bit."""
         beta_used = beta_t if branch == BRANCH_DISAGREEMENT else 0.0
         self.mi_spent += beta_used
         self._step_left = max(0.0, self._step_left - beta_used)
         if branch == BRANCH_UNANIMITY:
             self.unanimity_bits += 1
-        return StepRecord._from_checked(
+        return StepRecord(
             t, slot, branch, q_plus, sigma, y, y_tilde, beta_t, beta_used,
             self.mi_spent, self.unanimity_bits,
         )

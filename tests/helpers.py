@@ -296,7 +296,7 @@ def tampered_transcript(transcript, edits: dict):
     of ``edits[n]``; raises ValueError when the copy cannot be built."""
     records = list(transcript.records)
     for n, changes in edits.items():
-        records[n] = dataclasses.replace(records[n], **changes)
+        records[n] = records[n]._replace(**changes)
     return dataclasses.replace(transcript, records=records)
 
 
@@ -331,7 +331,7 @@ def assert_build_and_load_reject(transcript, tmp_path, fault) -> None:
     """The records of ``transcript`` edited by ``fault`` neither build a
     ``Transcript`` (ValueError) nor load from a file (SchemaError), and
     both errors name the record the fault points at."""
-    objs = [dataclasses.asdict(rec) for rec in transcript.records]
+    objs = [rec._asdict() for rec in transcript.records]
     where = f"record at step {fault(objs) + 1} slot 0: "
     with pytest.raises(ValueError, match=where):
         Transcript(transcript.header, [StepRecord(**obj) for obj in objs],

@@ -156,7 +156,7 @@ class TestTranscriptConstruction:
     def test_records_and_transcripts_are_frozen(self, mi_run):
         transcript = mi_run.transcript
         assert type(transcript.records) is tuple
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             transcript.records[0].y = -transcript.records[0].y
         with pytest.raises(dataclasses.FrozenInstanceError):
             transcript.records = transcript.records[:-1]
@@ -372,7 +372,7 @@ class TestMutations:
         assert report.trusted == TRUSTED_FIELDS
         assert "q_plus" in report.trusted
         names = sorted(report.rederived + report.trusted)
-        assert names == sorted(f.name for f in dataclasses.fields(StepRecord))
+        assert names == sorted(StepRecord._fields)
 
     @pytest.mark.parametrize("run", ["mi_run", "zpl_run", "k2_run", "surrogate_run"])
     def test_each_rederived_field_tamper_rejected(self, run, request):

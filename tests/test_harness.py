@@ -11,7 +11,7 @@ import pytest
 from paczero import cli, harness
 from paczero.accounting import validate_transcript
 from paczero.engine import Transcript
-from paczero.mechanism import StepRecord
+from paczero.mechanism import BRANCH_UNANIMITY, BudgetLedger, StepRecord
 from paczero.harness import (
     BOUNDS_DISCLAIMER,
     ConfigError,
@@ -401,18 +401,38 @@ class TestTranscriptIO:
         if expected is None:
             assert isinstance(got, Transcript) and got == reference
             assert transcript_lines(got) == transcript_lines(reference)
-            # the records past the frozen __init__ are the ones it would build
-            built = [StepRecord(**vars(rec)) for rec in got.records]
-            assert [vars(a) for a in got.records] == [vars(b) for b in built]
-            assert [vars(a) for a in got.records] == [vars(b) for b in reference.records]
-            # ... and keep their key-sharing dicts
-            sizes = {sys.getsizeof(vars(rec)) for rec in got.records + reference.records}
-            assert sizes == {sys.getsizeof(vars(rec)) for rec in built}
-            assert len(sizes) == 1
+            assert got.records == tuple(StepRecord(*rec) for rec in got.records)
+            assert got.records == reference.records
         else:
             # every fault of a release line names its file line first
             assert isinstance(got, str) and got.startswith("line 2: ") and expected in got
             assert got == reference
+
+    @pytest.mark.parametrize("index", [0, 1, -1], ids=["header", "release", "summary"])
+    def test_decode_fault_names_its_file_line(self, small_summary, tmp_path, index):
+        # stray text after a line's object: the fault names the file line,
+        # then reads as the decoder's own message
+        _, out, _ = small_summary
+        lines = (out / "seed_0" / "transcript.jsonl").read_text().splitlines()
+        lines[index] += "x"
+        path = tmp_path / "stray.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(lines[index])
+        with pytest.raises(SchemaError) as fault:
+            load_transcript(path)
+        number = index % len(lines) + 1
+        assert str(fault.value) == f"line {number}: invalid JSON line: {decoded.value}"
+
+    def test_records_have_no_instance_dict(self, small_summary):
+        # a record is a tuple of its fields, whether the ledger charged it
+        # or a release line loaded it
+        _, out, _ = small_summary
+        loaded = load_transcript(out / "seed_0" / "transcript.jsonl").records
+        ledger = BudgetLedger(1.0, 1, 1, 1e-12)
+        charged = ledger.charge(1, 0, BRANCH_UNANIMITY, 1.0, None, 1.0, None, 0.0)
+        for rec in (charged, *loaded):
+            assert isinstance(rec, StepRecord) and not hasattr(rec, "__dict__")
 
     def test_empty_file_rejected(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
