@@ -17,6 +17,7 @@ from pathlib import Path
 from . import harness
 from .accounting import validate_transcript
 from .adversary import empirical_mia_experiment
+from .engine import TwoPointNumericsError
 from .harness import ExperimentConfig
 
 __all__ = ["main", "build_parser"]
@@ -172,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # ConfigError and SchemaError included
+    except (ValueError, TwoPointNumericsError) as exc:  # ConfigError, SchemaError, divergence
         return _verdict(str(exc))
     except OSError as exc:  # a missing file, a directory, a file in a path
         kind = "missing file" if isinstance(exc, FileNotFoundError) else exc.strerror

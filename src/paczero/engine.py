@@ -11,6 +11,7 @@ carry no information about the secret subset.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -70,10 +71,13 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        for name in ("learning_rate", "lr_decay", "weight_decay", "smoothing"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if type(self.load_best_dev) is not bool:
+            raise ValueError(f"load_best_dev must be a boolean, got {self.load_best_dev!r}")
         rates = (self.learning_rate, self.lr_decay, self.weight_decay, self.smoothing)
-        if any(type(v) is bool for v in rates) or type(self.load_best_dev) is not bool:
-            raise ValueError("learning_rate, lr_decay, weight_decay and smoothing must be "
-                             "numbers, and load_best_dev a boolean")
         if not all(math.isfinite(v) for v in rates):
             raise ValueError("learning_rate, lr_decay, weight_decay and smoothing must be finite")
         if self.learning_rate <= 0.0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -368,8 +369,10 @@ class MechanismSpec:
                 raise ValueError(f"unknown surrogate mode {self.surrogate_mode!r}")
         elif self.surrogate_mode is not None:
             raise ValueError("surrogate_mode only applies to the surrogate variant")
-        if any(type(v) is bool for v in (self.mi_total, self.clip, self.unanimity_tolerance)):
-            raise ValueError("mi_total, clip and unanimity_tolerance must be numbers, not booleans")
+        for name in ("mi_total", "clip", "unanimity_tolerance"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (math.isfinite(self.mi_total) and self.mi_total >= 0.0):
             raise ValueError(f"mi_total must be finite and nonnegative, got {self.mi_total!r}")
         if self.bit_rule() == "mi" and self.mi_total == 0.0:

@@ -21,6 +21,7 @@ __all__ = ["LossTask", "BlobsTask", "XorMlpTask", "QuadraticTask", "make_task"]
 
 _TRAIN_SPLIT, _DEV_SPLIT, _TEST_SPLIT = 0, 1, 2
 _GEOMETRY_KEY, _INIT_KEY = 10, 11
+_MAX_DRAWS = 1000  # draws of one Blobs sample before its geometry is rejected
 
 
 class LossTask:
@@ -77,10 +78,11 @@ class BlobsTask(LossTask):
 
     The clusters sit at +-(separation/2) along a hidden unit direction and
     are strictly separable: every sample is redrawn until its projection on
-    that direction clears the margin.  Within-class noise is tight along
-    the separating direction and wide orthogonal to it, so a trained
-    separator scores near 1.0 while a random parameter vector scores near
-    chance.  Parameters are (weights, bias), dim = input_dim + 1.
+    that direction clears the margin, a ValueError after ``_MAX_DRAWS``
+    draws.  Within-class noise is tight along the separating direction and
+    wide orthogonal to it, so a trained separator scores near 1.0 while a
+    random parameter vector scores near chance.  Parameters are (weights,
+    bias), dim = input_dim + 1.
     """
 
     name = "blobs"
@@ -120,7 +122,7 @@ class BlobsTask(LossTask):
         labels = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
         xs = np.empty((count, self.input_dim))
         for i, label in enumerate(labels):
-            while True:
+            for _ in range(_MAX_DRAWS):
                 noise = rng.standard_normal(self.input_dim)
                 along = float(noise @ self.axis)
                 perp = noise - along * self.axis
@@ -132,6 +134,8 @@ class BlobsTask(LossTask):
                 if label * float(x @ self.axis) >= self.margin:
                     xs[i] = x
                     break
+            else:
+                raise ValueError(f"no sample cleared margin {self.margin!r} in {_MAX_DRAWS} draws")
         return xs, labels
 
     def per_sample_losses(self, theta: np.ndarray) -> np.ndarray:
@@ -282,11 +286,15 @@ def _constructor_args(cls: type) -> tuple[str, ...]:
 
 def make_task(name: str, **params) -> LossTask:
     """The named task built from ``params``.  Raises ValueError unless
-    ``name`` is a task whose constructor takes every key of ``params``."""
+    ``name`` is a task whose constructor takes every key of ``params``, and
+    for a value that is a string or a non-finite float: no task takes one."""
     if not isinstance(name, str) or name not in _TASKS:
         raise ValueError(f"unknown task {name!r}; available: {sorted(_TASKS)}")
     accepted = list(_constructor_args(_TASKS[name]))
     unknown = sorted(map(str, set(params) - set(accepted)))
     if unknown:
         raise ValueError(f"task {name!r} takes no parameter {unknown}; it takes {accepted}")
+    for key, value in params.items():
+        if isinstance(value, str) or (isinstance(value, float) and not math.isfinite(value)):
+            raise ValueError(f"{key} must be a finite number, got {value!r}")
     return _TASKS[name](**params)

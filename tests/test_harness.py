@@ -58,6 +58,21 @@ def beta_t_spelled(token: str):
     return edit
 
 
+# a Blobs geometry no sample can clear: without noise each sample sits on the
+# axis at the margin, and at task seed 0 axis @ axis rounds below 1
+FLAT_BLOBS = {"seed": 0, "separation": 1.0, "margin": 0.5, "axis_noise": 0.0, "perp_noise": 0.0}
+
+
+def python_process(cwd: Path | None, *args: str) -> subprocess.CompletedProcess:
+    """``python args`` in a process of its own, with the package's source on
+    its path; a process that hangs fails at the timeout."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, timeout=30,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+
+
 def write_config(tmp_path: Path, raw: dict) -> Path:
     import yaml
 
@@ -167,13 +182,8 @@ class TestExperimentConfig:
     def test_import_leaves_yaml_unloaded(self):
         # only loading a YAML config reads YAML, so importing the package
         # (and its CLI) must not import the parser
-        src = str(Path(harness.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
         probe = "import sys, paczero, paczero.cli; print('yaml' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
+        assert python_process(None, "-c", probe).stdout.strip() == "False"
 
     @pytest.mark.parametrize("text", ["[1, 2]\n", "just a string\n"], ids=["list", "string"])
     def test_non_mapping_root_rejected_before_overrides(self, tmp_path, text):
@@ -701,6 +711,30 @@ class TestCli:
         assert cli.main(["validate", str(bad)]) == 1
         assert "FAILED invariant:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, expected", [
+        pytest.param(lambda ls: [*ls[:4], ls[5], ls[4], *ls[6:]], "record at step 4 slot 0: ",
+                     id="records-4-5-swapped"),
+        pytest.param(beta_t_spelled("1e999"), "line 2: non-finite number", id="beta_t-1e999"),
+        pytest.param(lambda ls: [ls[0], ls[1].replace('"slot":0', '"slot":' + "1" * 5000),
+                                 *ls[2:]], "line 2: invalid JSON line", id="5000-digit-slot"),
+        pytest.param(lambda ls: [ls[0], ls[1] + ls[2], *ls[3:]],
+                     "line 2: invalid JSON line: Extra data", id="two-objects-on-line-2"),
+        pytest.param(lambda ls: [ls[0], '{"a":' * 100_000 + "1" + "}" * 100_000, *ls[2:]],
+                     "line 2: ", id="deeply-nested-object"),
+        # the summary of the 12-step run is file line 14
+        pytest.param(lambda ls: [*ls[:-1], ls[-1] + "x"], "line 14: invalid JSON line",
+                     id="stray-text-after-summary"),
+    ])
+    def test_validate_names_the_faulty_line(self, small_summary, tmp_path, capsys, edit,
+                                            expected):
+        # each fault is named with the record or the file line it is on
+        _, out, _ = small_summary
+        lines = (out / "seed_0" / "transcript.jsonl").read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(edit(lines)) + "\n")
+        assert cli.main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"FAILED invariant: {expected}")
+
     def test_negative_train_seed_fails_cleanly(self, small_summary, tmp_path, capsys):
         # the header's seed and its run_seed copy agree, so only the seed's
         # own range check stops the file; it once validated [OK] and then
@@ -740,38 +774,57 @@ class TestCli:
         assert "FAILED invariant:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "overrides, text",
+        "overrides, text, named",
         [
-            (["--set", "label=../../escaped"], None),
-            (["--set", "task.florp=1"], None),
-            ([], "x: [\n"),
+            (["--set", "label=../../escaped"], None, None),
+            (["--set", "task.florp=1"], None, None),
+            ([], "x: [\n", None),
             # each of these once escaped as a TypeError or DesignError
             # traceback, or (a bool step count) trained one step
-            (["--set", "task.n_records=[1]"], None),
-            (["--set", "task.seed=x"], None),
-            (["--set", "train.steps=1.5"], None),
-            (["--set", "train.steps=true"], None),
-            (["--set", "mechanism.n_subsets=8.0"], None),
-            (["--set", "mechanism.variant=k_aggregate", "--set", "mechanism.k=2.0"], None),
+            (["--set", "task.n_records=[1]"], None, None),
+            (["--set", "task.seed=x"], None, None),
+            (["--set", "train.steps=1.5"], None, None),
+            (["--set", "train.steps=true"], None, None),
+            (["--set", "mechanism.n_subsets=8.0"], None, None),
+            (["--set", "mechanism.variant=k_aggregate", "--set", "mechanism.k=2.0"], None, None),
             (["--set", "task.name=quadratic", "--set", "task.n_records=1",
-              "--set", "mechanism.n_subsets=4"], None),
+              "--set", "mechanism.n_subsets=4"], None, None),
             # non-finite values that once trained into a traceback, or (the
             # ZPL budget) trained fully and failed as the transcript was written
-            (["--set", "train.learning_rate=.nan"], None),
-            (["--set", "train.weight_decay=.nan"], None),
-            (["--set", "train.lr_decay=.inf"], None),
-            (["--set", "mechanism.variant=paczero_zpl", "--set", "mechanism.mi_total=.nan"], None),
+            (["--set", "train.learning_rate=.nan"], None, None),
+            (["--set", "train.weight_decay=.nan"], None, None),
+            (["--set", "train.lr_decay=.inf"], None, None),
+            (["--set", "mechanism.variant=paczero_zpl", "--set", "mechanism.mi_total=.nan"],
+             None, None),
             (["--set", "mechanism.variant=surrogate", "--set", "mechanism.surrogate_mode=raw_full",
-              "--set", "mechanism.mi_total=-1.0"], None),
+              "--set", "mechanism.mi_total=-1.0"], None, None),
             # booleans that once passed as numbers: YAML's yes gave a 1-nat
             # budget, and any truthy string loaded the best dev parameters
-            (["--set", "mechanism.mi_total=yes"], None),
-            (["--set", "mechanism.clip=true"], None),
-            (["--set", "train.learning_rate=true"], None),
-            (["--set", "train.load_best_dev=maybe"], None),
+            (["--set", "mechanism.mi_total=yes"], None, None),
+            (["--set", "mechanism.clip=true"], None, None),
+            (["--set", "train.learning_rate=true"], None, None),
+            (["--set", "train.load_best_dev=maybe"], None, None),
             # a root that is not a mapping once met the override as a TypeError
-            (["--set", "label=x"], "[1, 2]\n"),
-            (["--set", "label=x"], "just a string\n"),
+            (["--set", "label=x"], "[1, 2]\n", None),
+            (["--set", "label=x"], "just a string\n", None),
+            # non-finite task parameters that once trained into a traceback
+            (["--set", "task.name=xor_mlp", "--set", "task.corner_noise=.nan"], None,
+             "task: corner_noise must be a finite number, got nan"),
+            (["--set", "task.name=quadratic", "--set", "task.target_spread=.inf"], None,
+             "task: target_spread must be a finite number, got inf"),
+            # a run whose parameters diverge once ended in a traceback
+            (["--set", "task.name=quadratic", "--set", "train.learning_rate=1.0e+200"], None,
+             "non-finite two-point estimate for record 0"),
+            # YAML reads 1e-3, which has no dot, as a string; the fault once
+            # named no field, or was a comparison between str and float
+            (["--set", "mechanism.mi_total=1e-3"], None,
+             "mechanism: mi_total must be a number, got '1e-3'"),
+            (["--set", "mechanism.clip=1e-3"], None,
+             "mechanism: clip must be a number, got '1e-3'"),
+            (["--set", "mechanism.unanimity_tolerance=x"], None,
+             "mechanism: unanimity_tolerance must be a number, got 'x'"),
+            (["--set", "train.smoothing=1e-4"], None,
+             "train: smoothing must be a number, got '1e-4'"),
         ],
         ids=[
             "label-escapes-root", "unknown-task-param", "yaml-syntax", "task-value-list",
@@ -779,17 +832,19 @@ class TestCli:
             "k-float", "unsatisfiable-design", "learning_rate-nan", "weight_decay-nan",
             "lr_decay-inf", "zpl-mi_total-nan", "surrogate-mi_total-negative",
             "mi_total-bool", "clip-bool", "learning_rate-bool", "load_best_dev-string",
-            "root-list", "root-string",
+            "root-list", "root-string", "corner_noise-nan", "target_spread-inf",
+            "diverging-run", "mi_total-1e-3", "clip-1e-3", "unanimity_tolerance-string",
+            "smoothing-1e-4",
         ],
     )
-    def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text):
+    def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text, named):
         path = write_config(tmp_path, base_raw(seeds=[0]))
         if text is not None:
             path.write_text(text)
         out = tmp_path / "root" / "runs"
         argv = ["run", "--config", str(path), "--out", str(out), *overrides]
         assert cli.main(argv) == 1
-        assert "FAILED invariant:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"FAILED invariant: {named or ''}")
         assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
@@ -875,3 +930,46 @@ class TestCli:
                         + command[1:])
         assert code == 1
         assert "FAILED invariant: step 4 slot 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--set", "train.learning_rate=.nan"],
+        ["validate", "[1]\n"],
+        ["attack", "--trials", "5"],
+        ["sweep-t", "--rungs", "-5", "10"],
+        # each of these once never returned: no Blobs sample clears the margin
+        ["run", "--set", "task.separation=.nan"],
+        ["run", "--set", "task.input_dim=0"],
+        ["run", *(f"--set=task.{key}={value}" for key, value in FLAT_BLOBS.items())],
+        ["validate", "flat-header"],
+    ], ids=["run", "validate", "attack", "sweep-t", "separation-nan", "input_dim-0",
+            "flat-geometry", "validate-flat-geometry"])
+    def test_process_fails_cleanly(self, small_summary, tmp_path, argv):
+        # the real command, in its own process: exit 1, the fault named, no
+        # traceback, and within the timeout
+        if argv[0] == "validate":
+            bad = tmp_path / "bad.jsonl"
+            if argv[1] == "flat-header":
+                lines = (small_summary[1] / "seed_0" / "transcript.jsonl").read_text().splitlines()
+                header = json.loads(lines[0])
+                header["task_params"].update(FLAT_BLOBS)
+                bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+            else:
+                bad.write_text(argv[1])
+            argv = ["validate", str(bad)]
+        else:
+            config = write_config(tmp_path, base_raw(seeds=[0]))
+            argv = [argv[0], "--config", str(config), "--out", str(tmp_path / "runs"), *argv[1:]]
+        done = python_process(tmp_path, "-m", "paczero.cli", *argv)
+        assert done.returncode == 1, done.stderr
+        assert "FAILED invariant:" in done.stderr and "Traceback" not in done.stderr
+
+    def test_process_runs_validates_and_sweeps(self, tmp_path):
+        config = write_config(tmp_path, base_raw(seeds=[0]))
+        runs = tmp_path / "runs"
+        for argv in (
+            ["run", "--config", str(config), "--out", str(runs)],
+            ["validate", str(runs / "unit" / "seed_0" / "transcript.jsonl")],
+            ["sweep-t", "--config", str(config), "--out", str(runs), "--rungs", "6", "12"],
+        ):
+            done = python_process(tmp_path, "-m", "paczero.cli", *argv)
+            assert done.returncode == 0, done.stderr
