@@ -14,6 +14,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harness
 from .accounting import validate_transcript
 from .adversary import empirical_mia_experiment
@@ -172,7 +174,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # a fault is reported as one line; NumPy's overflow warnings would print first
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except (ValueError, TwoPointNumericsError) as exc:  # ConfigError, SchemaError, divergence
         return _verdict(str(exc))
     except OSError as exc:  # a missing file, a directory, a file in a path

@@ -11,13 +11,13 @@ carry no information about the secret subset.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Annotated
 
 import numpy as np
 
-from . import rng as rngmod
+from . import _fields, rng as rngmod
 from .mechanism import (
     MechanismSpec,
     ReleaseMechanism,
@@ -53,43 +53,19 @@ class TwoPointNumericsError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run."""
+    """Hyperparameters of one training run, built from checked fields (``_fields``)."""
 
-    steps: int = 500
-    learning_rate: float = 0.05
-    lr_decay: float = 0.0          # eta_t = learning_rate / (1 + lr_decay*(t-1))
-    weight_decay: float = 0.0
-    smoothing: float = 1e-3        # probe half-width mu
-    seed: int = 0
-    dev_eval_interval: int = 25
+    steps: Annotated[int, _fields.POSITIVE] = 500
+    learning_rate: Annotated[float, _fields.FINITE, _fields.POSITIVE] = 0.05
+    lr_decay: Annotated[float, _fields.FINITE, _fields.NONNEGATIVE] = 0.0
+    weight_decay: Annotated[float, _fields.FINITE, _fields.NONNEGATIVE] = 0.0
+    smoothing: Annotated[float, _fields.FINITE, _fields.POSITIVE] = 1e-3  # probe half-width mu
+    seed: Annotated[int, _fields.NONNEGATIVE] = 0
+    dev_eval_interval: Annotated[int, _fields.POSITIVE] = 25
     load_best_dev: bool = True
 
     def __post_init__(self):
-        if not all(type(v) is int for v in (self.steps, self.seed, self.dev_eval_interval)):
-            raise ValueError("steps, seed and dev_eval_interval must be integers")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        for name in ("learning_rate", "lr_decay", "weight_decay", "smoothing"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if type(self.load_best_dev) is not bool:
-            raise ValueError(f"load_best_dev must be a boolean, got {self.load_best_dev!r}")
-        rates = (self.learning_rate, self.lr_decay, self.weight_decay, self.smoothing)
-        if not all(math.isfinite(v) for v in rates):
-            raise ValueError("learning_rate, lr_decay, weight_decay and smoothing must be finite")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.lr_decay < 0.0:
-            raise ValueError("lr_decay must be nonnegative")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be nonnegative")
-        if self.smoothing <= 0.0:
-            raise ValueError("smoothing must be positive")
-        if self.dev_eval_interval < 1:
-            raise ValueError("dev_eval_interval must be >= 1")
+        _fields.check(TrainConfig, vars(self))
 
     def eta(self, t: int) -> float:
         return self.learning_rate / (1.0 + self.lr_decay * (t - 1))

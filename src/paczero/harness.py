@@ -114,25 +114,21 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
-        allowed = {"task", "mechanism", "train", "seeds", "label", "output_dir"}
-        unknown = set(raw) - allowed
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         task = raw.get("task")
         if not isinstance(task, dict) or "name" not in task:
             raise ConfigError("task: must be a mapping with a 'name' key")
-        try:
+        try:  # each part's fault is named after the part
+            part = "task"
             make_task(**task)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"task: {exc}") from exc
-        try:
+            part = "mechanism"
             mechanism = mechanism_from_dict(raw.get("mechanism") or {})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"mechanism: {exc}") from exc
-        try:
+            part = "train"
             train_cfg = TrainConfig(**(raw.get("train") or {}))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"train: {exc}") from exc
+            raise ConfigError(f"{part}: {exc}") from exc
         seeds = raw.get("seeds", (0, 1, 2))
         if isinstance(seeds, int):
             seeds = (seeds,)
@@ -335,16 +331,16 @@ def _require_fields(obj: dict, fields: dict, where: str) -> None:
 
 def load_transcript(path: str | Path) -> Transcript:
     """Parse a transcript file, rejecting any line that deviates from the
-    documented schema (exact field sets per line type, header and summary
-    field types, configs and a task that decode, repeated values that match
-    what the configs and records derive) or that holds a NaN or infinite
-    number.  The records' layout and shapes are checked as the
-    ``Transcript`` is built, after the header's copies.  A release line is
-    decoded directly when it is one JSON object from its first character to
-    its last, and any other takes ``json.loads``; a decode fault of any
-    line reads ``line N:``, its file line, then the decoder's message.  A
-    release line's checked fields build its ``StepRecord`` positionally,
-    as the ledger builds one."""
+    documented schema (exact field sets per line type and per nested header
+    object, header and summary field types, configs and a task that decode,
+    repeated values that match what the configs and records derive) or that
+    holds a NaN or infinite number.  The records' layout and shapes are
+    checked as the ``Transcript`` is built, after the header's copies.  A
+    release line is decoded directly when it is one JSON object from its
+    first character to its last, and any other takes ``json.loads``; a
+    decode fault of any line reads ``line N:``, its file line, then the
+    decoder's message.  A release line's checked fields build its
+    ``StepRecord`` positionally, as the ledger builds one."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SchemaError("empty transcript file")
@@ -365,6 +361,9 @@ def load_transcript(path: str | Path) -> Transcript:
         header.task  # built here, so a value the task cannot take fails the load
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"header: {exc}") from exc
+    for part, built in (("train", vars(header.train)), ("mechanism", vars(header.mechanism)),
+                        ("task_params", header.task.spec_dict())):  # every field, never a default
+        _require_fields(header_obj[part], dict.fromkeys(built), f"header: {part}")
     _check_copies(header_obj, _header_copies(header), "header")
 
     summary_obj = _parse_line(lines[-1], len(lines))

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
+from . import _fields
 from .binary_channel import binary_entropy, invert_channel_mi
 from .rng import substream
 
@@ -348,47 +348,27 @@ class BudgetLedger:
 
 @dataclass(frozen=True)
 class MechanismSpec:
-    """What to release each step and under which information contract."""
+    """What to release each step and under which information contract; built
+    from checked fields (``_fields``) that meet the variant's rules."""
 
-    variant: str = "paczero_mi"
-    mi_total: float = 0.0
-    n_subsets: int | None = None
-    clip: float = math.inf
-    unanimity_tolerance: float = TAU_DEFAULT
-    surrogate_mode: str | None = None
-    k: int = 1
-    inner_variant: str = "paczero_mi"
+    variant: Annotated[str, _fields.one_of(VARIANTS)] = "paczero_mi"
+    mi_total: Annotated[float, _fields.FINITE, _fields.NONNEGATIVE] = 0.0
+    n_subsets: Annotated[int | None, _fields.at_least(2), _fields.EVEN] = None
+    clip: Annotated[float, _fields.POSITIVE] = math.inf  # may be inf
+    unanimity_tolerance: Annotated[float, ("in (0, 0.5)", lambda v: 0.0 < v < 0.5)] = TAU_DEFAULT
+    surrogate_mode: Annotated[str | None, _fields.one_of(SURROGATE_MODES)] = None
+    k: Annotated[int, _fields.POSITIVE] = 1
+    inner_variant: Annotated[str, _fields.one_of(INNER_VARIANTS)] = "paczero_mi"
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "k_aggregate" and self.inner_variant not in INNER_VARIANTS:
-            raise ValueError(f"unknown inner variant {self.inner_variant!r}")
-        if self.variant == "surrogate":
-            if self.surrogate_mode not in SURROGATE_MODES:
-                raise ValueError(f"unknown surrogate mode {self.surrogate_mode!r}")
-        elif self.surrogate_mode is not None:
-            raise ValueError("surrogate_mode only applies to the surrogate variant")
-        for name in ("mi_total", "clip", "unanimity_tolerance"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not (math.isfinite(self.mi_total) and self.mi_total >= 0.0):
-            raise ValueError(f"mi_total must be finite and nonnegative, got {self.mi_total!r}")
+        _fields.check(MechanismSpec, vars(self))
+        if (self.variant == "surrogate") != (self.surrogate_mode is not None):
+            raise ValueError("surrogate_mode must be set for the surrogate variant only, "
+                             f"got {self.surrogate_mode!r}")
         if self.bit_rule() == "mi" and self.mi_total == 0.0:
-            raise ValueError("a positive total information budget is required")
-        if type(self.k) is not int or type(self.n_subsets) not in (int, type(None)):
-            raise ValueError("k and n_subsets must be integers")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ValueError(f"mi_total must be positive for an MI variant, got {self.mi_total!r}")
         if self.variant != "k_aggregate" and self.k != 1:
-            raise ValueError("k > 1 requires the k_aggregate variant")
-        if self.n_subsets is not None and (self.n_subsets < 2 or self.n_subsets % 2):
-            raise ValueError("n_subsets must be even and >= 2")
-        if not self.clip > 0.0:
-            raise ValueError("clip must be positive (may be inf)")
-        if not 0.0 < self.unanimity_tolerance < 0.5:
-            raise ValueError("unanimity tolerance must lie in (0, 0.5)")
+            raise ValueError(f"k must be 1 outside k_aggregate, got {self.k!r}")
 
     def bit_rule(self) -> str:
         v = self.inner_variant if self.variant == "k_aggregate" else self.variant

@@ -9,12 +9,12 @@ task seed alone; parameters are plain float64 vectors.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import math
+from typing import Annotated
 
 import numpy as np
 
+from . import _fields
 from .rng import substream
 
 __all__ = ["LossTask", "BlobsTask", "XorMlpTask", "QuadraticTask", "make_task"]
@@ -50,7 +50,7 @@ class LossTask:
     def spec_dict(self) -> dict:
         """Constructor arguments, sufficient to rebuild the task; every task
         keeps each argument under its own name."""
-        return {name: getattr(self, name) for name in _constructor_args(type(self))}
+        return {name: getattr(self, name) for name in _fields.fields(type(self))}
 
     def _split(self, split: str) -> tuple[np.ndarray, np.ndarray]:
         """Inputs and labels of a dev/test/train split, for tasks that hold
@@ -89,18 +89,18 @@ class BlobsTask(LossTask):
 
     def __init__(
         self,
-        n_records: int = 128,
-        input_dim: int = 10,
-        seed: int = 7,
-        separation: float = 3.0,
-        margin: float = 0.5,
-        axis_noise: float = 0.3,
-        perp_noise: float = 1.5,
+        n_records: Annotated[int, _fields.POSITIVE] = 128,
+        input_dim: Annotated[int, _fields.POSITIVE] = 10,
+        seed: Annotated[int, _fields.NONNEGATIVE] = 7,
+        separation: Annotated[float, _fields.FINITE] = 3.0,
+        margin: Annotated[float, _fields.FINITE, _fields.POSITIVE] = 0.5,
+        axis_noise: Annotated[float, _fields.FINITE] = 0.3,
+        perp_noise: Annotated[float, _fields.FINITE] = 1.5,
     ):
-        if n_records < 4 or n_records % 4 != 0:
-            raise ValueError("n_records must be a positive multiple of 4")
-        if margin <= 0.0 or separation / 2.0 < margin:
-            raise ValueError("need separation/2 >= margin > 0 for separable clusters")
+        if n_records % 4:
+            raise ValueError(f"n_records must be a multiple of 4, got {n_records!r}")
+        if separation / 2.0 < margin:  # the clusters must be separable
+            raise ValueError(f"separation must be >= 2 * margin {margin!r}, got {separation!r}")
         self.n_records = n_records
         self.input_dim = input_dim
         self.dim = input_dim + 1
@@ -167,16 +167,14 @@ class XorMlpTask(LossTask):
 
     def __init__(
         self,
-        n_records: int = 128,
-        input_dim: int = 10,
-        hidden: int = 16,
-        seed: int = 11,
-        corner_noise: float = 0.3,
+        n_records: Annotated[int, _fields.at_least(8)] = 128,
+        input_dim: Annotated[int, _fields.at_least(2)] = 10,  # the two signal coordinates
+        hidden: Annotated[int, _fields.POSITIVE] = 16,
+        seed: Annotated[int, _fields.NONNEGATIVE] = 11,
+        corner_noise: Annotated[float, _fields.FINITE] = 0.3,
     ):
-        if n_records < 8 or n_records % 4 != 0:
-            raise ValueError("n_records must be a positive multiple of 4")
-        if input_dim < 2:
-            raise ValueError("need at least the two signal coordinates")
+        if n_records % 4:
+            raise ValueError(f"n_records must be a multiple of 4, got {n_records!r}")
         self.n_records = n_records
         self.input_dim = input_dim
         self.hidden = hidden
@@ -239,14 +237,12 @@ class QuadraticTask(LossTask):
 
     def __init__(
         self,
-        n_records: int = 16,
-        dim: int = 10,
-        seed: int = 3,
-        target_spread: float = 1.0,
+        n_records: Annotated[int, _fields.POSITIVE] = 16,
+        dim: Annotated[int, _fields.POSITIVE] = 10,
+        seed: Annotated[int, _fields.NONNEGATIVE] = 3,
+        target_spread: Annotated[float, _fields.FINITE] = 1.0,
         identical_targets: bool = False,
     ):
-        if n_records < 1:
-            raise ValueError("need at least one record")
         self.n_records = n_records
         self.dim = dim
         self.seed = seed
@@ -277,24 +273,11 @@ class QuadraticTask(LossTask):
 _TASKS = {"blobs": BlobsTask, "xor_mlp": XorMlpTask, "quadratic": QuadraticTask}
 
 
-@functools.cache
-def _constructor_args(cls: type) -> tuple[str, ...]:
-    """The constructor's parameter names, read once per class: ``spec_dict``
-    asks on every training run."""
-    return tuple(p for p in inspect.signature(cls.__init__).parameters if p != "self")
-
-
 def make_task(name: str, **params) -> LossTask:
     """The named task built from ``params``.  Raises ValueError unless
-    ``name`` is a task whose constructor takes every key of ``params``, and
-    for a value that is a string or a non-finite float: no task takes one."""
+    ``name`` is a task, ``params`` pass ``_fields.check`` against it and they
+    meet the rules that tie them together, TypeError for a key it does not take."""
     if not isinstance(name, str) or name not in _TASKS:
         raise ValueError(f"unknown task {name!r}; available: {sorted(_TASKS)}")
-    accepted = list(_constructor_args(_TASKS[name]))
-    unknown = sorted(map(str, set(params) - set(accepted)))
-    if unknown:
-        raise ValueError(f"task {name!r} takes no parameter {unknown}; it takes {accepted}")
-    for key, value in params.items():
-        if isinstance(value, str) or (isinstance(value, float) and not math.isfinite(value)):
-            raise ValueError(f"{key} must be a finite number, got {value!r}")
+    _fields.check(_TASKS[name], params)
     return _TASKS[name](**params)

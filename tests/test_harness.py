@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -7,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paczero import cli, harness
+from paczero import _fields, cli, harness
 from paczero.accounting import validate_transcript
-from paczero.engine import Transcript
-from paczero.mechanism import BRANCH_UNANIMITY, BudgetLedger, StepRecord
+from paczero.engine import TrainConfig, Transcript, train
+from paczero.mechanism import BRANCH_UNANIMITY, BudgetLedger, MechanismSpec, StepRecord
+from paczero.tasks import BlobsTask, QuadraticTask, XorMlpTask, make_task
 from paczero.harness import (
     BOUNDS_DISCLAIMER,
     ConfigError,
@@ -57,6 +61,9 @@ def beta_t_spelled(token: str):
         return [lines[0], poisoned, *lines[2:]]
     return edit
 
+
+# a header or line edit's value that deletes its key
+DELETED = object()
 
 # a Blobs geometry no sample can clear: without noise each sample sits on the
 # axis at the margin, and at task seed 0 axis @ axis rounds below 1
@@ -193,6 +200,25 @@ class TestExperimentConfig:
         for overrides in ([], ["label=x"]):
             with pytest.raises(ConfigError, match="^config root must be a mapping$"):
                 ExperimentConfig.from_yaml(path, overrides)
+
+    def test_readme_field_table_is_the_code_s(self):
+        # README's table of config fields renders the one declaration each
+        # field has: kind, range and default
+        def spelled(value):  # as YAML spells it
+            if value is None or isinstance(value, bool):
+                return json.dumps(value)
+            return ".inf" if value == math.inf else str(value)
+
+        expected = ["| Field | Kind | Range | Default |", "|---|---|---|---|"]
+        classes = [TrainConfig, MechanismSpec, BlobsTask, XorMlpTask, QuadraticTask]
+        for section, cls in zip(["train", "mechanism", "blobs", "xor_mlp", "quadratic"], classes):
+            for name, (kinds, ranges, default) in _fields.fields(cls).items():
+                kinds = " or ".join(map(_fields._KIND_NAMES.get, kinds))
+                ranges = ", ".join(says for says, _ in ranges) or "-"
+                expected.append(f"| `{section}.{name}` | {kinds} | {ranges} | `{spelled(default)}` |")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = readme.index(expected[0])
+        assert readme[start:start + len(expected) + 1] == expected + [""]
 
     def test_output_root_resolution(self, monkeypatch):
         monkeypatch.delenv("PACZERO_OUTPUT_ROOT", raising=False)
@@ -677,6 +703,13 @@ class TestCli:
             pytest.param("header", ["train", "steps"], 6, id="header-train-steps"),
             pytest.param("header", ["task_params", "n_records"], 20, id="header-task-n_records"),
             pytest.param("header", ["task_params", "separation"], "x", id="string-task-separation"),
+            # a deleted config key once loaded as its default, and
+            # inner_variant took any value outside k_aggregate
+            pytest.param("header", ["train", "learning_rate"], DELETED,
+                         id="header-train-no-learning_rate"),
+            pytest.param("header", ["mechanism", "clip"], DELETED, id="header-mechanism-no-clip"),
+            pytest.param("header", ["mechanism", "inner_variant"], {"a": 1},
+                         id="header-inner_variant-dict"),
             pytest.param("summary", ["dev_evals", 0], "ab", id="string-dev_evals-entry"),
             pytest.param("summary", ["cum_mi"], "0.25", id="string-summary-cum_mi"),
             pytest.param("release", ["q_plus"], "0.5", id="string-q_plus"),
@@ -706,10 +739,16 @@ class TestCli:
             node = objs[n]
             for key in path[:-1]:
                 node = node[key]
-            node[path[-1]] = value
+            if value is DELETED:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
             bad.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
         assert cli.main(["validate", str(bad)]) == 1
-        assert "FAILED invariant:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "FAILED invariant:" in err
+        if line == "header":  # a header fault is named as one
+            assert err.startswith("FAILED invariant: header: ")
 
     @pytest.mark.parametrize("edit, expected", [
         pytest.param(lambda ls: [*ls[:4], ls[5], ls[4], *ls[6:]], "record at step 4 slot 0: ",
@@ -825,6 +864,17 @@ class TestCli:
              "mechanism: unanimity_tolerance must be a number, got 'x'"),
             (["--set", "train.smoothing=1e-4"], None,
              "train: smoothing must be a number, got '1e-4'"),
+            # task parameters that once passed the config check: a truthy
+            # non-boolean the header recorded, a size that failed in the run
+            # with no task: prefix, and sizes that trained a model of none
+            (["--set", "task.name=quadratic", "--set", "task.identical_targets=3"], None,
+             "task: identical_targets must be a boolean, got 3"),
+            (["--set", "task.name=xor_mlp", "--set", "task.hidden=-1"], None,
+             "task: hidden must be positive, got -1"),
+            (["--set", "task.name=xor_mlp", "--set", "task.hidden=0"], None,
+             "task: hidden must be positive, got 0"),
+            (["--set", "task.name=quadratic", "--set", "task.dim=0"], None,
+             "task: dim must be positive, got 0"),
         ],
         ids=[
             "label-escapes-root", "unknown-task-param", "yaml-syntax", "task-value-list",
@@ -834,7 +884,7 @@ class TestCli:
             "mi_total-bool", "clip-bool", "learning_rate-bool", "load_best_dev-string",
             "root-list", "root-string", "corner_noise-nan", "target_spread-inf",
             "diverging-run", "mi_total-1e-3", "clip-1e-3", "unanimity_tolerance-string",
-            "smoothing-1e-4",
+            "smoothing-1e-4", "identical_targets-3", "hidden-negative", "hidden-0", "dim-0",
         ],
     )
     def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text, named):
@@ -941,11 +991,13 @@ class TestCli:
         ["run", "--set", "task.input_dim=0"],
         ["run", *(f"--set=task.{key}={value}" for key, value in FLAT_BLOBS.items())],
         ["validate", "flat-header"],
+        # a run whose parameters diverge once printed NumPy's warnings first
+        ["run", "--set", "task.name=quadratic", "--set", "train.learning_rate=1.0e+200"],
     ], ids=["run", "validate", "attack", "sweep-t", "separation-nan", "input_dim-0",
-            "flat-geometry", "validate-flat-geometry"])
+            "flat-geometry", "validate-flat-geometry", "diverging-run"])
     def test_process_fails_cleanly(self, small_summary, tmp_path, argv):
-        # the real command, in its own process: exit 1, the fault named, no
-        # traceback, and within the timeout
+        # the real command, in its own process: exit 1, the fault named as
+        # the one line on stderr, and within the timeout
         if argv[0] == "validate":
             bad = tmp_path / "bad.jsonl"
             if argv[1] == "flat-header":
@@ -961,7 +1013,8 @@ class TestCli:
             argv = [argv[0], "--config", str(config), "--out", str(tmp_path / "runs"), *argv[1:]]
         done = python_process(tmp_path, "-m", "paczero.cli", *argv)
         assert done.returncode == 1, done.stderr
-        assert "FAILED invariant:" in done.stderr and "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith("FAILED invariant:")
 
     def test_process_runs_validates_and_sweeps(self, tmp_path):
         config = write_config(tmp_path, base_raw(seeds=[0]))
@@ -973,3 +1026,49 @@ class TestCli:
         ):
             done = python_process(tmp_path, "-m", "paczero.cli", *argv)
             assert done.returncode == 0, done.stderr
+
+
+# values a one-field edit sets: the edges of every kind a field may hold
+EDGE_VALUES = [
+    0, -1, 1, 3, 2**63, 10**400, 0.0, -0.0, 1e-300, 0.5, 1.5, 1e308, -1e308,
+    "", "x", "inf", None, True, False, [], [1], {}, {"a": 1}, DELETED,
+]
+
+
+@pytest.fixture(scope="module")
+def honest_lines(tmp_path_factory):
+    """The decoded lines of four honest 8-step transcripts (MI, ZPL, k=2
+    MI and surrogate), and a scratch file to write their edits to."""
+    task = make_task("blobs", n_records=16, seed=3)
+    config = TrainConfig(steps=8, learning_rate=0.2, weight_decay=0.1, dev_eval_interval=4)
+    specs = [
+        MechanismSpec(variant="paczero_mi", mi_total=0.25, n_subsets=8, clip=1.0),
+        MechanismSpec(variant="paczero_zpl", n_subsets=8),
+        MechanismSpec(variant="k_aggregate", mi_total=0.25, n_subsets=8, k=2),
+        MechanismSpec(variant="surrogate", surrogate_mode="quant_full", n_subsets=8),
+    ]
+    lines = [
+        [json.loads(line) for line in transcript_lines(train(task, config, spec).transcript)]
+        for spec in specs
+    ]
+    return lines, tmp_path_factory.mktemp("fuzz") / "edited.jsonl"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_validate_survives_any_one_field_edit(honest_lines, data):
+    # one field of an honest transcript (a header key, a key of its train,
+    # mechanism or task_params object, a release or a summary key) set to an
+    # edge value or deleted: validate exits 0 or 1 and raises nothing
+    transcripts, path = honest_lines
+    objs = copy.deepcopy(data.draw(st.sampled_from(transcripts)))
+    node = objs[data.draw(st.sampled_from([0, -1]) | st.integers(1, len(objs) - 2))]
+    if node["type"] == "header" and data.draw(st.booleans()):
+        node = node[data.draw(st.sampled_from(["train", "mechanism", "task_params"]))]
+    key, value = data.draw(st.sampled_from(sorted(node))), data.draw(st.sampled_from(EDGE_VALUES))
+    if value is DELETED:
+        del node[key]
+    else:
+        node[key] = value
+    path.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
+    assert cli.main(["validate", str(path)]) in (0, 1)
