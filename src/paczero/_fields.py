@@ -21,6 +21,10 @@ def at_least(low) -> tuple:
     return f">= {low}", lambda v: v >= low
 
 
+def at_most(high) -> tuple:
+    return f"<= {high}", lambda v: v <= high
+
+
 def one_of(values: tuple) -> tuple:
     return f"one of {list(values)}", lambda v: v in values
 

@@ -22,6 +22,20 @@ __all__ = ["LossTask", "BlobsTask", "XorMlpTask", "QuadraticTask", "make_task"]
 _TRAIN_SPLIT, _DEV_SPLIT, _TEST_SPLIT = 0, 1, 2
 _GEOMETRY_KEY, _INIT_KEY = 10, 11
 _MAX_DRAWS = 1000  # draws of one Blobs sample before its geometry is rejected
+# Records, inputs, hidden units and parameters of a task, and the floats
+# (records times parameters) that one loss evaluation reads or forms, at most
+# these many: a size past them overflows an index or asks for more memory
+# than a run has.
+_MAX_SIZE, _MAX_WORK = 2**20, 2**24
+_SIZE = _fields.at_most(_MAX_SIZE)
+
+
+def _check_sizes(n_records: int, dim: int) -> None:
+    """Hold the sizes that a task's fields derive to their bounds."""
+    work = n_records * dim
+    for name, size, bound in ("dim", dim, _MAX_SIZE), ("n_records * dim", work, _MAX_WORK):
+        if size > bound:
+            raise ValueError(f"{name} must be <= {bound}, got {size}")
 
 
 class LossTask:
@@ -89,8 +103,8 @@ class BlobsTask(LossTask):
 
     def __init__(
         self,
-        n_records: Annotated[int, _fields.POSITIVE] = 128,
-        input_dim: Annotated[int, _fields.POSITIVE] = 10,
+        n_records: Annotated[int, _fields.POSITIVE, _SIZE] = 128,
+        input_dim: Annotated[int, _fields.POSITIVE, _SIZE] = 10,
         seed: Annotated[int, _fields.NONNEGATIVE] = 7,
         separation: Annotated[float, _fields.FINITE] = 3.0,
         margin: Annotated[float, _fields.FINITE, _fields.POSITIVE] = 0.5,
@@ -104,6 +118,7 @@ class BlobsTask(LossTask):
         self.n_records = n_records
         self.input_dim = input_dim
         self.dim = input_dim + 1
+        _check_sizes(n_records, self.dim)
         self.seed = seed
         self.separation = separation
         self.margin = margin
@@ -167,9 +182,9 @@ class XorMlpTask(LossTask):
 
     def __init__(
         self,
-        n_records: Annotated[int, _fields.at_least(8)] = 128,
-        input_dim: Annotated[int, _fields.at_least(2)] = 10,  # the two signal coordinates
-        hidden: Annotated[int, _fields.POSITIVE] = 16,
+        n_records: Annotated[int, _fields.at_least(8), _SIZE] = 128,
+        input_dim: Annotated[int, _fields.at_least(2), _SIZE] = 10,  # the two signal coordinates
+        hidden: Annotated[int, _fields.POSITIVE, _SIZE] = 16,
         seed: Annotated[int, _fields.NONNEGATIVE] = 11,
         corner_noise: Annotated[float, _fields.FINITE] = 0.3,
     ):
@@ -181,6 +196,7 @@ class XorMlpTask(LossTask):
         self.seed = seed
         self.corner_noise = corner_noise
         self.dim = input_dim * hidden + hidden + hidden + 1
+        _check_sizes(n_records, self.dim)
 
         self.x_train, self.y_train = self._sample(n_records, _TRAIN_SPLIT)
         self._negated_labels = -self.y_train  # negation is exact, so once is enough
@@ -237,12 +253,13 @@ class QuadraticTask(LossTask):
 
     def __init__(
         self,
-        n_records: Annotated[int, _fields.POSITIVE] = 16,
-        dim: Annotated[int, _fields.POSITIVE] = 10,
+        n_records: Annotated[int, _fields.POSITIVE, _SIZE] = 16,
+        dim: Annotated[int, _fields.POSITIVE, _SIZE] = 10,
         seed: Annotated[int, _fields.NONNEGATIVE] = 3,
         target_spread: Annotated[float, _fields.FINITE] = 1.0,
         identical_targets: bool = False,
     ):
+        _check_sizes(n_records, dim)
         self.n_records = n_records
         self.dim = dim
         self.seed = seed

@@ -109,6 +109,22 @@ class TestChannelMi:
         assert mi == pytest.approx(channel_mi(1.0 - q, sigma), abs=1e-12)
         assert -1e-15 <= mi <= binary_entropy(q) + 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+        st.floats(min_value=math.log(1e-6), max_value=math.log(1e8)),
+        st.floats(min_value=-12.0, max_value=1.0).map(lambda e: 10.0**e),
+    )
+    def test_never_rises_by_more_than_the_jitter_bound(self, q, log_sigma, gap):
+        # the calibration walk decides midpoints beyond a fenced bracket end
+        # unevaluated on this bound; sigma spans the walk's default bracket
+        # [1e-6, 1e6] and two decades above it
+        low, high = math.exp(log_sigma), math.exp(log_sigma + gap)
+        rise = channel_mi(q, high) - channel_mi(q, low)
+        assert rise <= binary_channel._MI_JITTER, (
+            f"channel_mi rises by {rise} at q_plus={q} from sigma={low} to {high}"
+        )
+
     def test_invalid_query(self):
         with pytest.raises(ChannelError):
             channel_mi(-0.2, 1.0)
@@ -184,6 +200,22 @@ class TestInversion:
         with pytest.raises(ChannelError, match="did not converge"):
             invert_channel_mi(0.5, 0.1)
 
+    def test_skipped_decisions_count_toward_the_step_cap(self, monkeypatch):
+        # as above the walk can only run out, but its first 40 decisions are
+        # skipped: 160 remain to evaluate, not 200
+        monkeypatch.setattr(binary_channel, "MI_MATCH_TOL", -1.0)
+        monkeypatch.setattr(binary_channel, "LOG_SIGMA_WIDTH_TOL", 0.0)
+        rows, channel = [], binary_channel.channel_mi
+
+        def spy(q_plus, sigma):
+            rows.append(np.atleast_1d(sigma).size)
+            return channel(q_plus, sigma)
+
+        monkeypatch.setattr(binary_channel, "channel_mi", spy)
+        with pytest.raises(ChannelError, match="did not converge"):
+            invert_channel_mi(0.5, 0.1)
+        assert sum(rows) - 2 <= 200 - binary_channel._SKIP_MAX  # less the two bracket ends
+
 
 def _sigma_or_error(invert, q, beta):
     try:
@@ -203,16 +235,22 @@ class TestBitExactness:
         assert type(got) is float
         assert got.hex() == reference_channel_mi(q, sigma).hex()
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        st.one_of(st.sampled_from([1e-300, 0.5]), st.floats(min_value=1e-3, max_value=0.999)),
         st.one_of(
-            st.just(0.999),  # the entropy cap's largest request
+            st.sampled_from([1e-300, 1e-6, 0.5, 1.0 - 1e-6]),
+            st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+        ),
+        st.one_of(
+            st.just(0.999),  # the entropy cap's largest request, at sigma < 1
             st.floats(min_value=-16.0, max_value=-0.01).map(lambda e: 10.0**e),
+            # below channel_mi(q, BRACKET_HI), so the upper end expands
+            st.floats(min_value=-24.0, max_value=-12.0).map(lambda e: 10.0**e),
+            # within ulps of h(q), where the lower end may expand
+            st.integers(min_value=1, max_value=64).map(lambda k: 1.0 - k * 2.0**-53),
         ),
     )
     def test_inversion_is_the_two_branch_bisection(self, q, share):
-        # shares below ~1e-12 of h(q) need the upper bracket expanded
         beta = share * binary_entropy(q)
         assert _sigma_or_error(invert_channel_mi, q, beta) == _sigma_or_error(
             reference_invert_channel_mi, q, beta
@@ -357,8 +395,9 @@ _WALK_CASES = [
 
 
 class TestBatchedWalk:
-    """invert_channel_mi evaluates the bisection's midpoints in batches along
-    a guessed path; sigma must not depend on the batch lengths."""
+    """invert_channel_mi decides the bisection's midpoints far from a guess
+    unevaluated and evaluates the others in batches along a guessed path;
+    sigma must depend on neither."""
 
     def test_cases_expand_both_bracket_ends(self):
         lows = [b for q, b in _WALK_CASES if channel_mi(q, binary_channel.BRACKET_LO) <= b]
@@ -378,14 +417,18 @@ class TestBatchedWalk:
     @pytest.mark.parametrize(
         "q, beta", [(0.5, 0.1), (0.3, 1e-6), (0.5, 1e-17), (0.4, 0.999 * binary_entropy(0.4))]
     )
-    def test_every_visited_midpoint_is_evaluated(self, monkeypatch, q, beta):
-        evaluated, passes, visited = set(), [], []
+    def test_every_visited_midpoint_is_evaluated_or_fenced(self, monkeypatch, q, beta):
+        # a midpoint of the reference walk that was not evaluated lies beyond
+        # an evaluated sigma whose MI clears beta by the fence on its side,
+        # so channel_mi's jitter bound settles the reference's decision there
+        evaluated, passes, visited = {}, [], []
         channel, reference = binary_channel.channel_mi, helpers.reference_channel_mi
 
         def spy(q_plus, sigma):
+            mi = channel(q_plus, sigma)
             passes.append(sigma)
-            evaluated.update(np.atleast_1d(sigma).tolist())
-            return channel(q_plus, sigma)
+            evaluated.update(zip(np.atleast_1d(sigma).tolist(), np.atleast_1d(mi).tolist()))
+            return mi
 
         def reference_spy(q_plus, sigma):
             visited.append(sigma)
@@ -394,23 +437,29 @@ class TestBatchedWalk:
         monkeypatch.setattr(binary_channel, "channel_mi", spy)
         monkeypatch.setattr(helpers, "reference_channel_mi", reference_spy)
         assert invert_channel_mi(q, beta) == reference_invert_channel_mi(q, beta)
-        assert set(visited) <= evaluated
-        # the first pass holds both bracket ends ahead of the first midpoints
-        assert passes[0][:2].tolist() == [binary_channel.BRACKET_LO, binary_channel.BRACKET_HI]
-        assert len(passes) < len(visited)
+        fence = binary_channel.MI_MATCH_TOL + binary_channel._MI_JITTER
+        skipped = [sigma for sigma in visited if sigma not in evaluated]
+        for sigma in skipped:
+            assert any(
+                (sigma < end and mi - beta > fence) or (sigma > end and beta - mi > fence)
+                for end, mi in evaluated.items()
+            ), sigma
+        if (q, beta) in ((0.5, 0.1), (0.3, 1e-6)):  # the interval lies inside the bracket
+            assert len(skipped) >= 14 and len(passes) <= 2
 
     @pytest.mark.parametrize(
-        "q, share, calls",
+        "q, share, rows",
         [
             # beta/h near 1e-3, as most train_m128 steps ask
-            (0.5, 1e-3, 2), (0.3, 1.2e-3, 2),
+            (0.5, 1e-3, 4), (0.3, 1.2e-3, 5),
             # beta/h near 2e-2, as most attack_m8 steps ask
-            (0.5, 2e-2, 2), (0.2, 1.9e-2, 2),
-            # the upper end expands by two scalar decades before the walk
-            (0.5, 1e-17 / binary_entropy(0.5), 4),
+            (0.5, 2e-2, 14), (0.2, 1.9e-2, 15),
+            # a skip that fails its fence, then the upper end expands by two
+            # scalar decades before the walk
+            (0.5, 1e-17 / binary_entropy(0.5), 39),
         ],
     )
-    def test_calls_per_inversion(self, monkeypatch, q, share, calls):
+    def test_rows_per_inversion(self, monkeypatch, q, share, rows):
         passes, channel = [], binary_channel.channel_mi
 
         def spy(q_plus, sigma):
@@ -420,8 +469,32 @@ class TestBatchedWalk:
         monkeypatch.setattr(binary_channel, "channel_mi", spy)
         beta = share * binary_entropy(q)
         assert invert_channel_mi(q, beta) == reference_invert_channel_mi(q, beta)
-        assert len(passes) == calls
+        assert sum(np.atleast_1d(sigma).size for sigma in passes) <= rows
         lo, hi = binary_channel.BRACKET_LO, binary_channel.BRACKET_HI
-        assert passes[0][:2].tolist() == [lo, hi]
         if channel(q, lo) > beta > channel(q, hi):  # the default bracket holds
             assert all(isinstance(s, np.ndarray) for s in passes)
+
+    @pytest.mark.parametrize("shift", [-3.0, 3.0])
+    def test_a_misplaced_interval_falls_back_to_the_evaluated_walk(self, monkeypatch, shift):
+        # skip decisions that the fence cannot confirm are dropped: the walk
+        # starts over from the default bracket and still returns its sigma
+        skip_interval, passes = binary_channel._skip_interval, []
+        channel = binary_channel.channel_mi
+
+        def misplaced(*args):
+            return tuple(x + shift for x in skip_interval(*args))
+
+        def spy(q_plus, sigma):
+            passes.append(sigma)
+            return channel(q_plus, sigma)
+
+        monkeypatch.setattr(binary_channel, "_skip_interval", misplaced)
+        monkeypatch.setattr(binary_channel, "channel_mi", spy)
+        for q, beta in _WALK_CASES:
+            assert _sigma_or_error(invert_channel_mi, q, beta) == _sigma_or_error(
+                reference_invert_channel_mi, q, beta
+            ), (q, beta)
+        passes.clear()
+        invert_channel_mi(0.5, 0.1)
+        lo, hi = binary_channel.BRACKET_LO, binary_channel.BRACKET_HI
+        assert passes[0][:2].tolist() != [lo, hi] and passes[1].tolist() == [lo, hi]

@@ -703,6 +703,8 @@ class TestCli:
             pytest.param("header", ["train", "steps"], 6, id="header-train-steps"),
             pytest.param("header", ["task_params", "n_records"], 20, id="header-task-n_records"),
             pytest.param("header", ["task_params", "separation"], "x", id="string-task-separation"),
+            pytest.param("header", ["task_params", "n_records"], 2**40,
+                         id="header-task-n_records-8-tib"),
             # a deleted config key once loaded as its default, and
             # inner_variant took any value outside k_aggregate
             pytest.param("header", ["train", "learning_rate"], DELETED,
@@ -875,6 +877,17 @@ class TestCli:
              "task: hidden must be positive, got 0"),
             (["--set", "task.name=quadratic", "--set", "task.dim=0"], None,
              "task: dim must be positive, got 0"),
+            # sizes with no upper bound once failed as an IndexError or an
+            # 8 TiB allocation
+            (["--set", "task.name=xor_mlp", "--set", "task.n_records=9223372036854775808"], None,
+             "task: n_records must be <= 1048576, got 9223372036854775808"),
+            (["--set", "task.n_records=1099511627776"], None,
+             "task: n_records must be <= 1048576, got 1099511627776"),
+            (["--set", "task.name=xor_mlp", "--set", "task.input_dim=1048576",
+              "--set", "task.hidden=2"], None, "task: dim must be <= 1048576, got 2097157"),
+            (["--set", "task.name=quadratic", "--set", "task.n_records=1048576",
+              "--set", "task.dim=1048576"], None,
+             "task: n_records * dim must be <= 16777216, got 1099511627776"),
         ],
         ids=[
             "label-escapes-root", "unknown-task-param", "yaml-syntax", "task-value-list",
@@ -885,6 +898,8 @@ class TestCli:
             "root-list", "root-string", "corner_noise-nan", "target_spread-inf",
             "diverging-run", "mi_total-1e-3", "clip-1e-3", "unanimity_tolerance-string",
             "smoothing-1e-4", "identical_targets-3", "hidden-negative", "hidden-0", "dim-0",
+            "n_records-over-int64", "n_records-8-tib", "derived-dim-too-large",
+            "n_records-times-dim-too-large",
         ],
     )
     def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text, named):
