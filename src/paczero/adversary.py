@@ -135,6 +135,8 @@ def empirical_mia_experiment(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful rate")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     n_subsets = mech_spec.resolved_subsets()
     successes = 0
     for trial in range(trials):

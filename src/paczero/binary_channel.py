@@ -50,8 +50,6 @@ import numpy as np
 
 __all__ = [
     "ChannelError",
-    "DegenerateChannelError",
-    "InfeasibleBudgetError",
     "binary_entropy",
     "channel_mi",
     "invert_channel_mi",
@@ -95,17 +93,7 @@ _SUMS = np.empty((_CHUNK_ROWS, 2))
 
 
 class ChannelError(ValueError):
-    """Base class for calibration failures of the binary noise channel."""
-
-
-class DegenerateChannelError(ChannelError):
-    """The sign distribution is a point mass, so no noise level can carry
-    positive information; calibration is undefined."""
-
-
-class InfeasibleBudgetError(ChannelError):
-    """The requested per-step information exceeds what a binary input with
-    the given sign distribution can carry (its entropy)."""
+    """A failure of the binary noise channel's evaluation or calibration."""
 
 
 def binary_entropy(q: float) -> float:
@@ -227,7 +215,9 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
     in log(sigma) on a bracket expanded by decades until it straddles beta.
     Stops when the MI mismatch is below 1e-10 nats or the log-sigma bracket
     is narrower than 1e-12, and raises ChannelError if neither happens
-    within 200 bisection steps.
+    within 200 bisection steps.  It raises ChannelError too for a degenerate
+    channel (q_plus 0 or 1, a point mass no noise level can calibrate) and
+    for an infeasible budget (beta at or above the entropy h(q_plus)).
 
     Up to ``_SKIP_MAX`` midpoints outside ``_skip_interval``'s interval
     take the guess's decision unevaluated.  One ``channel_mi`` call then
@@ -245,14 +235,14 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
     if not 0.0 <= q_plus <= 1.0:
         raise ChannelError(f"q_plus out of range: {q_plus!r}")
     if q_plus == 0.0 or q_plus == 1.0:
-        raise DegenerateChannelError(
+        raise ChannelError(
             "unanimous sign distribution carries no information; nothing to calibrate"
         )
     if not math.isfinite(beta) or beta <= 0.0:
         raise ChannelError(f"target information must be positive and finite: {beta!r}")
     entropy = binary_entropy(q_plus)
     if beta >= entropy:
-        raise InfeasibleBudgetError(
+        raise ChannelError(
             f"requested {beta} nats but a sign with P(+1)={q_plus} carries at most {entropy}"
         )
 

@@ -140,6 +140,8 @@ class ExperimentConfig:
             raise ConfigError(
                 "seeds: must be a nonnegative integer or a nonempty list of them"
             )
+        if len(set(seeds)) < len(seeds):  # each seed names its own artifact directory
+            raise ConfigError(f"seeds: must be distinct, got {list(seeds)}")
         label = raw.get("label", "experiment")
         if not isinstance(label, str) or label in ("", ".", "..") or "/" in label or "\\" in label:
             # it names a directory under the artifact root, never above it
@@ -557,6 +559,10 @@ def _sweep(
     """Run the experiment once per (label, spec) and pool each run's seeds
     into one row; ``notes`` maps every label to its pooled metrics.  Every
     run is validated, so an overspent budget surfaces as a violation."""
+    labels = [label for label, _ in specs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:  # one row and one note per label
+            raise ValueError(f"{label_column} {label} appears twice in the sweep")
     rows, notes, violation = [], {}, None
     for label, spec in specs:
         summary = run_experiment(replace(config, mechanism=spec), out_dir=None)
@@ -606,6 +612,9 @@ def sweep_t_ladder(
     rungs = tuple(sorted(rungs))
     if rungs[0] < 0:
         raise ValueError(f"rungs must be nonnegative step counts, got {rungs[0]}")
+    for low, high in zip(rungs, rungs[1:]):
+        if low == high:
+            raise ValueError(f"rung {low} appears twice in the ladder")
     per_rung: dict[int, list[tuple[float, float]]] = {r: [] for r in rungs}
     long_config = replace(config, train=replace(config.train, steps=rungs[-1]))
     summary = run_experiment(long_config, out_dir=None)

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from paczero.binary_channel import (
     ChannelError,
-    DegenerateChannelError,
-    InfeasibleBudgetError,
     binary_entropy,
     channel_mi,
     invert_channel_mi,
@@ -177,9 +175,9 @@ class TestInversion:
 
     def test_budget_at_or_above_entropy_is_infeasible(self):
         # h(0.3) = 0.610864...; anything at or past it cannot be carried
-        with pytest.raises(InfeasibleBudgetError):
+        with pytest.raises(ChannelError, match="carries at most"):
             invert_channel_mi(0.3, 0.7)
-        with pytest.raises(InfeasibleBudgetError):
+        with pytest.raises(ChannelError, match="carries at most"):
             invert_channel_mi(0.3, binary_entropy(0.3))
 
     def test_domain_errors(self):
@@ -187,9 +185,9 @@ class TestInversion:
             invert_channel_mi(0.5, 0.0)
         with pytest.raises(ChannelError):
             invert_channel_mi(0.5, -0.1)
-        with pytest.raises(DegenerateChannelError):
+        with pytest.raises(ChannelError, match="unanimous sign distribution"):
             invert_channel_mi(0.0, 0.1)
-        with pytest.raises(DegenerateChannelError):
+        with pytest.raises(ChannelError, match="unanimous sign distribution"):
             invert_channel_mi(1.0, 0.1)
 
     def test_exhausted_bisection_raises(self, monkeypatch):

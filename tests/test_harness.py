@@ -1,7 +1,9 @@
 import copy
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paczero
 from paczero import _fields, cli, harness
 from paczero.accounting import validate_transcript
 from paczero.engine import TrainConfig, Transcript, train
@@ -70,13 +73,17 @@ DELETED = object()
 FLAT_BLOBS = {"seed": 0, "separation": 1.0, "margin": 0.5, "axis_noise": 0.0, "perp_noise": 0.0}
 
 
+def src_env() -> dict:
+    """The environment of a process of its own, with the package's source on its path."""
+    return {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+
+
 def python_process(cwd: Path | None, *args: str) -> subprocess.CompletedProcess:
-    """``python args`` in a process of its own, with the package's source on
-    its path; a process that hangs fails at the timeout."""
-    src = str(Path(harness.__file__).resolve().parents[1])
+    """``python args`` in a process of its own; a process that hangs fails
+    at the timeout."""
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, timeout=30,
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        [sys.executable, *args], cwd=cwd, timeout=30, env=src_env(),
+        capture_output=True, text=True,
     )
 
 
@@ -569,6 +576,13 @@ class TestSweeps:
         with pytest.raises(ValueError, match="nonnegative"):
             sweep_t_ladder(config, rungs=(10, -5))
 
+    def test_repeated_label_is_rejected(self):
+        # both budgets print as 0.1: one note once stood for the two runs,
+        # and the budget verdict depended on their order
+        config = ExperimentConfig.from_dict(base_raw(seeds=[0]))
+        with pytest.raises(ValueError, match="^budget 0.1 appears twice in the sweep$"):
+            sweep_mi_plateau(config, budgets=(0.1000001, 0.1))
+
     def test_decomposition_ladder(self):
         config = ExperimentConfig.from_dict(base_raw(seeds=[0, 1]))
         result = sweep_decomposition(config)
@@ -635,6 +649,54 @@ class TestReportBounds:
         bounds = [float(row[3]) for row in result.rows]
         assert bounds == sorted(bounds)
         assert bounds[0] == 0.5
+
+
+def package_modules() -> list:
+    """The package root and every module under it, imported."""
+    return [paczero] + [
+        importlib.import_module(f"paczero.{info.name}")
+        for info in pkgutil.iter_modules(paczero.__path__)
+    ]
+
+
+class TestPublicSurface:
+    # code imports the modules; each module's __all__ is the one export list
+
+    def test_every_exported_name_is_defined_in_its_module(self):
+        for module in package_modules():
+            for name in getattr(module, "__all__", ()):
+                assert getattr(getattr(module, name), "__module__", None) == module.__name__, (
+                    module.__name__, name)
+
+    def test_no_name_is_exported_twice(self):
+        owners: dict[str, list[str]] = {}
+        for module in package_modules():
+            for name in getattr(module, "__all__", ()):
+                owners.setdefault(name, []).append(module.__name__)
+        assert {name: where for name, where in owners.items() if len(where) > 1} == {}
+
+    def test_package_root_loads_no_module(self):
+        probe = "import sys, paczero; print([m for m in sys.modules if m.startswith('paczero.')])"
+        assert python_process(None, "-c", probe).stdout.strip() == "[]"
+
+    def test_each_module_imports_on_its_own(self):
+        # one fresh interpreter per module, all started at once: a module
+        # that only worked because another had loaded its siblings fails here
+        names = [module.__name__ for module in package_modules()[1:]]
+        assert len(names) == 10
+        processes = {
+            name: subprocess.Popen(
+                [sys.executable, "-c", f"import {name}"], env=src_env(),
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+            for name in names
+        }
+        failed = {}
+        for name, process in processes.items():
+            err = process.communicate(timeout=30)[1]
+            if process.returncode or err:
+                failed[name] = err
+        assert failed == {}
 
 
 class TestCli:
@@ -797,22 +859,32 @@ class TestCli:
         assert "FAILED invariant" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, named",
         [
-            ["attack", "--trials", "5"],
-            ["sweep-k", "--ks", "0"],
-            ["sweep-t", "--rungs", "0"],
-            ["sweep-t", "--rungs", "-5", "10"],
-            ["bounds", "--mi", "-1"],
+            (["attack", "--trials", "5"], None),
+            (["sweep-k", "--ks", "0"], None),
+            (["sweep-t", "--rungs", "0"], None),
+            (["sweep-t", "--rungs", "-5", "10"], None),
+            (["bounds", "--mi", "-1"], None),
+            # NumPy's own text once named neither the flag nor the value
+            (["attack", "--trials", "100", "--attack-seed", "-1"],
+             "seed must be a nonnegative integer, got -1"),
+            # a repeated value once trained twice and wrote duplicate rows
+            (["sweep-k", "--ks", "2", "2"], "k 2 appears twice in the sweep"),
+            (["sweep-mi", "--budgets", "0.1", "0.1"], "budget 0.1 appears twice in the sweep"),
+            (["sweep-t", "--rungs", "10", "10"], "rung 10 appears twice in the ladder"),
         ],
-        ids=["attack-trials", "sweep-k-ks", "sweep-t-rungs", "sweep-t-negative-rung", "bounds-mi"],
+        ids=[
+            "attack-trials", "sweep-k-ks", "sweep-t-rungs", "sweep-t-negative-rung", "bounds-mi",
+            "attack-seed-negative", "sweep-k-repeated", "sweep-mi-repeated", "sweep-t-repeated",
+        ],
     )
-    def test_library_value_error_fails_cleanly(self, tmp_path, capsys, argv):
+    def test_library_value_error_fails_cleanly(self, tmp_path, capsys, argv, named):
         if argv[0] != "bounds":
             path = write_config(tmp_path, base_raw(seeds=[0]))
             argv = [argv[0], "--config", str(path), "--out", str(tmp_path / "runs"), *argv[1:]]
         assert cli.main(argv) == 1
-        assert "FAILED invariant:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"FAILED invariant: {named or ''}")
 
     @pytest.mark.parametrize(
         "overrides, text, named",
@@ -888,6 +960,8 @@ class TestCli:
             (["--set", "task.name=quadratic", "--set", "task.n_records=1048576",
               "--set", "task.dim=1048576"], None,
              "task: n_records * dim must be <= 16777216, got 1099511627776"),
+            # a repeated seed once trained twice into one seed_0/ directory
+            (["--set", "seeds=[0,0]"], None, "seeds: must be distinct, got [0, 0]"),
         ],
         ids=[
             "label-escapes-root", "unknown-task-param", "yaml-syntax", "task-value-list",
@@ -899,7 +973,7 @@ class TestCli:
             "diverging-run", "mi_total-1e-3", "clip-1e-3", "unanimity_tolerance-string",
             "smoothing-1e-4", "identical_targets-3", "hidden-negative", "hidden-0", "dim-0",
             "n_records-over-int64", "n_records-8-tib", "derived-dim-too-large",
-            "n_records-times-dim-too-large",
+            "n_records-times-dim-too-large", "seeds-repeated",
         ],
     )
     def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text, named):
