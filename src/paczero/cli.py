@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
-    root = harness.output_root(args.out or config.output_dir)
+    root = harness.output_root(args.out)
     return root / config.label
 
 

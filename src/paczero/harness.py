@@ -65,16 +65,11 @@ SUMMARY_COLUMNS = (
     "variant", "budget", "T", "seed", "dev", "test", "f", "cum_mi", "wallclock"
 )
 
-# each line type's fields and JSON types (building the Transcript checks the releases);
-# the header and summary also repeat values derived from the configs and records
-_HEADER_FIELDS = {
-    "type": str, "format_version": int, "task_name": str, "task_params": dict, "train": dict,
-    "mechanism": dict, "design_seed": int, "design_hash": str, "variant": str,
-} | dict.fromkeys(["k", "run_seed", "n_subsets", "t_total", "n_records"], int)
+# a release line's fields (building the Transcript checks their kinds), and the
+# JSON kinds of the header values a TranscriptHeader is built from
 _RELEASE_FIELDS = dict.fromkeys(StepRecord._fields + ("type",))
-_SUMMARY_FIELDS = {
-    "type": str, "cum_mi": float, "unanimity_bits": int, "total_bits": int, "dev_evals": list,
-}
+_HEADER_KINDS = dict(task_name=str, task_params=dict, train=dict, mechanism=dict,
+                     design_seed=int, design_hash=str)
 
 
 class ConfigError(ValueError):
@@ -105,7 +100,6 @@ class ExperimentConfig:
     train: TrainConfig
     seeds: tuple[int, ...] = (0, 1, 2)
     label: str = "experiment"
-    output_dir: str | None = None
 
     def make_task(self) -> LossTask:
         return make_task(**self.task)
@@ -146,12 +140,8 @@ class ExperimentConfig:
         if not isinstance(label, str) or label in ("", ".", "..") or "/" in label or "\\" in label:
             # it names a directory under the artifact root, never above it
             raise ConfigError("label: must be one path component, not '.' or '..'")
-        out = raw.get("output_dir")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError("output_dir: must be a string path")
         return cls(
-            task=task, mechanism=mechanism, train=train_cfg,
-            seeds=tuple(seeds), label=label, output_dir=out,
+            task=task, mechanism=mechanism, train=train_cfg, seeds=tuple(seeds), label=label
         )
 
     @classmethod
@@ -213,7 +203,7 @@ def _csv_text(columns, rows) -> str:
 
 
 def _mechanism_dict(spec: MechanismSpec) -> dict:
-    return dataclasses.asdict(spec) | {"clip": "inf" if math.isinf(spec.clip) else spec.clip}
+    return vars(spec) | {"clip": "inf" if math.isinf(spec.clip) else spec.clip}
 
 
 def mechanism_from_dict(raw: dict) -> MechanismSpec:
@@ -225,44 +215,34 @@ def mechanism_from_dict(raw: dict) -> MechanismSpec:
     return MechanismSpec(**raw)
 
 
-def _header_copies(header: TranscriptHeader) -> dict:
-    """The six config values the header line repeats, as derived from the
-    one copy held in memory."""
+def _header_line(header: TranscriptHeader) -> dict:
+    """The header line's object: the header, format version and six config copies,
+    field by field (``dataclasses.asdict``'s deep copy would double the load's check)."""
     spec, config = header.mechanism, header.train
     return {
-        "variant": spec.variant, "k": spec.k, "run_seed": config.seed,
-        "n_subsets": spec.resolved_subsets(), "t_total": config.steps,
+        "type": "header", "format_version": FORMAT_VERSION, "task_name": header.task_name,
+        "task_params": header.task_params, "train": dict(vars(config)),
+        "mechanism": _mechanism_dict(spec), "design_seed": header.design_seed,
+        "design_hash": header.design_hash, "variant": spec.variant, "k": spec.k,
+        "run_seed": config.seed, "n_subsets": spec.resolved_subsets(), "t_total": config.steps,
         "n_records": header.task_params.get("n_records"),
     }
 
 
-def _summary_copies(transcript: Transcript) -> dict:
-    """The running totals the summary line repeats, as the records hold them."""
+def _summary_line(transcript: Transcript) -> dict:
+    """The summary line's object: dev evaluations and the records' running totals."""
     return {
+        "type": "summary", "dev_evals": [[t, m] for t, m in transcript.dev_evals],
         "cum_mi": transcript.cum_mi, "unanimity_bits": transcript.unanimity_bits,
         "total_bits": transcript.total_bits,
     }
 
 
-def _check_copies(obj: dict, copies: dict, where: str) -> None:
-    for key, value in copies.items():
-        if type(obj[key]) is not type(value) or obj[key] != value:
-            raise SchemaError(
-                f"{where}: {key} {obj[key]!r} disagrees with the {value!r} "
-                "that the configs and records derive"
-            )
-
-
 def transcript_lines(transcript: Transcript) -> list[str]:
-    header = dataclasses.asdict(transcript.header) | _header_copies(transcript.header) | {
-        "type": "header", "format_version": FORMAT_VERSION,
-        "mechanism": _mechanism_dict(transcript.header.mechanism),
-    }
-    lines = [_dump_line(header)]
+    lines = [_dump_line(_header_line(transcript.header))]
     for rec in transcript.records:
         lines.append(_dump_line(rec._asdict() | {"type": "release"}))
-    summary = {"type": "summary", "dev_evals": [[t, m] for t, m in transcript.dev_evals]}
-    return lines + [_dump_line(_summary_copies(transcript) | summary)]
+    return lines + [_dump_line(_summary_line(transcript))]
 
 
 def write_transcript(path: str | Path, transcript: Transcript) -> None:
@@ -300,20 +280,14 @@ def _parse_release(line: str, n: int) -> dict:
     return _parse_line(line, n)
 
 
-def _reject_non_finite(obj: dict) -> None:
-    """A NaN or Infinity token, or an overflowing literal such as 1e999,
-    parses to a non-finite float; reject one anywhere in a parsed line,
-    however deep."""
-    pending = [obj]
-    while pending:
-        value = pending.pop()
-        if type(value) is float:
-            if not math.isfinite(value):
-                raise SchemaError(f"non-finite number {value!r} in transcript")
-        elif type(value) is dict:
-            pending.extend(value.values())
-        elif type(value) is list:
-            pending.extend(value)
+def _canonical(obj: dict, where: str) -> str:
+    """A decoded line's canonical text.  A NaN or Infinity token, or an
+    overflowing literal such as 1e999, decodes to a non-finite float, which
+    ``_dump_line`` refuses."""
+    try:
+        return _dump_line(obj)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: non-finite number in transcript") from exc
 
 
 def _require_fields(obj: dict, fields: dict, where: str) -> None:
@@ -326,33 +300,51 @@ def _require_fields(obj: dict, fields: dict, where: str) -> None:
         if missing:
             problems.append(f"missing fields {missing}")
         raise SchemaError(f"{where}: " + "; ".join(problems))
-    for key, kind in fields.items():
-        if kind is not None and type(obj[key]) is not kind:
-            raise SchemaError(f"{where}: field {key!r} must be a {kind.__name__}")
+
+
+def _require_written(obj: dict, line: str | None, written: dict, where: str) -> None:
+    """A decoded line ``obj`` (file text ``line``) must be the ``written``
+    one: the same keys at every depth, each value with the same canonical
+    JSON text, so 1, 1.0 and true differ.  The file text, then the canonical
+    text, is compared whole; only a mismatch is walked, to name its first key."""
+    text = _canonical(written, where)  # non-finite only where obj holds one
+    if line == text or _canonical(obj, where) == text:
+        return
+    _require_fields(obj, written, where)
+    for key in sorted(written):
+        got, want = obj[key], written[key]
+        if type(got) is dict and type(want) is dict:
+            _require_written(got, None, want, f"{where}: {key}")
+        elif _dump_line(got) != _dump_line(want):
+            raise SchemaError(
+                f"{where}: {key} {got!r} disagrees with the {want!r} "
+                "that the configs and records derive"
+            )
 
 
 def load_transcript(path: str | Path) -> Transcript:
     """Parse a transcript file, rejecting any line that deviates from the
-    documented schema (exact field sets per line type and per nested header
-    object, header and summary field types, configs and a task that decode,
-    repeated values that match what the configs and records derive) or that
-    holds a NaN or infinite number.  The records' layout and shapes are
-    checked as the ``Transcript`` is built, after the header's copies.  A
-    release line is decoded directly when it is one JSON object from its
-    first character to its last, and any other takes ``json.loads``; a
-    decode fault of any line reads ``line N:``, its file line, then the
-    decoder's message.  A release line's checked fields build its
-    ``StepRecord`` positionally, as the ledger builds one."""
+    documented schema.  The header and summary lines must each be what the
+    writer builds (``_header_line``, ``_summary_line``) for the configs and
+    records they decode to, ``task_params`` as the task keeps them, in
+    canonical JSON text: a NaN or infinity, a key missing or unknown at any
+    depth, a copy that disagrees or a value spelled otherwise fails.  Release
+    lines are held to their field set and finite numbers, and the records'
+    layout and shapes are checked as the ``Transcript`` is built.  A release
+    line is decoded directly when it is one JSON object from its first
+    character to its last, and any other takes ``json.loads``; a decode
+    fault of any line reads ``line N:``, its file line, then the decoder's
+    message.  Checked release fields build each ``StepRecord`` positionally."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SchemaError("empty transcript file")
     header_obj = _parse_line(lines[0], 1)
     if header_obj.get("type") != "header":
         raise SchemaError("first line must be the header")
-    _reject_non_finite(header_obj)
-    _require_fields(header_obj, _HEADER_FIELDS, "header")
-    if header_obj["format_version"] != FORMAT_VERSION:
-        raise SchemaError(f"unsupported format version {header_obj['format_version']}")
+    _canonical(header_obj, "header")  # a non-finite number fails before the configs
+    for key, kind in _HEADER_KINDS.items():
+        if type(header_obj.get(key)) is not kind:
+            raise SchemaError(f"header: field {key!r} must be a {kind.__name__}")
     try:
         header = TranscriptHeader(
             task_name=header_obj["task_name"], task_params=header_obj["task_params"],
@@ -360,21 +352,19 @@ def load_transcript(path: str | Path) -> Transcript:
             mechanism=mechanism_from_dict(header_obj["mechanism"]),
             design_seed=header_obj["design_seed"], design_hash=header_obj["design_hash"],
         )
-        header.task  # built here, so a value the task cannot take fails the load
+        task_params = header.task.spec_dict()  # built here: a value the task cannot take fails
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"header: {exc}") from exc
-    for part, built in (("train", vars(header.train)), ("mechanism", vars(header.mechanism)),
-                        ("task_params", header.task.spec_dict())):  # every field, never a default
-        _require_fields(header_obj[part], dict.fromkeys(built), f"header: {part}")
-    _check_copies(header_obj, _header_copies(header), "header")
+    written = _header_line(replace(header, task_params=task_params))
+    _require_written(header_obj, lines[0], written, "header")
 
     summary_obj = _parse_line(lines[-1], len(lines))
     if summary_obj.get("type") != "summary":
         raise SchemaError("last line must be the summary")
-    _reject_non_finite(summary_obj)
-    _require_fields(summary_obj, _SUMMARY_FIELDS, "summary")
-    dev_evals = summary_obj["dev_evals"]
-    if not all(type(e) is list and list(map(type, e)) == [int, float] for e in dev_evals):
+    dev_evals = summary_obj.get("dev_evals")
+    if type(dev_evals) is not list or not all(
+        type(e) is list and list(map(type, e)) == [int, float] for e in dev_evals
+    ):
         raise SchemaError("summary: dev_evals must be [step, metric] pairs")
 
     records = []
@@ -398,7 +388,7 @@ def load_transcript(path: str | Path) -> Transcript:
         transcript = Transcript(header, records, [(t, m) for t, m in dev_evals])
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    _check_copies(summary_obj, _summary_copies(transcript), "summary")
+    _require_written(summary_obj, lines[-1], _summary_line(transcript), "summary")
     return transcript
 
 
@@ -531,7 +521,6 @@ def run_experiment(
 
 @dataclass
 class SweepResult:
-    name: str
     columns: tuple[str, ...]
     rows: list[list]
     notes: dict = field(default_factory=dict)
@@ -548,9 +537,15 @@ class SweepResult:
         return self
 
 
+def _require_distinct(labels: list, what: str, where: str) -> None:
+    """One row (and note) per label: a label seen before is a ValueError."""
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"{what} {label} appears twice in the {where}")
+
+
 def _sweep(
     config: ExperimentConfig,
-    name: str,
     label_column: str,
     specs: list[tuple[object, MechanismSpec]],
     csv_name: str,
@@ -559,10 +554,7 @@ def _sweep(
     """Run the experiment once per (label, spec) and pool each run's seeds
     into one row; ``notes`` maps every label to its pooled metrics.  Every
     run is validated, so an overspent budget surfaces as a violation."""
-    labels = [label for label, _ in specs]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:  # one row and one note per label
-            raise ValueError(f"{label_column} {label} appears twice in the sweep")
+    _require_distinct([label for label, _ in specs], label_column, "sweep")
     rows, notes, violation = [], {}, None
     for label, spec in specs:
         summary = run_experiment(replace(config, mechanism=spec), out_dir=None)
@@ -574,7 +566,7 @@ def _sweep(
         rows.append([label] + [_format_float(x) for x in (dev, test, f, max_cum_mi)])
         notes[label] = {"dev": dev, "test": test, "f": f, "max_cum_mi": max_cum_mi}
     return SweepResult(
-        name=name, columns=(label_column, "dev", "test", "f", "max_cum_mi"),
+        columns=(label_column, "dev", "test", "f", "max_cum_mi"),
         rows=rows, notes=notes, violation=violation,
     ).save(out_dir, csv_name)
 
@@ -590,7 +582,7 @@ def sweep_mi_plateau(
         (_format_float(b), replace(config.mechanism, variant="paczero_mi", mi_total=b))
         for b in budgets
     ]
-    result = _sweep(config, "mi_plateau", "budget", specs, "sweep_mi.csv", out_dir)
+    result = _sweep(config, "budget", specs, "sweep_mi.csv", out_dir)
     tests = [pooled["test"] for pooled in result.notes.values()]
     result.notes = {
         "test_spread": max(tests) - min(tests),
@@ -612,9 +604,7 @@ def sweep_t_ladder(
     rungs = tuple(sorted(rungs))
     if rungs[0] < 0:
         raise ValueError(f"rungs must be nonnegative step counts, got {rungs[0]}")
-    for low, high in zip(rungs, rungs[1:]):
-        if low == high:
-            raise ValueError(f"rung {low} appears twice in the ladder")
+    _require_distinct(rungs, "rung", "ladder")
     per_rung: dict[int, list[tuple[float, float]]] = {r: [] for r in rungs}
     long_config = replace(config, train=replace(config.train, steps=rungs[-1]))
     summary = run_experiment(long_config, out_dir=None)
@@ -638,7 +628,6 @@ def sweep_t_ladder(
     if best_rung * 4 in rung_test_means:
         drift = rung_test_means[best_rung * 4] - rung_test_means[best_rung]
     return SweepResult(
-        name="t_ladder",
         columns=("T", "dev", "test"),
         rows=rows,
         notes={
@@ -666,9 +655,7 @@ def sweep_decomposition(
         (mode or variant, replace(config.mechanism, variant=variant, surrogate_mode=mode, k=1))
         for variant, mode in _DECOMP_VARIANTS
     ]
-    return _sweep(
-        config, "decomposition", "release", specs, "sweep_decomp.csv", out_dir
-    )
+    return _sweep(config, "release", specs, "sweep_decomp.csv", out_dir)
 
 
 def sweep_k(
@@ -688,7 +675,7 @@ def sweep_k(
         (k, replace(config.mechanism, variant="k_aggregate", inner_variant=inner, k=k))
         for k in ks
     ]
-    return _sweep(config, "k_ladder", "k", specs, "sweep_k.csv", out_dir)
+    return _sweep(config, "k", specs, "sweep_k.csv", out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +696,8 @@ def report_bounds(
 ) -> SweepResult:
     """Information budgets, their attack-success ceilings, and DP reference
     rows expressed in the same currency."""
+    _require_distinct([_format_float(mi) for mi in mi_values], "mi", "table")
+    _require_distinct([_format_float(eps) for eps in eps_values], "eps", "table")
     rows = []
     for mi in mi_values:
         note = "zero-leakage (DP eps = 0 reference)" if mi == 0.0 else ""
@@ -725,7 +714,6 @@ def report_bounds(
             f"matched_mi={_format_float(matched)}",
         ])
     return SweepResult(
-        name="bounds",
         columns=("kind", "value", "param", "mia_bound", "note"),
         rows=rows,
         notes={"disclaimer": BOUNDS_DISCLAIMER, "prior": prior},

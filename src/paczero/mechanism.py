@@ -47,6 +47,8 @@ ENTROPY_CAP_FACTOR = 0.999
 # Allocations at or below this are numerically indistinguishable from an
 # exhausted budget; the step degenerates to a fair coin (sigma -> infinity).
 MIN_CALIBRATABLE_MI = 1e-15
+# sub-seeds a balanced design draws before it gives up on leaving no subset empty
+_DESIGN_ATTEMPTS = 100
 
 VARIANTS = ("paczero_mi", "paczero_zpl", "surrogate", "k_aggregate")
 INNER_VARIANTS = ("paczero_mi", "paczero_zpl")
@@ -118,9 +120,7 @@ class SubsetDesign:
         return h.hexdigest()
 
 
-def build_balanced_design(
-    n_records: int, n_subsets: int, seed: int, max_attempts: int = 100
-) -> SubsetDesign:
+def build_balanced_design(n_records: int, n_subsets: int, seed: int) -> SubsetDesign:
     """Sample a design where each record joins a uniformly random half of
     the subsets; resample (next sub-seed) while any subset is empty."""
     if n_subsets < 2 or n_subsets % 2 != 0:
@@ -128,7 +128,7 @@ def build_balanced_design(
     if n_records < 1:
         raise ValueError("need at least one record")
     half = n_subsets // 2
-    for attempt in range(max_attempts):
+    for attempt in range(_DESIGN_ATTEMPTS):
         rng = substream(seed, attempt)
         # argsort of iid uniforms = uniformly random half per row
         order = np.argsort(rng.random((n_records, n_subsets)), axis=1)
@@ -139,7 +139,7 @@ def build_balanced_design(
             return SubsetDesign(membership=membership, seed=seed)
     raise DesignError(
         f"no design with all {n_subsets} subsets nonempty over {n_records} "
-        f"records after {max_attempts} attempts"
+        f"records after {_DESIGN_ATTEMPTS} attempts"
     )
 
 

@@ -67,13 +67,9 @@ class LossTask:
         return {name: getattr(self, name) for name in _fields.fields(type(self))}
 
     def _split(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        """Inputs and labels of a dev/test/train split, for tasks that hold
+        """Inputs and labels of the dev or test split, for tasks that hold
         labelled samples."""
-        return {
-            "dev": (self.x_dev, self.y_dev),
-            "test": (self.x_test, self.y_test),
-            "train": (self.x_train, self.y_train),
-        }[split]
+        return {"dev": (self.x_dev, self.y_dev), "test": (self.x_test, self.y_test)}[split]
 
     def _check_theta(self, theta: np.ndarray, block: bool = False) -> np.ndarray:
         """theta as a float array of shape (dim,), or with ``block`` also a

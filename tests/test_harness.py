@@ -65,6 +65,16 @@ def beta_t_spelled(token: str):
     return edit
 
 
+def reordered(line: str) -> str:
+    """A header or summary line with its keys reversed at every depth and
+    whitespace added: the same values in other text."""
+    def reverse(value):
+        if not isinstance(value, dict):
+            return value
+        return {key: reverse(item) for key, item in reversed(value.items())}
+    return " " + json.dumps(reverse(json.loads(line)), separators=(" , ", " : "))
+
+
 # a header or line edit's value that deletes its key
 DELETED = object()
 
@@ -155,13 +165,11 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError, match="seeds"):
                 ExperimentConfig.from_dict(base_raw(seeds=seeds))
 
-    def test_label_and_output_dir_validation(self):
+    def test_label_validation(self):
         for label in ("", ".", "..", "../../escaped", "a/b", "/abs", "a\\b", 3):
             with pytest.raises(ConfigError, match="^label: "):
                 ExperimentConfig.from_dict(base_raw(label=label))
         assert ExperimentConfig.from_dict(base_raw(label="a..b")).label == "a..b"
-        with pytest.raises(ConfigError, match="output_dir"):
-            ExperimentConfig.from_dict(base_raw(output_dir=3))
 
     def test_clip_inf_spelling(self):
         raw = base_raw(
@@ -400,6 +408,9 @@ class TestTranscriptIO:
 
     @pytest.mark.parametrize("edit, expected", [
         pytest.param(lambda ls: ls, None, id="unedited"),
+        # the header and summary are held to the writer's values, not its text
+        pytest.param(lambda ls: [reordered(ls[0]), *ls[1:-1], reordered(ls[-1])], None,
+                     id="unedited-reordered-header-and-summary"),
         pytest.param(lambda ls: [ls[0], " \t" + ls[1], *ls[2:]], None, id="leading-whitespace"),
         pytest.param(lambda ls: [ls[0], ls[1] + " \t", *ls[2:]], None, id="trailing-whitespace"),
         pytest.param(lambda ls: [ls[0], "\ufeff" + ls[1], *ls[2:]], "Unexpected UTF-8 BOM",
@@ -772,6 +783,8 @@ class TestCli:
             pytest.param("header", ["train", "learning_rate"], DELETED,
                          id="header-train-no-learning_rate"),
             pytest.param("header", ["mechanism", "clip"], DELETED, id="header-mechanism-no-clip"),
+            # the writer spells an unbounded clip "inf"; YAML's ".inf" once loaded too
+            pytest.param("header", ["mechanism", "clip"], ".inf", id="header-mechanism-clip-.inf"),
             pytest.param("header", ["mechanism", "inner_variant"], {"a": 1},
                          id="header-inner_variant-dict"),
             pytest.param("summary", ["dev_evals", 0], "ab", id="string-dev_evals-entry"),
@@ -873,10 +886,16 @@ class TestCli:
             (["sweep-k", "--ks", "2", "2"], "k 2 appears twice in the sweep"),
             (["sweep-mi", "--budgets", "0.1", "0.1"], "budget 0.1 appears twice in the sweep"),
             (["sweep-t", "--rungs", "10", "10"], "rung 10 appears twice in the ladder"),
+            # a repeated value, or two that print alike, once made two equal rows
+            (["bounds", "--mi", "0.1", "0.1", "--eps", "1.0", "1.0"],
+             "mi 0.1 appears twice in the table"),
+            (["bounds", "--mi", "0.1", "0.1000000001"], "mi 0.1 appears twice in the table"),
+            (["bounds", "--eps", "1.0", "1.0"], "eps 1 appears twice in the table"),
         ],
         ids=[
             "attack-trials", "sweep-k-ks", "sweep-t-rungs", "sweep-t-negative-rung", "bounds-mi",
             "attack-seed-negative", "sweep-k-repeated", "sweep-mi-repeated", "sweep-t-repeated",
+            "bounds-repeated", "bounds-mi-prints-alike", "bounds-eps-repeated",
         ],
     )
     def test_library_value_error_fails_cleanly(self, tmp_path, capsys, argv, named):
@@ -962,6 +981,8 @@ class TestCli:
              "task: n_records * dim must be <= 16777216, got 1099511627776"),
             # a repeated seed once trained twice into one seed_0/ directory
             (["--set", "seeds=[0,0]"], None, "seeds: must be distinct, got [0, 0]"),
+            # --out and PACZERO_OUTPUT_ROOT name the artifact root; a config no longer does
+            (["--set", "output_dir=elsewhere"], None, "unknown config keys: ['output_dir']"),
         ],
         ids=[
             "label-escapes-root", "unknown-task-param", "yaml-syntax", "task-value-list",
@@ -973,7 +994,7 @@ class TestCli:
             "diverging-run", "mi_total-1e-3", "clip-1e-3", "unanimity_tolerance-string",
             "smoothing-1e-4", "identical_targets-3", "hidden-negative", "hidden-0", "dim-0",
             "n_records-over-int64", "n_records-8-tib", "derived-dim-too-large",
-            "n_records-times-dim-too-large", "seeds-repeated",
+            "n_records-times-dim-too-large", "seeds-repeated", "output_dir-removed",
         ],
     )
     def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text, named):
@@ -1148,7 +1169,8 @@ def honest_lines(tmp_path_factory):
 def test_validate_survives_any_one_field_edit(honest_lines, data):
     # one field of an honest transcript (a header key, a key of its train,
     # mechanism or task_params object, a release or a summary key) set to an
-    # edge value or deleted: validate exits 0 or 1 and raises nothing
+    # edge value or deleted: validate exits 0 or 1 and raises nothing, and a
+    # file that loads has the header and summary the writer writes for it
     transcripts, path = honest_lines
     objs = copy.deepcopy(data.draw(st.sampled_from(transcripts)))
     node = objs[data.draw(st.sampled_from([0, -1]) | st.integers(1, len(objs) - 2))]
@@ -1161,3 +1183,10 @@ def test_validate_survives_any_one_field_edit(honest_lines, data):
         node[key] = value
     path.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
     assert cli.main(["validate", str(path)]) in (0, 1)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # as cli.main loads it
+            lines = transcript_lines(load_transcript(path))
+    except SchemaError:
+        return
+    canonical = [json.dumps(o, sort_keys=True, separators=(",", ":")) for o in (objs[0], objs[-1])]
+    assert [lines[0], lines[-1]] == canonical
