@@ -28,11 +28,10 @@ on [1e-2, 1e3]) vecdot differed from that dot in none, while
 ``rows @ weights`` differed in 3,667 and ``einsum`` in 3,902.
 
 ``invert_channel_mi`` bisects in log sigma, one decision per midpoint, but
-decides those far from a guess at the root (the Gaussian-input ceiling's
-inverse less the series of its miss) unevaluated.  One array call checks
-them by the bracket ends they leave, which must clear beta by a fence, with
-the midpoints the walk would visit next if the root sat at the guess; each
-later call evaluates the path from where the walk left it, along a guess
+decides those far from a guess at the root (from the binary input's low-SNR
+series) unevaluated.  One array call checks the skips by the bracket ends
+they leave, which must clear beta by a fence, with the midpoints the walk
+would visit next if the root sat at the guess; later calls follow guesses
 through exact values.  A midpoint is a function of the bracket alone and its
 MI is the scalar call's bit for bit, so sigma is the one-at-a-time walk's.
 
@@ -76,6 +75,30 @@ _LOOKAHEAD_NEXT = 32
 _MI_JITTER = 1e-12
 _SERIES_SLACK = 0.3
 _SKIP_MAX = 40
+# A binary input's MMSE at s = 1/sigma^2 is sum_k c_k(v) s^k, v = 4q(1-q), an asymptotic series;
+# row k is (d, n_1, n_2, ...) for c_k(v) = sum_i n_i v^i / d.  The MI's series, sum_k c_k(v)
+# s^(k+1) / (2k + 2), by powers of v, highest first; the interval's half-width in errors.
+_MMSE_SERIES = (
+    (1, 1), (1, 0, -1), (1, 0, -2, 3), (3, 0, -8, 48, -45), (3, 0, -8, 156, -450, 315),
+    (15, 0, -32, 1920, -13140, 25200, -14175),
+    (45, 0, -64, 11616, -172080, 687960, -992250, 467775),
+    (315, 0, -256, 139776, -4304160, 32336640, -90493200, 104781600, -42567525),
+    (315, 0, -128, 209856, -13174560, 176747760, -860592600, 1846775700, -1787836050, 638512875),
+    (2835, 0, -512, 2519040, -319337280, 7438798080, -59589205200, 211928270400, -368294226300,
+     306486180000, -97692469875),
+    (14175, 0, -1024, 15115776, -3850940160, 153246683520, -1955049112800, 10867431128400,
+     -30267212976000, 44164658538000, -32238515058750, 9280784638125),
+    (155925, 0, -4096, 181395456, -92649300480, 6237693665280, -124199047526400, 1041897456230400,
+     -4378864085996400, 9991776386592000, -12560125466889000, 8167090481550000, -2143861251406875),
+    (467775, 0, -4096, 544192512, -556576035840, 63025481756160, -1933159766630400,
+     23929130865024000, -146311361537140800, 491069872497204000, -947391092797149000,
+     1045795936162477500, -613144317902366250, 147926426347074375),
+)
+_MI_SERIES = tuple(
+    tuple(n / ((2 * k + 2) * d) for n in reversed((0, *nums)))
+    for k, (d, *nums) in enumerate(_MMSE_SERIES)
+)
+_SERIES_MARGIN = 4.0
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(GH_ORDER)
 _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
@@ -83,6 +106,8 @@ _NEG_X2 = np.tile(-_GH_NODES * _GH_NODES, (2, 1))
 # Divided by sigma: the symbol distance in node units, +gap conditioning on
 # xi = +1 and -gap on -1 (IEEE division is exact under a sign flip).
 _SQRT2_SIGNS = np.array([[math.sqrt(2.0)], [-math.sqrt(2.0)]])
+# One q_plus's k1 over k2 less their logs (k2 at full width: a broadcast subtracts slower)
+_K_TEMPLATE = np.concatenate((_NEG_X2, np.zeros_like(_NEG_X2)))
 
 # Rows per pass of the array forms, and the buffers every pass writes into
 # in place: not thread-safe.
@@ -109,9 +134,9 @@ def binary_entropy(q: float) -> float:
 def _constants(q_plus: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One q_plus's k1 = (log q, log 1-q) - x^2, k2 = (log 1-q, log q) and
     branch weights (q, 1-q), shaped as a pass broadcasts them."""
-    logs = np.array((math.log(q_plus), math.log1p(-q_plus)))[:, None]
-    # k2 at full width: the kernel's subtraction runs slower on a broadcast
-    return logs + _NEG_X2, logs[::-1].repeat(GH_ORDER, 1), np.array((q_plus, 1.0 - q_plus))
+    log_q, log_1mq = math.log(q_plus), math.log1p(-q_plus)
+    k = np.array((log_q, log_1mq, log_1mq, log_q))[:, None] + _K_TEMPLATE
+    return k[:2], k[2:], np.array((q_plus, 1.0 - q_plus))
 
 
 def channel_mi(q_plus, sigma):
@@ -133,10 +158,6 @@ def channel_mi(q_plus, sigma):
     return float(_channel_mi_sigmas(q_plus, np.array((sigma,)))[0])
 
 
-def _bad_sigma(sigma: np.ndarray) -> np.ndarray:
-    return ~((sigma >= 0.0) & (sigma < math.inf))
-
-
 def _channel_mi_sigmas(q_plus: float, sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1:
@@ -144,7 +165,7 @@ def _channel_mi_sigmas(q_plus: float, sigma: np.ndarray) -> np.ndarray:
     # two reductions, which propagate NaN, in place of four elementwise checks
     low, high = sigma.min(initial=math.inf), sigma.max(initial=0.0)
     if not (low >= 0.0 and high < math.inf):
-        bad = float(sigma[_bad_sigma(sigma)][0])
+        bad = float(sigma[~((sigma >= 0.0) & (sigma < math.inf))][0])
         raise ChannelError(f"sigma must be finite and nonnegative: {bad!r}")
     if q_plus == 0.0 or q_plus == 1.0:
         return np.zeros(sigma.shape)
@@ -165,7 +186,7 @@ def _channel_mi_array(q_plus: np.ndarray, sigma: np.ndarray) -> np.ndarray:
             f"expected equal-length 1-d q_plus and sigma, got {q.shape} and {sigma.shape}"
         )
     bad_q = ~((q >= 0.0) & (q <= 1.0))
-    bad = bad_q | _bad_sigma(sigma)
+    bad = bad_q | ~((sigma >= 0.0) & (sigma < math.inf))
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         if bad_q[i]:
@@ -228,10 +249,9 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
     would neither have stopped nor turned otherwise there; else it starts
     over from the default bracket, expanded by scalar calls.  It takes the
     path while its decisions agree with the guess; the first that does not,
-    or the path's end, starts the next batch along ``_next_guess``, so
-    sigma does not depend on the guess.  On one train_m128 and one attack_m8
-    op (seed 1) an inversion evaluates 4.7 and 14.4 rows in 1.01 and 1.73 passes.
-    """
+    or the path's end, starts the next batch along ``_next_guess``, so sigma
+    does not depend on the guess.  On one train_m128 and one attack_m8 op
+    (seed 1) an inversion evaluates 4.4 and 6.0 rows in 1.00 and 1.09 passes."""
     if not 0.0 <= q_plus <= 1.0:
         raise ChannelError(f"q_plus out of range: {q_plus!r}")
     if q_plus == 0.0 or q_plus == 1.0:
@@ -248,19 +268,21 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
 
     fence = MI_MATCH_TOL + _MI_JITTER
     log_guess, skip_lo, skip_hi = _skip_interval(4.0 * q_plus * (1.0 - q_plus), beta, fence)
-    lo, hi, skipped = (BRACKET_LO, math.log(BRACKET_LO)), (BRACKET_HI, math.log(BRACKET_HI)), 0
+    lo, hi, skipped, exp, log = BRACKET_LO, BRACKET_HI, 0, math.exp, math.log
+    log_lo, log_hi = log(lo), log(hi)
     while skipped < _SKIP_MAX:
-        sigma = math.exp(0.5 * (lo[1] + hi[1]))
-        mid = sigma, math.log(sigma)
-        if skip_lo <= mid[1] <= skip_hi:
+        sigma = exp(0.5 * (log_lo + log_hi))
+        log_sigma = log(sigma)
+        if log_sigma < skip_lo:
+            lo, log_lo = sigma, log_sigma
+        elif log_sigma > skip_hi:
+            hi, log_hi = sigma, log_sigma
+        else:
             break
-        lo, hi = (mid, hi) if mid[1] < skip_lo else (lo, mid)
         skipped += 1
-    log_lo, log_hi = lo[1], hi[1]
     lookahead = min(_LOOKAHEAD_FIRST, _steps_to_tolerance(2.0 * beta * (log_hi - log_lo)))
-    path = _midpoints(log_lo, log_hi, log_guess, lookahead)
-    ends_and_path = [lo[0], hi[0]] + [sigma for sigma, _ in path]
-    mi_lo, mi_hi, *mis = channel_mi(q_plus, np.array(ends_and_path)).tolist()
+    path, logs = _midpoints(log_lo, log_hi, log_guess, lookahead)
+    mi_lo, mi_hi, *mis = channel_mi(q_plus, np.array([lo, hi, *path])).tolist()
     if not (mi_lo - beta > fence and beta - mi_hi > fence):
         # unsure skips; channel_mi(q, lo) > beta once lo is noiseless, as beta < entropy
         lo, hi, skipped = BRACKET_LO, BRACKET_HI, 0
@@ -279,7 +301,7 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
                     f"no sigma <= {BRACKET_HI_MAX} attains {beta} nats at q_plus={q_plus}"
                 )
             mi_hi = channel_mi(q_plus, hi)
-        log_lo, log_hi, path = math.log(lo), math.log(hi), []  # not this bracket's path
+        log_lo, log_hi, path, logs = math.log(lo), math.log(hi), [], []  # not this bracket's
 
     taken, beyond = 0, None
     for _ in range(200 - skipped):  # the skipped decisions count
@@ -288,10 +310,10 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
             if path:  # the walk left the path or ran past its end
                 log_guess = _next_guess(log_lo, log_hi, mi_lo, mi_hi, beta, log_guess, beyond)
                 lookahead = min(lookahead, _steps_to_tolerance(mi_lo - mi_hi))
-            path = _midpoints(log_lo, log_hi, log_guess, lookahead)
-            mis = channel_mi(q_plus, np.array([sigma for sigma, _ in path])).tolist()
+            path, logs = _midpoints(log_lo, log_hi, log_guess, lookahead)
+            mis = channel_mi(q_plus, np.array(path)).tolist()
             taken, beyond = 0, None
-        (sigma, log_sigma), mi = path[taken], mis[taken]
+        sigma, log_sigma, mi = path[taken], logs[taken], mis[taken]
         taken += 1
         if abs(mi - beta) <= MI_MATCH_TOL:
             return sigma
@@ -302,7 +324,7 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
             log_hi, mi_hi = log_sigma, mi
         if above != (log_sigma < log_guess):  # the walk leaves the guessed path
             if taken < len(path):
-                beyond = path[taken][1], mis[taken]
+                beyond = logs[taken], mis[taken]
             taken = len(path)
         if log_hi - log_lo < LOG_SIGMA_WIDTH_TOL:
             return math.exp(0.5 * (log_lo + log_hi))
@@ -312,24 +334,48 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
 
 
 def _skip_interval(var: float, beta: float, fence: float) -> tuple[float, float, float]:
-    """The guess, and the log-sigma interval outside which the walk decides
-    unevaluated, from the ceiling 1/2 log(1 + var / sigma^2) on the MI at
-    var = 4q(1-q), inverted in logs at beta and beta +- fence.  A binary
-    input's low-SNR MMSE series (Guo, Shamai and Verdu) puts the root below
-    the ceiling's by var s^2 (1 - var + s (1 - 5 var + 4.25 var^2)) / 3 +
-    O(s^4) at s = 1/sigma-hat^2: all move down by that, and the interval
-    widens by _SERIES_SLACK s^4 (the s^4 coefficient stays within 0.25).
-    From s = 1 on the series fails: the ceiling's inverse, skipping nothing."""
-    guess, low, high = (
-        0.5 * (math.log(var) - math.log(math.expm1(2.0 * b))) if b > 0.0 else math.inf
-        for b in (beta, beta + fence, beta - fence)
-    )
+    """The guess and the log-sigma interval outside which the walk decides
+    unevaluated: the ceiling 1/2 log(1 + var / sigma^2) inverted at beta and
+    beta +- fence, less the series of its miss to s^3 at s = 1/sigma-hat^2,
+    var s^2 (1 - var + s (1 - 5 var + 4.25 var^2)) / 3, widened by
+    _SERIES_SLACK s^4; from s = 1 on, the ceiling's inverse, skipping nothing.
+    Where the slack passes the fence's band, a Newton step on _MI_SERIES cut
+    where the larger of its last two terms (the error) is least or below
+    fence / 100 gives the guess +- fence and _SERIES_MARGIN errors over the
+    MI's slope, if narrower."""
     snr = math.expm1(2.0 * beta) / var
+    guess = -0.5 * math.log(snr)
+    low = -0.5 * math.log(math.expm1(2.0 * (beta + fence)) / var) if fence > -beta else math.inf
+    high = -0.5 * math.log(math.expm1(2.0 * (beta - fence)) / var) if fence < beta else math.inf
     if not snr < 1.0:
         return guess, -math.inf, math.inf
     miss = var * snr**2 * (1.0 - var + snr * (1.0 - 5.0 * var + 4.25 * var**2)) / 3.0
-    slack = _SERIES_SLACK * snr**4
-    return guess - miss, low - miss - slack, high - miss + slack
+    slack, band = _SERIES_SLACK * snr**4, high - low
+    ceiling = guess - miss, low - miss - slack, high - miss + slack
+    if not 0.0 < band < slack:  # the guess is within a band, or there is no band
+        return ceiling
+    s, coefs, error, last, power = math.exp(-2.0 * ceiling[0]), [], math.inf, math.inf, 1.0
+    for row in _MI_SERIES:
+        c = 0.0
+        for n in row:
+            c = c * var + n
+        power *= s
+        term = abs(c) * power
+        envelope = term if term > last else last
+        if envelope > error:
+            break
+        coefs.append(c)
+        error, last = envelope, term
+        if error < 0.01 * fence:
+            break
+    mi = slope = 0.0
+    for c in reversed(coefs):
+        slope, mi = slope * s + mi, mi * s + c
+    drop = 2.0 * s * (mi + s * slope)  # -d(s * mi)/d log sigma: the series' slope
+    if not drop > 0.0:
+        return ceiling
+    guess, width = ceiling[0] + (s * mi - beta) / drop, (fence + _SERIES_MARGIN * error) / drop
+    return (guess, guess - width, guess + width) if 0.0 < width < slack else ceiling
 
 
 def _next_guess(log_lo, log_hi, mi_lo, mi_hi, beta, log_guess, beyond) -> float:
@@ -367,21 +413,20 @@ def _steps_to_tolerance(mi_drop: float) -> int:
     return max(1, math.frexp(mi_drop)[1] - math.frexp(MI_MATCH_TOL)[1] - 1)
 
 
-def _midpoints(
-    log_lo: float, log_hi: float, log_guess: float, n: int
-) -> list[tuple[float, float]]:
-    """The next n midpoints of the log-sigma bisection, as (sigma, log sigma)
-    in its arithmetic, if the root were at exp(log_guess); stops where the
-    walk's width test would."""
-    path = []
+def _midpoints(log_lo: float, log_hi: float, log_guess: float, n: int) -> tuple[list, list]:
+    """The next n midpoints of the log-sigma bisection, as sigma and log
+    sigma in its arithmetic, if the root were at exp(log_guess); stops where
+    the walk's width test would."""
+    sigmas, logs = [], []
     for _ in range(n):
         sigma = math.exp(0.5 * (log_lo + log_hi))
         log_sigma = math.log(sigma)
-        path.append((sigma, log_sigma))
+        sigmas.append(sigma)
+        logs.append(log_sigma)
         if log_sigma < log_guess:  # the guess says MI here exceeds beta
             log_lo = log_sigma
         else:
             log_hi = log_sigma
         if log_hi - log_lo < LOG_SIGMA_WIDTH_TOL:
             break
-    return path
+    return sigmas, logs

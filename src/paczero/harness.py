@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -190,6 +191,13 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+# A release line's keys in sorted order and a record's values (with its type) in that
+# order, so the line's dict is dumped as built: ``_dump_line``'s text without its sort.
+_RELEASE_KEYS = tuple(sorted(_RELEASE_FIELDS))
+_release_values = operator.itemgetter(*map(list(_RELEASE_FIELDS).index, _RELEASE_KEYS))
+_dump_release = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(_dump_line(obj) + "\n")
 
@@ -241,7 +249,7 @@ def _summary_line(transcript: Transcript) -> dict:
 def transcript_lines(transcript: Transcript) -> list[str]:
     lines = [_dump_line(_header_line(transcript.header))]
     for rec in transcript.records:
-        lines.append(_dump_line(rec._asdict() | {"type": "release"}))
+        lines.append(_dump_release(dict(zip(_RELEASE_KEYS, _release_values(rec + ("release",))))))
     return lines + [_dump_line(_summary_line(transcript))]
 
 

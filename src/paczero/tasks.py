@@ -128,6 +128,7 @@ class BlobsTask(LossTask):
         self.x_dev, self.y_dev = self._sample(n_records // 4, _DEV_SPLIT)
         self.x_test, self.y_test = self._sample(n_records // 2, _TEST_SPLIT)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite sample raises below
     def _sample(self, count: int, split: int) -> tuple[np.ndarray, np.ndarray]:
         rng = substream(self.seed, split)
         labels = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
@@ -142,7 +143,14 @@ class BlobsTask(LossTask):
                     + self.axis_noise * along * self.axis
                     + self.perp_noise * perp
                 )
-                if label * float(x @ self.axis) >= self.margin:
+                projection = float(x @ self.axis)
+                if not math.isfinite(projection):  # as it is if any of x is (inf * 0 is NaN)
+                    raise ValueError(
+                        f"{self.name}: separation {self.separation!r}, axis_noise "
+                        f"{self.axis_noise!r} and perp_noise {self.perp_noise!r} give a "
+                        "non-finite sample"
+                    )
+                if label * projection >= self.margin:
                     xs[i] = x
                     break
             else:

@@ -9,6 +9,11 @@ raise the package's ``ChannelError``, as the code they check does.
 ``reference_channel_mi`` and ``reference_invert_channel_mi`` are the
 package's quadrature and bisection in their two-branch form, one pass per
 conditioning symbol: the bit-exact reference for the fused evaluator.
+``mmse_series_coefficients`` derives the binary input's low-SNR MMSE series
+with exact fractions from the Taylor series of tanh, and
+``mpmath_channel_mi`` evaluates the channel MI to 50 digits with mpmath's
+adaptive quadrature: the references for the calibration's series guess and
+for the quadrature's error.
 ``tampered_file`` edits a written transcript with plain ``json``;
 ``tampered_transcript`` rebuilds one in memory, which re-runs the
 transcript's construction check.  The record faults (``drop_last``,
@@ -20,6 +25,7 @@ checks that such a layout can be neither built nor loaded.
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +145,71 @@ def reference_invert_channel_mi(q_plus: float, beta: float) -> float:
         if log_hi - log_lo < 1e-12:
             return math.exp(0.5 * (log_lo + log_hi))
     raise ChannelError("bisection did not converge in 200 steps")
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def mmse_series_coefficients(k: int) -> list[Fraction]:
+    """c_k(v) of mmse(s) = sum_k c_k(v) s^k, the binary input's MMSE at SNR
+    s with v = 4q(1-q), as exact coefficients of v^0, v^1, ...
+
+    With X = +-1, t = E[X] = 2q - 1 and a = atanh t, the conditional mean
+    is tanh(a + s X + sqrt(s) N), and mmse(s) = 1 - E[X tanh(a + s X +
+    sqrt(s) N)].  Expanding tanh(a + u) in u, whose n-th derivative is the
+    polynomial P_n(t) with P_0 = t and P_{n+1} = (1 - t^2) P_n', the power
+    s^k collects the terms u^n with n = 2k - j from (s X)^j (sqrt(s) N)^(n-j):
+    E[N^(n-j)] = (n-j-1)!! and E[X^(j+1)] is t for even j, 1 for odd j.  The
+    result is even in t and is rewritten in v = 1 - t^2.
+    """
+    derivatives = [[Fraction(0), Fraction(1)]]  # P_n as coefficients of t^0, t^1, ...
+    for _ in range(2 * k):
+        p = derivatives[-1]
+        slope = [i * c for i, c in enumerate(p)][1:] or [Fraction(0)]
+        derivatives.append(_poly_mul([Fraction(1), Fraction(0), Fraction(-1)], slope))
+    mean = [Fraction(0)] * (2 * k + 3)  # E[X tanh(...)]'s s^k coefficient in t
+    for j in range(k + 1):
+        n, gaussian = 2 * k - j, 1
+        for odd in range(2 * (k - j) - 1, 0, -2):
+            gaussian *= odd
+        scale = Fraction(math.comb(n, j) * gaussian, math.factorial(n))
+        for i, c in enumerate(derivatives[n]):
+            mean[i + (j + 1) % 2] += scale * c
+    in_t = [(1 if i == 0 and k == 0 else 0) - c for i, c in enumerate(mean)]
+    assert not any(in_t[1::2]), "the series is even in t"
+    out, power = [Fraction(0)] * (k + 2), [Fraction(1)]  # power: (1 - v)^i
+    for c in in_t[0::2]:
+        for i, p in enumerate(power):
+            out[i] += c * p
+        power = _poly_mul(power, [Fraction(1), Fraction(-1)])
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def mpmath_channel_mi(q_plus: float, sigma: float, digits: int = 50):
+    """I(xi; xi + N(0, sigma^2)) for P(xi = +1) = q_plus as an mpmath number,
+    to about ``digits`` digits: the expectation of -log of the posterior odds
+    term, -E[log(q + (1-q) e^(-2 Y / sigma^2)) | +1] and its mirror for -1,
+    integrated over the standard normal noise by mpmath's adaptive
+    quadrature, every operation at ``digits`` + 10 digits."""
+    import mpmath
+
+    with mpmath.workdps(digits + 10):
+        q, s = mpmath.mpf(q_plus), mpmath.mpf(sigma)
+        snr = 1 / s**2
+
+        def integrand(z):
+            plus = q * mpmath.log(q + (1 - q) * mpmath.exp(-2 * snr * (1 + s * z)))
+            minus = (1 - q) * mpmath.log(1 - q + q * mpmath.exp(2 * snr * (s * z - 1)))
+            return mpmath.npdf(z) * (plus + minus)
+
+        return -mpmath.quad(integrand, [-mpmath.inf, -6, 0, 6, mpmath.inf])
 
 
 def kl_nats(p: float, q: float) -> float:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -450,8 +451,10 @@ class TestBatchedWalk:
         [
             # beta/h near 1e-3, as most train_m128 steps ask
             (0.5, 1e-3, 4), (0.3, 1.2e-3, 5),
-            # beta/h near 2e-2, as most attack_m8 steps ask
-            (0.5, 2e-2, 14), (0.2, 1.9e-2, 15),
+            # beta/h near 2e-2, as most attack_m8 steps ask: the series guess
+            # lands within the tolerance band, so one pass of the two ends
+            # and a midpoint or two
+            (0.5, 2e-2, 3), (0.2, 1.9e-2, 4),
             # a skip that fails its fence, then the upper end expands by two
             # scalar decades before the walk
             (0.5, 1e-17 / binary_entropy(0.5), 39),
@@ -496,3 +499,105 @@ class TestBatchedWalk:
         invert_channel_mi(0.5, 0.1)
         lo, hi = binary_channel.BRACKET_LO, binary_channel.BRACKET_HI
         assert passes[0][:2].tolist() != [lo, hi] and passes[1].tolist() == [lo, hi]
+
+
+def _series_terms(v: Fraction, s: Fraction, count: int) -> list[Fraction]:
+    """The first ``count`` terms of the MI's low-SNR series, c_k(v) s^(k+1) / (2k + 2)."""
+    return [
+        sum(c * v**i for i, c in enumerate(helpers.mmse_series_coefficients(k)))
+        * s ** (k + 1) / (2 * k + 2)
+        for k in range(count)
+    ]
+
+
+class TestSeriesGuess:
+    """The calibration's guess solves the binary input's low-SNR MI series;
+    the table must be that series exactly, and the guess must be good enough
+    that most inversions at attack_m8's SNRs take one channel_mi call."""
+
+    def test_table_is_the_exact_series(self):
+        table = binary_channel._MMSE_SERIES
+        assert len(table) == 13
+        for k, (d, *nums) in enumerate(table):
+            exact = helpers.mmse_series_coefficients(k)
+            assert exact[0] == 0 and [Fraction(n, d) for n in nums] == exact[1:], k
+            # the MI's coefficients, correctly rounded, highest power of v first
+            mi = tuple(float(c / (2 * k + 2)) for c in reversed(exact))
+            assert binary_channel._MI_SERIES[k] == mi, k
+
+    def test_table_at_bpsk(self):
+        # v = 1 gives the uniform input's gamma/2 - gamma^2/4 + gamma^3/6 - 5 gamma^4/24
+        c = [sum(Fraction(n, d) for n in nums) for d, *nums in binary_channel._MMSE_SERIES]
+        assert c[:4] == [1, -1, 1, Fraction(-5, 3)]
+        assert [c[k] / (2 * k + 2) for k in range(4)] == [
+            Fraction(1, 2), Fraction(-1, 4), Fraction(1, 6), Fraction(-5, 24)
+        ]
+
+    @pytest.mark.parametrize(
+        "v, s", [(1.0, 0.05), (1.0, 0.08), (0.96, 0.08), (0.75, 0.05), (0.5, 0.08), (0.19, 0.02)]
+    )
+    def test_truncation_error_is_bounded_by_the_omitted_terms(self, v, s):
+        # for the uniform input (v = 1) the series envelops the MI: after any
+        # number of terms the error has the first omitted term's sign and is
+        # smaller; for any v it is within twice the larger of the next two
+        # terms, and within the larger of the last two kept, the calibration's
+        # estimate, which it widens its interval by _SERIES_MARGIN of
+        mpmath = pytest.importorskip("mpmath")
+        q = (1.0 - math.sqrt(1.0 - v)) / 2.0
+        sigma = 1.0 / math.sqrt(s)
+        exact_v = 4 * Fraction(q) * (1 - Fraction(q))
+        terms = _series_terms(exact_v, 1 / Fraction(sigma) ** 2, 15)
+        mi = helpers.mpmath_channel_mi(q, sigma)
+        with mpmath.workdps(60):
+            errors = [
+                mi - mpmath.mpf(sum(terms[:n]).numerator) / sum(terms[:n]).denominator
+                for n in range(1, 14)
+            ]
+        for n, error in enumerate(errors, start=1):
+            error, omitted = float(error), [float(t) for t in terms[n:n + 2]]
+            if v == 1.0:
+                assert 0.0 <= error / omitted[0] <= 1.0, n
+            assert abs(error) <= 2.0 * max(map(abs, omitted)), n
+            if n >= 2:
+                assert abs(error) <= max(abs(float(t)) for t in terms[n - 2:n]), n
+
+    @pytest.mark.parametrize(
+        "q, sigma", [(0.5, 2.0), (0.3, 3.0), (0.9, 10.0), (0.05, 50.0), (0.5, 300.0),
+                     (0.7, 1000.0)]
+    )
+    def test_channel_mi_matches_the_mpmath_reference(self, q, sigma):
+        pytest.importorskip("mpmath")
+        exact = float(helpers.mpmath_channel_mi(q, sigma))
+        assert channel_mi(q, sigma) == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+    def test_most_low_snr_inversions_take_one_pass(self, monkeypatch):
+        # (q, beta) whose ceiling guess 1/sigma-hat^2 = expm1(2 beta) / v lies
+        # below 0.05, as most attack_m8 inversions do
+        calls, channel = [], binary_channel.channel_mi
+
+        def spy(q_plus, sigma):
+            calls[-1] += 1
+            return channel(q_plus, sigma)
+
+        monkeypatch.setattr(binary_channel, "channel_mi", spy)
+        rng = np.random.default_rng(25)
+        for q, snr in zip(rng.uniform(0.01, 0.99, 400).tolist(),
+                          rng.uniform(1e-3, 0.05, 400).tolist()):
+            calls.append(0)
+            invert_channel_mi(q, 0.5 * math.log1p(snr * 4.0 * q * (1.0 - q)))
+        assert sum(c == 1 for c in calls) >= 0.95 * len(calls), calls
+
+    @settings(max_examples=200)
+    @given(
+        st.floats(min_value=1e-6, max_value=0.5),
+        st.floats(min_value=1e-6, max_value=0.999),
+        st.one_of(st.sampled_from([0.0, -1.0, -1e-300, 1e-10]),
+                  st.floats(min_value=-1.0, max_value=1.0)),
+    )
+    def test_any_fence_gives_an_interval(self, q, share, fence):
+        # a non-positive fence (the tests that exhaust the walk set one)
+        # leaves the ceiling's interval; no fence raises
+        guess, low, high = binary_channel._skip_interval(
+            4.0 * q * (1.0 - q), share * binary_entropy(q), fence
+        )
+        assert not math.isnan(guess) and not math.isnan(low) and not math.isnan(high)

@@ -778,6 +778,9 @@ class TestCli:
             pytest.param("header", ["task_params", "separation"], "x", id="string-task-separation"),
             pytest.param("header", ["task_params", "n_records"], 2**40,
                          id="header-task-n_records-8-tib"),
+            # a finite noise scale whose samples overflow once validated [OK]
+            pytest.param("header", ["task_params", "perp_noise"], 1e308,
+                         id="header-task-perp_noise-1e308"),
             # a deleted config key once loaded as its default, and
             # inner_variant took any value outside k_aggregate
             pytest.param("header", ["train", "learning_rate"], DELETED,
@@ -983,6 +986,11 @@ class TestCli:
             (["--set", "seeds=[0,0]"], None, "seeds: must be distinct, got [0, 0]"),
             # --out and PACZERO_OUTPUT_ROOT name the artifact root; a config no longer does
             (["--set", "output_dir=elsewhere"], None, "unknown config keys: ['output_dir']"),
+            # a finite noise scale whose samples overflow once built a task
+            # with non-finite inputs
+            (["--set", "task.perp_noise=1.0e+308"], None,
+             "task: blobs: separation 3.0, axis_noise 0.3 and perp_noise 1e+308 give a "
+             "non-finite sample"),
         ],
         ids=[
             "label-escapes-root", "unknown-task-param", "yaml-syntax", "task-value-list",
@@ -995,6 +1003,7 @@ class TestCli:
             "smoothing-1e-4", "identical_targets-3", "hidden-negative", "hidden-0", "dim-0",
             "n_records-over-int64", "n_records-8-tib", "derived-dim-too-large",
             "n_records-times-dim-too-large", "seeds-repeated", "output_dir-removed",
+            "perp_noise-1e308",
         ],
     )
     def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text, named):
