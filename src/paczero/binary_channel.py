@@ -14,18 +14,19 @@ to -x^2 minus a two-term log-sum-exp and stays finite for any sigma > 0.
 
 Every form of ``channel_mi`` runs one kernel (``_mi_rows``): a pass over at
 most 128 rows, each row both branches of one (q_plus, sigma) in a
-(2, GH_ORDER) block, written in place into one reused buffer.  A float
-q_plus with a 1-d array of sigma, as the calibration walk calls it, takes
-that q_plus's cached constants (``_constants``), and a float sigma is its
-one-row case, with the same checks and rules; equal-length arrays of
-q_plus and sigma, as the validator checks every recorded noise level at
-once, take the logs of each q_plus per element with ``math``.  Each row is
-reduced by ``np.vecdot(s, weights)``, which takes the dot of each row
-alone, as ``np.dot(weights, row)`` does, so every value is the two-branch
-form's bit for bit: no node is zero, so (x + 0)^2 = x^2, and logaddexp is
-symmetric.  On 5,000 rows (2,500 pairs, q_plus uniform, sigma log-uniform
-on [1e-2, 1e3]) vecdot differed from that dot in none, while
-``rows @ weights`` differed in 3,667 and ``einsum`` in 3,902.
+(2, GH_ORDER) block, in arrays the call allocates, so the module holds no
+state and threads may call it at once.  A float q_plus with a 1-d array of
+sigma, as the calibration walk calls it, gives the kernel that q_plus's
+logs, and a float sigma is its one-row case, with the same checks and
+rules; equal-length arrays of q_plus and sigma, as the validator checks
+every recorded noise level at once, give the logs of each q_plus per row,
+taken with ``math``.  Each row is reduced by ``np.vecdot(s, weights)``,
+which takes the dot of each row alone, as ``np.dot(weights, row)`` does,
+so every value is the two-branch form's bit for bit: no node is zero, so
+(x + 0)^2 = x^2, and logaddexp is symmetric.  On 5,000 rows (2,500 pairs,
+q_plus uniform, sigma log-uniform on [1e-2, 1e3]) vecdot differed from
+that dot in none, while ``rows @ weights`` differed in 3,667 and
+``einsum`` in 3,902.
 
 ``invert_channel_mi`` bisects in log sigma, one decision per midpoint, but
 decides those far from a guess at the root (from the binary input's low-SNR
@@ -42,7 +43,6 @@ bit for bit, and the walk against the one-at-a-time bisection.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -63,7 +63,6 @@ GH_ORDER = 60
 # Calibration bracket in sigma, expanded by decades on demand.
 BRACKET_LO = 1e-6
 BRACKET_HI = 1e6
-BRACKET_LO_MIN = 1e-12
 BRACKET_HI_MAX = 1e12
 MI_MATCH_TOL = 1e-10
 LOG_SIGMA_WIDTH_TOL = 1e-12
@@ -102,19 +101,12 @@ _SERIES_MARGIN = 4.0
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(GH_ORDER)
 _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
-_NEG_X2 = np.tile(-_GH_NODES * _GH_NODES, (2, 1))
+_NEG_X2 = -_GH_NODES * _GH_NODES
 # Divided by sigma: the symbol distance in node units, +gap conditioning on
 # xi = +1 and -gap on -1 (IEEE division is exact under a sign flip).
 _SQRT2_SIGNS = np.array([[math.sqrt(2.0)], [-math.sqrt(2.0)]])
-# One q_plus's k1 over k2 less their logs (k2 at full width: a broadcast subtracts slower)
-_K_TEMPLATE = np.concatenate((_NEG_X2, np.zeros_like(_NEG_X2)))
-
-# Rows per pass of the array forms, and the buffers every pass writes into
-# in place: not thread-safe.
+# Rows per pass of the array forms: a bound on each pass's temporaries.
 _CHUNK_ROWS = 128
-_GAPS = np.empty((_CHUNK_ROWS, 2, 1))
-_PASS = np.empty((_CHUNK_ROWS, 2, GH_ORDER))
-_SUMS = np.empty((_CHUNK_ROWS, 2))
 
 
 class ChannelError(ValueError):
@@ -128,15 +120,6 @@ def binary_entropy(q: float) -> float:
     if q == 0.0 or q == 1.0:
         return 0.0
     return -q * math.log(q) - (1.0 - q) * math.log1p(-q)
-
-
-@functools.lru_cache(maxsize=1)
-def _constants(q_plus: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One q_plus's k1 = (log q, log 1-q) - x^2, k2 = (log 1-q, log q) and
-    branch weights (q, 1-q), shaped as a pass broadcasts them."""
-    log_q, log_1mq = math.log(q_plus), math.log1p(-q_plus)
-    k = np.array((log_q, log_1mq, log_1mq, log_q))[:, None] + _K_TEMPLATE
-    return k[:2], k[2:], np.array((q_plus, 1.0 - q_plus))
 
 
 def channel_mi(q_plus, sigma):
@@ -172,10 +155,11 @@ def _channel_mi_sigmas(q_plus: float, sigma: np.ndarray) -> np.ndarray:
     if low < NOISELESS_SIGMA:  # evaluated at the clamp, then given the entropy
         clamped = _channel_mi_sigmas(q_plus, np.maximum(sigma, NOISELESS_SIGMA))
         return np.where(sigma < NOISELESS_SIGMA, binary_entropy(q_plus), clamped)
-    consts, out = _constants(q_plus), np.empty(sigma.shape)
+    logs = np.array(((math.log(q_plus),), (math.log1p(-q_plus),)))
+    weights, out = np.array((q_plus, 1.0 - q_plus)), np.empty(sigma.shape)
     for start in range(0, sigma.size, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        _mi_rows(*consts, sigma[rows], out[rows])
+        _mi_rows(logs, weights, sigma[rows], out[rows])
     return out
 
 
@@ -201,27 +185,22 @@ def _channel_mi_array(q_plus: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         chunk = rows[start:start + _CHUNK_ROWS]
         qc, mi = q[chunk], np.empty(chunk.size)
         logs = np.array([(math.log(v), math.log1p(-v)) for v in qc.tolist()])[:, :, None]
-        # k1, k2 and the branch weights per row, as _constants makes them
-        weights = np.stack((qc, 1.0 - qc), axis=1)
-        _mi_rows(logs + _NEG_X2[0], logs[:, ::-1], weights, sigma[chunk], mi)
+        _mi_rows(logs, np.stack((qc, 1.0 - qc), axis=1), sigma[chunk], mi)
         out[chunk] = mi
     return out
 
 
-def _mi_rows(k1, k2, weights, sigma: np.ndarray, out: np.ndarray) -> None:
-    """Writes the MI of each of at most ``_CHUNK_ROWS`` rows into out, from
-    one (R, 2, GH_ORDER) pass in the shared buffers: k1, k2 and the branch
-    weights broadcast against the pass as ``_constants`` makes them.  Row 0
-    of each pair conditions on xi = +1, row 1 on -1."""
-    n = sigma.shape[0]
-    gaps, s, sums = _GAPS[:n], _PASS[:n], _SUMS[:n]
-    np.divide(_SQRT2_SIGNS, sigma[:, None, None], out=gaps)
-    np.add(_GH_NODES, gaps, out=s)
+def _mi_rows(logs, weights, sigma: np.ndarray, out: np.ndarray) -> None:
+    """Writes the MI of each of at most ``_CHUNK_ROWS`` rows into out: logs are
+    (log q, log 1-q) as (2, 1) for one q_plus or (R, 2, 1) per row, weights
+    (q, 1-q) as (2,) or (R, 2).  Row 0 of a pair conditions on xi = +1, row 1 on -1."""
+    k1 = logs + _NEG_X2  # (log q, log 1-q) - x^2
+    s = np.add(_GH_NODES, _SQRT2_SIGNS / sigma[:, None, None])
     np.square(s, out=s)
-    np.subtract(k2, s, out=s)  # k2 - (x + gap)^2
+    np.subtract(logs[..., ::-1, :], s, out=s)  # k2 - (x + gap)^2, k2 = (log 1-q, log q)
     np.logaddexp(k1, s, out=s)
     np.subtract(_NEG_X2, s, out=s)
-    np.vecdot(s, _GH_WEIGHTS, out=sums)
+    sums = np.vecdot(s, _GH_WEIGHTS)
     np.multiply(sums, weights, out=sums)
     np.add(sums[:, 0], sums[:, 1], out=out)  # q * plus + (1 - q) * minus
     # Quadrature noise can land an exact-zero integral a few ulp negative;
@@ -284,15 +263,11 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
     path, logs = _midpoints(log_lo, log_hi, log_guess, lookahead)
     mi_lo, mi_hi, *mis = channel_mi(q_plus, np.array([lo, hi, *path])).tolist()
     if not (mi_lo - beta > fence and beta - mi_hi > fence):
-        # unsure skips; channel_mi(q, lo) > beta once lo is noiseless, as beta < entropy
+        # unsure skips; the lower end stops by 1e-11, where channel_mi is h(q) > beta
         lo, hi, skipped = BRACKET_LO, BRACKET_HI, 0
         mi_lo, mi_hi = channel_mi(q_plus, np.array((lo, hi))).tolist()
         while mi_lo <= beta:
             lo /= 10.0
-            if lo < BRACKET_LO_MIN:
-                raise ChannelError(
-                    f"no sigma >= {BRACKET_LO_MIN} attains {beta} nats at q_plus={q_plus}"
-                )
             mi_lo = channel_mi(q_plus, lo)
         while mi_hi >= beta:
             hi *= 10.0

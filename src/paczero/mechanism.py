@@ -49,6 +49,7 @@ ENTROPY_CAP_FACTOR = 0.999
 MIN_CALIBRATABLE_MI = 1e-15
 # sub-seeds a balanced design draws before it gives up on leaving no subset empty
 _DESIGN_ATTEMPTS = 100
+_DESIGN_MAX_CELLS = 2**24
 
 VARIANTS = ("paczero_mi", "paczero_zpl", "surrogate", "k_aggregate")
 INNER_VARIANTS = ("paczero_mi", "paczero_zpl")
@@ -127,6 +128,9 @@ def build_balanced_design(n_records: int, n_subsets: int, seed: int) -> SubsetDe
         raise ValueError(f"number of subsets must be even and >= 2, got {n_subsets}")
     if n_records < 1:
         raise ValueError("need at least one record")
+    if n_records * n_subsets > _DESIGN_MAX_CELLS:  # the draws, sort and membership are this size
+        raise ValueError(f"n_records * n_subsets must be <= {_DESIGN_MAX_CELLS}, "
+                         f"got {n_records * n_subsets}")
     half = n_subsets // 2
     for attempt in range(_DESIGN_ATTEMPTS):
         rng = substream(seed, attempt)
@@ -353,7 +357,9 @@ class MechanismSpec:
 
     variant: Annotated[str, _fields.one_of(VARIANTS)] = "paczero_mi"
     mi_total: Annotated[float, _fields.FINITE, _fields.NONNEGATIVE] = 0.0
-    n_subsets: Annotated[int | None, _fields.at_least(2), _fields.EVEN] = None
+    n_subsets: Annotated[
+        int | None, _fields.at_least(2), _fields.at_most(2**20), _fields.EVEN
+    ] = None
     clip: Annotated[float, _fields.POSITIVE] = math.inf  # may be inf
     unanimity_tolerance: Annotated[float, ("in (0, 0.5)", lambda v: 0.0 < v < 0.5)] = TAU_DEFAULT
     surrogate_mode: Annotated[str | None, _fields.one_of(SURROGATE_MODES)] = None

@@ -21,6 +21,8 @@ MECHANISM_STREAM = 102
 DESIGN_STREAM = 103
 SECRET_STREAM = 104
 TRIAL_STREAM = 105
+# The most (step, slot) keys one run draws: 32 MiB of state words.
+_MAX_KEYS = 2**20
 
 # NumPy's SeedSequence hash (NEP 19; numpy/random/bit_generator.pyx): a pool
 # of four uint32 words, mixed with these constants.
@@ -127,9 +129,13 @@ def direction(words: np.ndarray, dim: int) -> np.ndarray:
 
 def directions(seed: int, t_total: int, k: int, dim: int):
     """The k directions of each step 1..t_total in turn, one list per step,
-    from one hashing pass over the run's keys."""
-    if not (1 <= t_total < 2**32 and 1 <= k < 2**32):
-        raise ValueError("t_total and k must lie in [1, 2**32), one key word each")
+    from one hashing pass over the run's keys: at most ``_MAX_KEYS`` of them,
+    which keeps each of t_total and k one key word."""
+    if not (t_total >= 1 and k >= 1 and t_total * k <= _MAX_KEYS):
+        raise ValueError(
+            f"t_total and k must be positive with t_total * k <= {_MAX_KEYS} (one key word "
+            f"each), got {t_total} and {k}"
+        )
     words = direction_words(
         seed,
         np.arange(1, t_total + 1, dtype=np.uint32)[:, None],

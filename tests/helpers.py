@@ -20,11 +20,15 @@ transcript's construction check.  The record faults (``drop_last``,
 ``repeat_last``, ``swap_fourth_and_fifth``, ``set_on_first_noisy``) edit the
 plain-dict records of a k = 1 run, and ``assert_build_and_load_reject``
 checks that such a layout can be neither built nor loaded.
+``run_together`` starts calls in threads of one process at once, for the
+checks that the package holds no state a call writes into.
 """
 
 import dataclasses
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -413,3 +417,35 @@ def assert_build_and_load_reject(transcript, tmp_path, fault) -> None:
     path.write_text("\n".join([lines[0], *releases, lines[-1]]) + "\n")
     with pytest.raises(SchemaError, match=where):
         load_transcript(path)
+
+
+def run_together(*calls) -> list:
+    """Each call's result, the calls run in threads started together on a
+    barrier, with the interpreter switching threads every 10 us so that
+    their steps interleave; a call's exception is raised here, and a call
+    still running after 600 s fails the test."""
+    timeout = 600.0
+    barrier, results = threading.Barrier(len(calls), timeout=timeout), [None] * len(calls)
+
+    def run(i, call):
+        try:
+            barrier.wait()
+            results[i] = (True, call())
+        except Exception as error:  # raised in the calling thread, below
+            results[i] = (False, error)
+
+    threads = [threading.Thread(target=run, args=item, daemon=True) for item in enumerate(calls)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), f"a call ran past {timeout} s"
+    for ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, value in results]

@@ -129,6 +129,19 @@ class TestDpReference:
         assert math.isinf(matched_mi_for_dp(1.0, 0.9, 0.5))
 
 
+@pytest.mark.parametrize("call, args, match", [
+    (kl_binary, (1.5, 0.5), "p out of range: 1.5"),
+    (kl_binary, (0.5, math.nan), "q out of range: nan"),
+    (mia_posterior_bound, (0.1, 1.0), r"prior must lie strictly inside \(0, 1\): 1.0"),
+    (dp_eps_to_mia_bound, (math.nan, 0.0), "eps must be nonnegative: nan"),
+    (dp_eps_to_mia_bound, (1.0, -0.1), r"delta must lie in \[0, 1\): -0.1"),
+    (matched_mi_for_dp, (1.0, 0.0, 0.0), r"prior must lie strictly inside \(0, 1\): 0.0"),
+], ids=["kl-p", "kl-q", "bound-prior", "dp-eps", "dp-delta", "matched-prior"])
+def test_out_of_range_inputs_rejected(call, args, match):
+    with pytest.raises(ValueError, match=match):
+        call(*args)
+
+
 @pytest.fixture(scope="module")
 def mi_run():
     task = make_task("blobs", n_records=32)

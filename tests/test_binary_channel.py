@@ -601,3 +601,34 @@ class TestSeriesGuess:
             4.0 * q * (1.0 - q), share * binary_entropy(q), fence
         )
         assert not math.isnan(guess) and not math.isnan(low) and not math.isnan(high)
+
+
+class TestThreads:
+    """The kernel holds no state a call writes into: two threads started
+    together get the serial values bit for bit."""
+
+    def test_channel_mi_array(self):
+        rng = np.random.default_rng(26)
+        q, sigma = rng.random(5000), 10.0 ** rng.uniform(-2.0, 3.0, 5000)
+        serial = channel_mi(q, sigma).tobytes()
+
+        def calls():
+            return [channel_mi(q, sigma).tobytes() for _ in range(10)]
+
+        for got in helpers.run_together(calls, calls):
+            assert [value == serial for value in got] == [True] * 10
+
+    def test_invert_channel_mi(self):
+        rng = np.random.default_rng(27)
+        cases = [
+            (q, 0.5 * math.log1p(snr * 4.0 * q * (1.0 - q)))
+            for q, snr in zip(rng.uniform(0.01, 0.99, 150).tolist(),
+                              (10.0 ** rng.uniform(-3.0, 0.0, 150)).tolist())
+        ]
+        serial = [invert_channel_mi(q, beta).hex() for q, beta in cases]
+
+        def calls():
+            return [invert_channel_mi(q, beta).hex() for q, beta in cases]
+
+        for got in helpers.run_together(calls, calls):
+            assert [a == b for a, b in zip(got, serial)] == [True] * len(cases)

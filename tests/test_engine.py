@@ -369,9 +369,11 @@ class TestDirections:
         assert words.tobytes() == rngmod.direction_words(int(seed), t, slot).tobytes()
         assert words[2, 1].tolist() == helpers.direction_state_words(int(seed), 3, 1).tolist()
 
-    @pytest.mark.parametrize("t_total, k", [(2**32, 1), (0, 1), (5, 0), (5, 2**32)])
+    @pytest.mark.parametrize(
+        "t_total, k", [(2**32, 1), (0, 1), (5, 0), (5, 2**32), (2**20 + 1, 1), (2**18 + 1, 4)]
+    )
     def test_keys_beyond_one_word_rejected(self, t_total, k):
-        # raised before any key array is built
+        # raised before any key array is built: at most 2**20 keys a run
         with pytest.raises(ValueError, match="one key word"):
             rngmod.directions(3, t_total, k, 2)
 

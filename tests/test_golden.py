@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+import helpers
 from paczero.accounting import validate_transcript
 from paczero.adversary import replay_posterior
 from paczero.engine import TrainConfig, train
@@ -230,6 +231,17 @@ def digest(transcript) -> str:
 def test_transcript_digest(case):
     transcript = run_case(case)
     assert digest(transcript) == PINS[case]
+
+
+def test_threads_match_the_serial_digests():
+    # two threads of one process, started together, train the MI cases that
+    # calibrate most steps; each transcript must be its serial digest
+    cases = ["blobs-mi-M128-s0", "blobs-mi-M128-s1", "blobs-k2_mi-M128-s0"]
+    got = helpers.run_together(
+        lambda: [digest(run_case(case)) for case in cases],
+        lambda: [digest(run_case(case)) for case in reversed(cases)],
+    )
+    assert got == [[PINS[case] for case in cases], [PINS[case] for case in reversed(cases)]]
 
 
 def report_digest(report) -> str:

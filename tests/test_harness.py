@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import paczero
 from paczero import _fields, cli, harness
 from paczero.accounting import validate_transcript
+from paczero.adversary import MiaExperimentResult
 from paczero.engine import TrainConfig, Transcript, train
 from paczero.mechanism import BRANCH_UNANIMITY, BudgetLedger, MechanismSpec, StepRecord
 from paczero.tasks import BlobsTask, QuadraticTask, XorMlpTask, make_task
@@ -277,6 +278,24 @@ class TestTranscriptIO:
             )
         )
         with pytest.raises(SchemaError, match="hash"):
+            load_design(forged)
+
+    @pytest.mark.parametrize("n_records, n_subsets, match", [
+        (2**20, 32, "header: n_records \\* n_subsets must be <= 16777216, got 33554432"),
+        (1, 2, "header: no design with all 2 subsets nonempty over 1 records"),
+    ], ids=["too-many-cells", "no-nonempty-design"])
+    def test_unbuildable_design_is_a_header_fault(self, small_summary, n_records, n_subsets,
+                                                  match):
+        import dataclasses
+
+        _, out, _ = small_summary
+        transcript = load_transcript(out / "seed_0" / "transcript.jsonl")
+        header = transcript.header
+        forged = dataclasses.replace(transcript, header=dataclasses.replace(
+            header, task_params={**header.task_params, "n_records": n_records},
+            mechanism=dataclasses.replace(header.mechanism, n_subsets=n_subsets),
+        ))
+        with pytest.raises(SchemaError, match=match):
             load_design(forged)
 
     def write_tampered(self, out, tmp_path, mutate) -> Path:
@@ -854,6 +873,20 @@ class TestCli:
         assert cli.main(["validate", str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"FAILED invariant: {expected}")
 
+    def test_oversized_design_fails_cleanly(self, small_summary, tmp_path, capsys):
+        # a header whose subset count, and its copy, is 2**40 once failed as
+        # a 256 TiB allocation as the design was regenerated
+        _, out, _ = small_summary
+        lines = (out / "seed_0" / "transcript.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["mechanism"]["n_subsets"] = header["n_subsets"] = 2**40
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert cli.main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "FAILED invariant: header: n_subsets must be <= 1048576, got 1099511627776"
+        )
+
     def test_negative_train_seed_fails_cleanly(self, small_summary, tmp_path, capsys):
         # the header's seed and its run_seed copy agree, so only the seed's
         # own range check stops the file; it once validated [OK] and then
@@ -894,11 +927,14 @@ class TestCli:
              "mi 0.1 appears twice in the table"),
             (["bounds", "--mi", "0.1", "0.1000000001"], "mi 0.1 appears twice in the table"),
             (["bounds", "--eps", "1.0", "1.0"], "eps 1 appears twice in the table"),
+            (["bounds", "--eps", "-1"], "eps must be nonnegative: -1.0"),
+            (["bounds", "--delta", "1"], "delta must lie in [0, 1): 1.0"),
         ],
         ids=[
             "attack-trials", "sweep-k-ks", "sweep-t-rungs", "sweep-t-negative-rung", "bounds-mi",
             "attack-seed-negative", "sweep-k-repeated", "sweep-mi-repeated", "sweep-t-repeated",
             "bounds-repeated", "bounds-mi-prints-alike", "bounds-eps-repeated",
+            "bounds-eps-negative", "bounds-delta-1",
         ],
     )
     def test_library_value_error_fails_cleanly(self, tmp_path, capsys, argv, named):
@@ -991,6 +1027,16 @@ class TestCli:
             (["--set", "task.perp_noise=1.0e+308"], None,
              "task: blobs: separation 3.0, axis_noise 0.3 and perp_noise 1e+308 give a "
              "non-finite sample"),
+            # a subset count with no upper bound once failed as a 256 TiB allocation
+            (["--set", "mechanism.n_subsets=1099511627776"], None,
+             "mechanism: n_subsets must be <= 1048576, got 1099511627776"),
+            # faults that no other in-process test reaches
+            (["--set", "label.x=1"], None, "cannot descend into 'label' in override 'label.x'"),
+            (["--set", "mechanism.k=2"], None, "mechanism: k must be 1 outside k_aggregate, got 2"),
+            (["--set", "task.name=xor_mlp", "--set", "task.n_records=10"], None,
+             "task: n_records must be a multiple of 4, got 10"),
+            ([f"--set=task.{key}={value}" for key, value in FLAT_BLOBS.items()], None,
+             "task: no sample cleared margin 0.5 in 1000 draws"),
         ],
         ids=[
             "label-escapes-root", "unknown-task-param", "yaml-syntax", "task-value-list",
@@ -1003,7 +1049,8 @@ class TestCli:
             "smoothing-1e-4", "identical_targets-3", "hidden-negative", "hidden-0", "dim-0",
             "n_records-over-int64", "n_records-8-tib", "derived-dim-too-large",
             "n_records-times-dim-too-large", "seeds-repeated", "output_dir-removed",
-            "perp_noise-1e308",
+            "perp_noise-1e308", "n_subsets-256-tib", "override-into-string",
+            "k-outside-k_aggregate", "xor-n_records-10", "flat-blobs",
         ],
     )
     def test_config_fault_fails_cleanly(self, tmp_path, capsys, overrides, text, named):
@@ -1046,6 +1093,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "rate=" in out and "bound=" in out
+
+    def test_unsound_attack_fails(self, tmp_path, capsys, monkeypatch):
+        # a rate above the bound + 3 SE is the one verdict the attack command fails on
+        unsound = MiaExperimentResult(trials=100, successes=90, empirical_rate=0.9, bound=0.6,
+                                      prior=0.5, standard_error=0.05)
+        monkeypatch.setattr(cli, "empirical_mia_experiment", lambda *args, **kw: unsound)
+        path = write_config(tmp_path, base_raw(seeds=[0]))
+        assert cli.main(["attack", "--config", str(path), "--trials", "100"]) == 1
+        assert capsys.readouterr().err == (
+            "FAILED invariant: empirical attack rate exceeded the posterior bound + 3 SE\n"
+        )
+
+    def test_sweep_t_command_prints_the_drift(self, tmp_path, capsys):
+        # rungs 3 and 12 tie on test accuracy here, so 3 is the best rung and
+        # 12 its 4x rung
+        path = write_config(tmp_path, base_raw(seeds=[0]))
+        argv = ["sweep-t", "--config", str(path), "--out", str(tmp_path / "runs"),
+                "--rungs", "3", "12"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.endswith("test drift at 4x best rung: +0\n")
 
     def test_sweep_mi_command(self, tmp_path, capsys):
         path = write_config(tmp_path, base_raw(seeds=[0]))

@@ -137,6 +137,27 @@ class TestDesign:
         with pytest.raises(ValueError):
             SubsetDesign(membership=np.array([[True, False], [True, True]]), seed=0)
 
+    @pytest.mark.parametrize("membership, match", [
+        (np.array([True, False]), "2-d boolean"),
+        (np.array([[1, 0], [0, 1]]), "2-d boolean"),
+        (np.zeros((0, 2), dtype=bool), "at least one record"),
+        (np.array([[True], [True]]), "even and >= 2, got 1"),
+        (np.array([[True, False, True, False], [True, False, False, True]]), "empty subset"),
+    ], ids=["1-d", "integer", "no-records", "one-subset", "empty-subset"])
+    def test_malformed_membership_named(self, membership, match):
+        with pytest.raises(ValueError, match=match):
+            SubsetDesign(membership=membership, seed=0)
+
+    @pytest.mark.parametrize("n_records, n_subsets, match", [
+        (0, 2, "need at least one record"),
+        (2**20, 32, "n_records \\* n_subsets must be <= 16777216, got 33554432"),
+        (1, 2**40, "n_records \\* n_subsets must be <= 16777216, got 1099511627776"),
+    ], ids=["no-records", "too-many-cells", "256-tib"])
+    def test_design_sizes_rejected(self, n_records, n_subsets, match):
+        # raised before any array of the design's size is drawn
+        with pytest.raises(ValueError, match=match):
+            build_balanced_design(n_records, n_subsets, seed=0)
+
     def test_subset_members(self):
         d = two_subset_design()
         assert d.subset_members(0).tolist() == [0, 1]
@@ -156,6 +177,10 @@ class TestPosterior:
     def test_uniform(self):
         p = Posterior.uniform(8)
         assert p.probabilities() == pytest.approx(np.full(8, 0.125), abs=1e-15)
+
+    def test_no_candidates_rejected(self):
+        with pytest.raises(ValueError, match="need at least one candidate"):
+            Posterior.uniform(0)
 
     def test_update_conserves_mass(self):
         p = Posterior.uniform(4)
