@@ -200,16 +200,17 @@ def validate_transcript(transcript: Transcript) -> ValidationReport:
                 y = float(agreed_sign(q))
                 residual += binary_entropy(q)
         expected = ledger.charge(t, slot, branch, q, rec.sigma, y, rec.y_tilde, beta)
-        where = f"step {t} slot {slot}"
         if expected != rec:  # else every field is the same, exactly
             for name, want, got in zip(expected._fields, expected, rec):
                 if not _same(got, want):
-                    return fail(where, f"{name} {got!r} does not re-derive (expected {want!r})")
+                    return fail(f"step {t} slot {slot}",
+                                f"{name} {got!r} does not re-derive (expected {want!r})")
         if branch == BRANCH_DISAGREEMENT:
             calibrated = next(carried)
             if not abs(calibrated - rec.beta_t) <= _CALIBRATION_TOL:
                 return fail(
-                    where, f"noise level carries {calibrated} nats, allocation was {rec.beta_t}"
+                    f"step {t} slot {slot}",
+                    f"noise level carries {calibrated} nats, allocation was {rec.beta_t}",
                 )
 
     spent, unanimity_bits = ledger.mi_spent, ledger.unanimity_bits

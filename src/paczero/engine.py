@@ -67,7 +67,7 @@ class TrainConfig:
     def __post_init__(self):
         _fields.check(TrainConfig, vars(self))
 
-    def eta(self, t: int) -> float:
+    def eta(self, t: int | np.ndarray) -> float | np.ndarray:
         return self.learning_rate / (1.0 + self.lr_decay * (t - 1))
 
 
@@ -116,26 +116,27 @@ def public_trajectory(transcript: Transcript, task: LossTask):
 
     Every step's move is formed in one pass per slot over all steps, with
     ``step_update``'s operations in its order (the slots' y * z summed, then
-    / k, then eta_t *).  Only ``(1 - eta_t * weight_decay) * theta - move``
-    runs step by step, into the preallocated rows.  Matches training bit
-    for bit on an honest transcript.  Memory grows as t_total * k * dim.
+    / k, then eta_t *).  Without weight decay every factor 1 - eta_t * 0 is
+    exactly 1, so the rows are one running difference of theta_0 and the
+    moves; only a decay runs step by step.  Matches training bit for bit on
+    an honest transcript.  Memory grows as t_total * k * dim, which
+    ``rng.directions`` bounds.
     """
     header, config = transcript.header, transcript.header.train
     k, t_total = header.mechanism.k, header.t_total
-    directions = np.empty((t_total, k, task.dim))
-    for row, step in zip(directions, rngmod.directions(config.seed, t_total, k, task.dim)):
-        row[:] = step
+    directions = rngmod.directions(config.seed, t_total, k, task.dim)
     ys = np.array([rec.y for rec in transcript.records]).reshape(t_total, k, 1)
     moved = directions[:, 0] * ys[:, 0]
     for slot in range(1, k):
         moved = moved + ys[:, slot] * directions[:, slot]
-    etas = [config.eta(t) for t in range(1, t_total + 1)]
-    moved = np.array(etas)[:, None] * (moved / k)
+    etas = config.eta(np.arange(1, t_total + 1))
     thetas = np.empty((t_total + 1, task.dim))
     thetas[0] = task.init_params()
-    for theta, after, move, eta in zip(thetas, thetas[1:], moved, etas):
-        np.multiply(1.0 - eta * config.weight_decay, theta, out=after)
-        np.subtract(after, move, out=after)
+    np.multiply(etas[:, None], moved / k, out=thetas[1:])
+    if config.weight_decay == 0.0:
+        return np.subtract.accumulate(thetas, out=thetas), directions
+    for theta, after, eta in zip(thetas, thetas[1:], etas.tolist()):
+        np.subtract((1.0 - eta * config.weight_decay) * theta, after, out=after)
     return thetas, directions
 
 

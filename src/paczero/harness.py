@@ -257,7 +257,11 @@ def write_transcript(path: str | Path, transcript: Transcript) -> None:
     Path(path).write_text("\n".join(transcript_lines(transcript)) + "\n")
 
 
-_RELEASE_FLOATS = ("q_plus", "sigma", "y", "y_tilde", "beta_t", "beta_used", "cum_mi")
+# A release line's float fields, and its values in ``StepRecord``'s field order.
+_release_floats = operator.itemgetter(
+    "q_plus", "sigma", "y", "y_tilde", "beta_t", "beta_used", "cum_mi"
+)
+_record_values = operator.itemgetter(*StepRecord._fields)
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -382,16 +386,12 @@ def load_transcript(path: str | Path) -> Transcript:
             raise SchemaError(f"line {n}: expected a release record")
         if obj.keys() != _RELEASE_FIELDS.keys():
             _require_fields(obj, _RELEASE_FIELDS, f"line {n}")
-        for key in _RELEASE_FLOATS:
-            value = obj[key]
+        for value in _release_floats(obj):
             if type(value) is float and not math.isfinite(value):
                 raise SchemaError(f"line {n}: non-finite number {value!r} in transcript")
         # positional: passing obj as keywords costs about 1.5 us more a line;
         # the Transcript checks shapes
-        records.append(StepRecord(
-            obj["t"], obj["slot"], obj["branch"], obj["q_plus"], obj["sigma"], obj["y"],
-            obj["y_tilde"], obj["beta_t"], obj["beta_used"], obj["cum_mi"], obj["unanimity_count"],
-        ))
+        records.append(StepRecord(*_record_values(obj)))
     try:
         transcript = Transcript(header, records, [(t, m) for t, m in dev_evals])
     except ValueError as exc:

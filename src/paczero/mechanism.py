@@ -147,13 +147,14 @@ def build_balanced_design(n_records: int, n_subsets: int, seed: int) -> SubsetDe
     )
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    # the array methods make the same reductions as np.max and np.sum,
-    # without their Python-level dispatch
-    m = float(a.max())
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.exp(a - m).sum()))
+def _normalise(lw: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """lw - logsumexp(lw) in place, ``shifted`` a buffer of lw's shape, by the
+    ufunc reductions of np.max and np.sum without their Python-level dispatch
+    (or the array methods'); a non-finite max is subtracted as it is."""
+    m = np.maximum.reduce(lw)
+    if math.isfinite(m):
+        m += math.log(np.add.reduce(np.exp(np.subtract(lw, m, out=shifted), out=shifted)))
+    return np.subtract(lw, m, out=lw)
 
 
 @dataclass(frozen=True)
@@ -185,12 +186,12 @@ class Posterior:
         updates: every penalty (y_tilde - sign)^2 / (2 sigma^2) in one pass,
         each 2 sigma^2 taken on a Python float as the single update takes it
         (``square`` may round otherwise than ``pow``), then one
-        normalisation per observation.  A single observation is the block of
-        one: one finite y_tilde, one finite positive sigma and an integer
-        (n_candidates,) sign vector take those operations, in that order,
-        without the block's wrapping; any other single input is wrapped as a
-        block of one.  Raises ValueError unless every sigma is finite and
-        positive and every y_tilde finite."""
+        normalisation per observation, in place in the block's two buffers.
+        A single observation is the block of one: one finite y_tilde, one
+        finite positive sigma and an integer (n_candidates,) sign vector take
+        those operations, in that order, without the block's wrapping; any
+        other single input is wrapped as a block of one.  Raises ValueError
+        unless every sigma is finite and positive and every y_tilde finite."""
         lw = self.log_weights
         if (isinstance(sigma, float) and isinstance(y_tilde, float)
                 and isinstance(signs, np.ndarray) and signs.shape == lw.shape
@@ -198,7 +199,7 @@ class Posterior:
             y, s = float(y_tilde), float(sigma)
             if 0.0 < s < math.inf and math.isfinite(y):
                 lw = lw - (y - signs) ** 2 / (2.0 * s**2)
-                return Posterior(lw - _logsumexp(lw))
+                return Posterior(_normalise(lw, np.empty(lw.shape)))
         if isinstance(sigma, np.ndarray):
             y_tilde = np.asarray(y_tilde, dtype=float)
         else:
@@ -218,9 +219,9 @@ class Posterior:
             )
         scale = np.array([2.0 * s**2 for s in sigmas])
         penalties = (y_tilde[:, None] - signs) ** 2 / scale[:, None]
+        lw, shifted = np.array(lw, dtype=float), np.empty(lw.shape)
         for penalty in penalties:
-            lw = lw - penalty
-            lw = lw - _logsumexp(lw)
+            _normalise(np.subtract(lw, penalty, out=lw), shifted)
         return Posterior(lw)
 
 

@@ -5,7 +5,8 @@ seed through a fixed spawn key, so streams never alias: training directions
 are keyed by (step, direction-slot), the mechanism's noise/coin stream is
 sequential, and design sampling is keyed per attempt.  A run's directions
 come from ``directions``, which takes the pool of (seed, directions stream)
-from NumPy's SeedSequence and hashes the keys of every step in one pass.
+from NumPy's SeedSequence, hashes the keys of every step in one pass and
+draws every direction in place into one array.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ MECHANISM_STREAM = 102
 DESIGN_STREAM = 103
 SECRET_STREAM = 104
 TRIAL_STREAM = 105
-# The most (step, slot) keys one run draws: 32 MiB of state words.
-_MAX_KEYS = 2**20
+# The most (step, slot) keys one run draws (32 MiB of state words), and the
+# most floats of its directions (128 MiB).
+_MAX_KEYS, _MAX_FLOATS = 2**20, 2**24
 
 # NumPy's SeedSequence hash (NEP 19; numpy/random/bit_generator.pyx): a pool
 # of four uint32 words, mixed with these constants.
@@ -119,26 +121,33 @@ def _state_words_type() -> type:
     return StateWords
 
 
-def direction(words: np.ndarray, dim: int) -> np.ndarray:
+def direction(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Standard-normal probe direction seeded by one (t, slot)'s state words,
-    a row of ``direction_words``: the draw of the generator
+    a row of ``direction_words``, drawn in place into the contiguous float
+    array ``out`` and returned: the draw of the generator
     ``substream(seed, DIRECTIONS_STREAM, t, slot)``, public given the seed."""
     seeded = np.random.PCG64(_state_words_type()(words))
-    return np.random.Generator(seeded).standard_normal(dim)
+    return np.random.Generator(seeded).standard_normal(out=out)
 
 
-def directions(seed: int, t_total: int, k: int, dim: int):
-    """The k directions of each step 1..t_total in turn, one list per step,
-    from one hashing pass over the run's keys: at most ``_MAX_KEYS`` of them,
-    which keeps each of t_total and k one key word."""
+def directions(seed: int, t_total: int, k: int, dim: int) -> np.ndarray:
+    """Every step's k directions in one (t_total, k, dim) array, row t - 1
+    step t's, from one hashing pass over the run's keys: at most
+    ``_MAX_KEYS`` of them, which keeps each of t_total and k one key word,
+    and at most ``_MAX_FLOATS`` floats, both checked before any allocation."""
     if not (t_total >= 1 and k >= 1 and t_total * k <= _MAX_KEYS):
         raise ValueError(
             f"t_total and k must be positive with t_total * k <= {_MAX_KEYS} (one key word "
             f"each), got {t_total} and {k}"
         )
+    if t_total * k * dim > _MAX_FLOATS:
+        raise ValueError(f"t_total * k * dim must be <= {_MAX_FLOATS}, got {t_total * k * dim}")
     words = direction_words(
         seed,
         np.arange(1, t_total + 1, dtype=np.uint32)[:, None],
         np.arange(k, dtype=np.uint32)[None, :],
     )
-    return ([direction(w, dim) for w in step] for step in words)
+    out = np.empty((t_total, k, dim))
+    for w, row in zip(words.reshape(-1, 4), out.reshape(-1, dim)):
+        direction(w, row)
+    return out

@@ -22,6 +22,7 @@ __all__ = ["LossTask", "BlobsTask", "XorMlpTask", "QuadraticTask", "make_task"]
 _TRAIN_SPLIT, _DEV_SPLIT, _TEST_SPLIT = 0, 1, 2
 _GEOMETRY_KEY, _INIT_KEY = 10, 11
 _MAX_DRAWS = 1000  # draws of one Blobs sample before its geometry is rejected
+_SAMPLE_BLOCK = 2**16  # floats of one block of Blobs candidate draws
 # Records, inputs, hidden units and parameters of a task, and the floats
 # (records times parameters) that one loss evaluation reads or forms, at most
 # these many: a size past them overflows an index or asks for more memory
@@ -130,31 +131,38 @@ class BlobsTask(LossTask):
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite sample raises below
     def _sample(self, count: int, split: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = substream(self.seed, split)
+        """The class's rejection sampling, with the draws made in blocks in
+        stream order, each formed for both labels with ``np.vecdot`` (its rows
+        are ``row @ axis`` bit for bit), then taken or passed over in order."""
+        rng, axis = substream(self.seed, split), self.axis
         labels = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
         xs = np.empty((count, self.input_dim))
-        for i, label in enumerate(labels):
-            for _ in range(_MAX_DRAWS):
-                noise = rng.standard_normal(self.input_dim)
-                along = float(noise @ self.axis)
-                perp = noise - along * self.axis
-                x = (
-                    label * (self.separation / 2.0) * self.axis
-                    + self.axis_noise * along * self.axis
-                    + self.perp_noise * perp
-                )
-                projection = float(x @ self.axis)
+        centres = np.array([[1.0], [-1.0]]) * (self.separation / 2.0) * axis
+        i = draws = 0
+        while i < count:
+            rows = min(2 * (count - i), max(1, _SAMPLE_BLOCK // self.input_dim))
+            noise = rng.standard_normal((rows, self.input_dim))
+            along = np.vecdot(noise, axis)
+            perp = noise - along[:, None] * axis
+            x = centres[:, None] + self.axis_noise * along[:, None] * axis + self.perp_noise * perp
+            projections = np.vecdot(x, axis).tolist()
+            for j in range(rows):
+                projection = projections[i % 2][j]  # under sample i's label
                 if not math.isfinite(projection):  # as it is if any of x is (inf * 0 is NaN)
                     raise ValueError(
                         f"{self.name}: separation {self.separation!r}, axis_noise "
                         f"{self.axis_noise!r} and perp_noise {self.perp_noise!r} give a "
                         "non-finite sample"
                     )
-                if label * projection >= self.margin:
-                    xs[i] = x
-                    break
-            else:
-                raise ValueError(f"no sample cleared margin {self.margin!r} in {_MAX_DRAWS} draws")
+                if labels[i] * projection >= self.margin:
+                    xs[i] = x[i % 2, j]
+                    i, draws = i + 1, 0
+                    if i == count:
+                        break
+                elif (draws := draws + 1) == _MAX_DRAWS:
+                    raise ValueError(
+                        f"no sample cleared margin {self.margin!r} in {_MAX_DRAWS} draws"
+                    )
         return xs, labels
 
     def per_sample_losses(self, theta: np.ndarray) -> np.ndarray:

@@ -5,7 +5,11 @@ stdlib math / plain numpy, never by calling the package functions under
 test, so agreement is evidence rather than tautology.  The channel oracles
 raise the package's ``ChannelError``, as the code they check does.
 ``direction_oracle`` draws any one probe direction through NumPy's own
-``SeedSequence``, the random-access reference for ``rng.directions``.
+``SeedSequence``, the random-access reference for ``rng.directions``, and
+``stepwise_trajectory`` takes a transcript's steps one at a time from the
+update rule, the reference for ``engine.public_trajectory``.
+``loop_blobs_sample`` draws Blobs samples one draw at a time, the reference
+for the block sampler.
 ``reference_channel_mi`` and ``reference_invert_channel_mi`` are the
 package's quadrature and bisection in their two-branch form, one pass per
 conditioning symbol: the bit-exact reference for the fused evaluator.
@@ -262,6 +266,58 @@ def direction_oracle(seed: int, t: int, slot: int, dim: int) -> np.ndarray:
     seeded by NumPy's own SeedSequence under the directions tag."""
     seq = np.random.SeedSequence(seed, spawn_key=(DIRECTIONS_STREAM, t, slot))
     return np.random.Generator(np.random.PCG64(seq)).standard_normal(dim)
+
+
+def stepwise_trajectory(transcript, theta0) -> np.ndarray:
+    """Every theta of a transcript's run, one step at a time: theta_t =
+    (1 - eta_t * weight_decay) * theta_{t-1} - eta_t * (sum of the slots'
+    y * z) / k, with the slots summed in order and each direction drawn on
+    its own."""
+    config, k = transcript.header.train, transcript.header.mechanism.k
+    thetas = [np.asarray(theta0, dtype=float)]
+    for t in range(1, transcript.header.t_total + 1):
+        ys = [rec.y for rec in transcript.records[(t - 1) * k : t * k]]
+        zs = [direction_oracle(config.seed, t, slot, thetas[0].size) for slot in range(k)]
+        moved = zs[0] * ys[0]
+        for y, z in zip(ys[1:], zs[1:]):
+            moved = moved + y * z
+        eta = config.learning_rate / (1.0 + config.lr_decay * (t - 1))
+        thetas.append((1.0 - eta * config.weight_decay) * thetas[-1] - eta * (moved / k))
+    return np.array(thetas)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def loop_blobs_sample(task, count: int, split: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` Blobs samples of alternating labels, one draw at a time
+    from the split's stream: each sample is redrawn until its projection on
+    the axis clears the margin, a ValueError after 1000 draws or at
+    the first non-finite projection, with ``BlobsTask``'s messages."""
+    rng = np.random.default_rng(np.random.SeedSequence(task.seed, spawn_key=(split,)))
+    labels = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+    xs = np.empty((count, task.input_dim))
+    for i, label in enumerate(labels):
+        for _ in range(1000):
+            noise = rng.standard_normal(task.input_dim)
+            along = float(noise @ task.axis)
+            perp = noise - along * task.axis
+            x = (
+                label * (task.separation / 2.0) * task.axis
+                + task.axis_noise * along * task.axis
+                + task.perp_noise * perp
+            )
+            projection = float(x @ task.axis)
+            if not math.isfinite(projection):
+                raise ValueError(
+                    f"{task.name}: separation {task.separation!r}, axis_noise "
+                    f"{task.axis_noise!r} and perp_noise {task.perp_noise!r} give a "
+                    "non-finite sample"
+                )
+            if label * projection >= task.margin:
+                xs[i] = x
+                break
+        else:
+            raise ValueError(f"no sample cleared margin {task.margin!r} in 1000 draws")
+    return xs, labels
 
 
 def analytic_blobs_directional(task, theta, i: int, z) -> float:

@@ -338,15 +338,17 @@ class TestDirections:
             seed, np.array([t], dtype=np.uint32), np.array([slot], dtype=np.uint32)
         )[0]
         assert words.tobytes() == helpers.direction_state_words(seed, t, slot).tobytes()
-        z = rngmod.direction(words, dim)
+        out = np.full(dim, np.nan)
+        z = rngmod.direction(words, out)
+        assert z is out  # drawn in place
         assert z.tobytes() == helpers.direction_oracle(seed, t, slot, dim).tobytes()
 
     @pytest.mark.parametrize(
         "seed", [0, 7, 123456789, 2**63 - 5, 2**64 + 12345, 2**130 + 3, 2**200 + 11]
     )
     def test_whole_run_matches_oracle(self, seed):
-        steps = list(rngmod.directions(seed, 60, 4, 9))
-        assert len(steps) == 60 and all(len(zs) == 4 for zs in steps)
+        steps = rngmod.directions(seed, 60, 4, 9)
+        assert steps.shape == (60, 4, 9) and steps.dtype == np.float64
         for t in (1, 2, 31, 60):
             for slot in (0, 1, 3):
                 oracle = helpers.direction_oracle(seed, t, slot, 9)
@@ -377,6 +379,17 @@ class TestDirections:
         with pytest.raises(ValueError, match="one key word"):
             rngmod.directions(3, t_total, k, 2)
 
+    @pytest.mark.parametrize(
+        "t_total, k, dim", [(2**12, 1, 2**12 + 1), (300, 1, 2**20), (2**10, 4, 2**13)]
+    )
+    def test_floats_beyond_the_bound_rejected(self, t_total, k, dim):
+        # raised before anything is allocated: at most 2**24 floats a run
+        with pytest.raises(ValueError, match=r"t_total \* k \* dim must be <= 16777216"):
+            rngmod.directions(3, t_total, k, dim)
+
+    def test_bound_is_inclusive(self):
+        assert rngmod.directions(3, 2**12, 2, 2**11).shape == (2**12, 2, 2**11)
+
     def test_key_arrays_must_be_uint32(self):
         with pytest.raises(ValueError, match="uint32"):
             rngmod.direction_words(3, np.array([2**32 + 1]), np.array([0], dtype=np.uint32))
@@ -387,9 +400,9 @@ class TestDirections:
         )
         assert words.shape == (2, 2, 4)
         with pytest.raises(ValueError, match="state words"):
-            rngmod.direction(words[0], 4)
+            rngmod.direction(words[0], np.empty(4))
         with pytest.raises(ValueError, match="state words"):
-            rngmod.direction(words[0, 0].astype(np.int64), 4)
+            rngmod.direction(words[0, 0].astype(np.int64), np.empty(4))
 
 
 class TestTrainLoop:
@@ -492,8 +505,8 @@ class TestTrainLoop:
     def test_direction_stream_is_random_access(self):
         # step 40's first direction is the same whatever the run's length
         # and k, and equals the one drawn for (seed, 40, 0) alone
-        z1 = list(rngmod.directions(5, 40, 1, 12))[39][0]
-        z2 = list(rngmod.directions(5, 45, 2, 12))[39][0]
+        z1 = rngmod.directions(5, 40, 1, 12)[39, 0]
+        z2 = rngmod.directions(5, 45, 2, 12)[39, 0]
         assert z1.tobytes() == z2.tobytes()
         assert z1.tobytes() == helpers.direction_oracle(5, 40, 0, 12).tobytes()
         assert not np.array_equal(z1, helpers.direction_oracle(5, 41, 0, 12))
@@ -577,6 +590,21 @@ class TestTrainLoop:
             probs = replay_posterior(result.transcript, result.design, task)
             assert probs.tobytes() == result.final_posterior.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("lr_decay", [0.0, 0.25])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.4])
+    def test_array_trajectory_is_the_stepwise_rule(self, weight_decay, lr_decay, k):
+        # the running difference (no weight decay) and the decayed loop
+        # against the update rule taken one step at a time, bit for bit
+        task = BlobsTask(n_records=16, seed=5)
+        cfg = TrainConfig(steps=40, learning_rate=0.3, seed=8, dev_eval_interval=40,
+                          lr_decay=lr_decay, weight_decay=weight_decay)
+        spec = mi_spec(variant="k_aggregate", k=k) if k > 1 else mi_spec()
+        transcript = train(task, cfg, spec).transcript
+        thetas, _ = public_trajectory(transcript, task)
+        reference = helpers.stepwise_trajectory(transcript, task.init_params())
+        assert thetas.tobytes() == reference.tobytes()
+
     def test_k2_averages_slot_updates(self):
         task = QuadraticTask(n_records=16, dim=6, seed=8, identical_targets=True)
         cfg = TrainConfig(steps=1, learning_rate=0.1, seed=21, dev_eval_interval=1)
@@ -624,6 +652,80 @@ class TestTrainLoop:
         result = train(task, cfg, spec)
         assert result.final_posterior is None
         assert result.transcript.cum_mi == 0.0
+
+
+class TestBlobsSampler:
+    """The block sampler against ``helpers.loop_blobs_sample``, one draw at
+    a time: the same samples bit for bit, or the same fault."""
+
+    @staticmethod
+    def geometry(seed, input_dim, **params) -> BlobsTask:
+        # the fields _sample reads, without the constructor's own sampling
+        task = object.__new__(BlobsTask)
+        vars(task).update(seed=seed, input_dim=input_dim, **params)
+        seq = np.random.SeedSequence(seed, spawn_key=(10,))
+        g = np.random.default_rng(seq).standard_normal(input_dim)
+        task.axis = g / np.linalg.norm(g)
+        return task
+
+    @staticmethod
+    def outcome(sample, task, count, split):
+        try:
+            xs, labels = sample(task, count, split)
+        except ValueError as exc:
+            return str(exc)
+        return xs.tobytes(), labels.tobytes()
+
+    def assert_same(self, task, count, split):
+        block = self.outcome(BlobsTask._sample, task, count, split)
+        assert block == self.outcome(helpers.loop_blobs_sample, task, count, split)
+        return block
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**40), input_dim=st.integers(1, 24), count=st.integers(1, 80),
+        split=st.integers(0, 2), half=st.floats(0.05, 5.0), share=st.floats(0.5, 1.0),
+        axis_noise=st.floats(-4.0, 4.0), perp_noise=st.floats(0.0, 1e3),
+    )
+    def test_block_sampler_is_the_loop(
+        self, seed, input_dim, count, split, half, share, axis_noise, perp_noise
+    ):
+        # a margin up to half the separation rejects up to about half the draws
+        task = self.geometry(seed, input_dim, separation=2.0 * half, margin=half * share,
+                             axis_noise=axis_noise, perp_noise=perp_noise)
+        self.assert_same(task, count, split)
+
+    @pytest.mark.parametrize("axis_noise, sampled", [
+        (1e-16, True), (3e-17, True), (2e-17, True), (1.5e-17, False),
+    ])
+    def test_heavy_rejection(self, axis_noise, sampled):
+        # 0.5 * |axis|^2 rounds below the margin 0.5 here, so a draw clears it
+        # only when its axis noise makes up the rounding: about 1 in 3 of the
+        # draws at 1e-16 down to 1 in 70 at 2e-17 (9,172 draws in 142 blocks),
+        # and at 1.5e-17 some sample takes more than 1000
+        task = self.geometry(0, 10, separation=1.0, margin=0.5, axis_noise=axis_noise,
+                             perp_noise=0.0)
+        outcome = self.assert_same(task, 128, 0)
+        assert isinstance(outcome, tuple) == sampled
+        if not sampled:
+            assert outcome == "no sample cleared margin 0.5 in 1000 draws"
+
+    @pytest.mark.parametrize("params, message", [
+        ({"axis_noise": 0.0, "perp_noise": 0.0},
+         "no sample cleared margin 0.5 in 1000 draws"),
+        ({"axis_noise": 0.3, "perp_noise": 1e308},
+         "blobs: separation 1.0, axis_noise 0.3 and perp_noise 1e+308 give a non-finite sample"),
+    ], ids=["flat", "overflow"])
+    def test_faults(self, params, message):
+        # flat: each projection is 0.5 * |axis|^2, which rounds below 0.5 here
+        task = self.geometry(0, 10, separation=1.0, margin=0.5, **params)
+        assert self.assert_same(task, 16, 1) == message
+
+    def test_wide_inputs_take_one_draw_a_block(self):
+        # past 2**16 inputs a block holds one draw
+        task = self.geometry(2, 2**16 + 3, separation=3.0, margin=0.5, axis_noise=0.3,
+                             perp_noise=1.5)
+        self.assert_same(task, 3, 2)
 
 
 class TestTasks:

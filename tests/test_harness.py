@@ -944,6 +944,21 @@ class TestCli:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith(f"FAILED invariant: {named or ''}")
 
+    def test_oversized_directions_fail_cleanly(self, tmp_path, capsys):
+        # 300 steps of a 2**20-parameter task once trained and then failed
+        # as a 2.34 GiB allocation of the replayed directions
+        path = write_config(tmp_path, base_raw(seeds=[0]))
+        argv = [
+            "sweep-t", "--config", str(path), "--out", str(tmp_path / "runs"),
+            "--set", "task.name=quadratic", "--set", "task.n_records=16",
+            "--set", "task.dim=1048576", "--rungs", "0", "300",
+        ]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "FAILED invariant: t_total * k * dim must be <= 16777216, got 314572800"
+        )
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize(
         "overrides, text, named",
         [

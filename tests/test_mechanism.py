@@ -326,6 +326,32 @@ class TestPosterior:
         folded = start.updated_by_observation(y_tildes, signs, sigmas)
         assert folded.log_weights.tobytes() == stepped.log_weights.tobytes()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("every_weight", [False, True])
+    def test_block_fold_through_minus_inf_equals_step_fold(self, every_weight):
+        # row 2's sigma is so small that a wrong sign's penalty overflows,
+        # sending that candidate's weight to -inf; when every candidate's
+        # goes, the max is not finite and both forms subtract it as it is
+        rng = np.random.default_rng(9)
+        n, rows = 16, 6
+        start = posterior_from(rng.dirichlet(np.ones(n)))
+        signs = np.where(rng.random((rows, n)) < 0.5, 1, -1)
+        sigmas = 10.0 ** rng.uniform(-1.0, 1.0, rows)
+        y_tildes = signs[:, 0] + sigmas * rng.standard_normal(rows)
+        sigmas[2], y_tildes[2] = 1e-160, 1.0
+        if every_weight:
+            signs[2] = -1
+        before = start.log_weights.tobytes()
+        stepped = start
+        for y_tilde, row, sigma in zip(y_tildes.tolist(), signs, sigmas.tolist()):
+            stepped = stepped.updated_by_observation(y_tilde, row, sigma)
+        folded = start.updated_by_observation(y_tildes, signs, sigmas)
+        assert folded.log_weights.tobytes() == stepped.log_weights.tobytes()
+        assert np.isneginf(folded.log_weights).any() != every_weight
+        assert np.isnan(folded.log_weights).all() == every_weight
+        assert start.log_weights.tobytes() == before  # the fold's buffers are its own
+
     def test_empty_block_keeps_the_posterior(self):
         p = posterior_from([0.25, 0.75])
         folded = p.updated_by_observation(np.empty(0), np.empty((0, 2), dtype=int), np.empty(0))
