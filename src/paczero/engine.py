@@ -77,13 +77,18 @@ def _two_point_all(task: LossTask, theta, z, mu: float) -> np.ndarray:
     directions give a (B, n_records) block, each row bit for bit its own
     pair's; a non-finite estimate raises for the first bad record of the
     first bad row, with that row's |theta|, as the row alone would.  The
-    probe offset mu * z is formed once, and the bad record is looked for
-    only after one finiteness test over all estimates has failed."""
+    probe offset mu * z is formed once, both probes of every row go to the
+    task as one block (each row's losses are its own, bit for bit), and the
+    bad record is looked for only after one finiteness test over all
+    estimates has failed."""
     if not mu > 0.0:
         raise ValueError("smoothing mu must be positive")
     offset = mu * z
-    up = task.per_sample_losses(theta + offset)
-    down = task.per_sample_losses(theta - offset)
+    probes = np.empty((2,) + offset.shape)
+    np.add(theta, offset, out=probes[0])
+    np.subtract(theta, offset, out=probes[1])
+    losses = task.per_sample_losses(probes.reshape(-1, offset.shape[-1]))
+    up, down = losses.reshape(probes.shape[:-1] + losses.shape[-1:])
     values = (up - down) / (2.0 * mu)
     if not np.isfinite(values).all():
         # (record,) for one theta, (row, record) for a block
@@ -98,14 +103,15 @@ def step_update(
     theta: np.ndarray, config: TrainConfig, t: int, ys: list[float], directions: list
 ) -> np.ndarray:
     """Step t of the trajectory, pure: decay theta and move it against the
-    mean of the released values times their directions."""
+    mean of the released values times their directions, one per value.
+    Without decay the factor 1 - eta * 0 is exactly 1, and so is skipped."""
     moved = directions[0] * ys[0]
-    for y, z in zip(ys[1:], directions[1:]):
+    for y, z in zip(ys[1:], directions[1:], strict=True):
         moved = moved + y * z
-    eta = config.eta(t)
-    return (1.0 - eta * config.weight_decay) * np.asarray(theta, dtype=float) - eta * (
-        moved / len(ys)
-    )
+    eta, theta = config.eta(t), np.asarray(theta, dtype=float)
+    if config.weight_decay:
+        theta = (1.0 - eta * config.weight_decay) * theta
+    return theta - eta * (moved / len(ys))
 
 
 def public_trajectory(transcript: Transcript, task: LossTask):

@@ -401,14 +401,16 @@ def subset_signs(scalars: np.ndarray, design: SubsetDesign, clip: float) -> np.n
     subset's members in ascending index order, and take signs (sign(0)=+1).
     Takes one vector of n_records scalars, giving n_subsets signs, or a
     (B, n_records) block of them, giving (B, n_subsets) signs, each row the
-    signs of its vector alone.  Two products give every subset's sum s and
-    absolute sum a.  Summing n floats in any order lands within gamma_n * A
-    of the exact sum (Higham 2002, sec. 4.2), so where
-    |s| > 4 n eps a + 1e-300 (eps = 2**-52) and a < 2**1020 (no order
-    overflows), s and a per-subset sum share one nonzero sign, and the floor
-    keeps that sum over the size from rounding to -0.0.  Every other
-    subset, NaN and inf included, is summed alone; a call whose subsets are
-    all certified returns the signs of the products.  The clip is
+    signs of its vector alone.  One product gives every subset's sum s.
+    Summing n floats in any order lands within gamma_n * A of the exact sum
+    (Higham 2002, sec. 4.2), so where |s| > 4 n eps a + 1e-300 (eps = 2**-52)
+    and a < 2**1020 (no order overflows), for any a at least the subset's
+    absolute sum, s and a per-subset sum share one nonzero sign, and the
+    floor keeps that sum over the size from rounding to -0.0.  A row's
+    absolute total is such an a for all its subsets at once, so a call it
+    certifies throughout returns the product's signs.  Otherwise a second
+    product gives every subset's own absolute sum a, and each subset still
+    uncertified, NaN and inf included, is summed alone.  The clip is
     ``minimum(maximum(x, -clip), clip)``, which keeps NaN, signed zeros and
     infinities as ``np.clip`` does, without its Python-level wrapper."""
     scalars = np.asarray(scalars, dtype=float)
@@ -419,12 +421,14 @@ def subset_signs(scalars: np.ndarray, design: SubsetDesign, clip: float) -> np.n
     if not clip > 0.0:
         raise ValueError("clip must be positive (may be inf)")
     clipped = np.minimum(np.maximum(scalars, -clip), clip)
-    w = design.weights
-    s, a = clipped @ w, np.abs(clipped) @ w
+    w, margin = design.weights, 2.0**-50 * design.n_records
+    s, absolute = clipped @ w, np.abs(clipped)
     signs = np.where(s >= 0.0, 1, -1)
-    certain = (np.abs(s) > 2.0**-50 * design.n_records * a + 1e-300) & (a < 2.0**1020)
-    if certain.all():
+    total, low = np.add.reduce(absolute, axis=-1), np.minimum.reduce(np.abs(s), axis=-1)
+    if ((low > margin * total + 1e-300) & (total < 2.0**1020)).all():
         return signs
+    a = absolute @ w
+    certain = (np.abs(s) > margin * a + 1e-300) & (a < 2.0**1020)
     for index in zip(*(~certain).nonzero()):
         # index is (m,) for a vector and (row, m) for a block
         members = design.subset_members(index[-1])

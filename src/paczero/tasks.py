@@ -231,7 +231,9 @@ class XorMlpTask(LossTask):
         d, h = self.input_dim, self.hidden
         dh = d * h
         w1 = theta[..., :dh].reshape(theta.shape[:-1] + (d, h))
-        hidden = np.tanh(np.matmul(xs, w1) + theta[..., None, dh : dh + h])
+        hidden = np.matmul(xs, w1)
+        np.add(hidden, theta[..., None, dh : dh + h], out=hidden)
+        np.tanh(hidden, out=hidden)
         out = np.matmul(hidden, theta[..., dh + h : dh + 2 * h, None])
         return out[..., 0] + theta[..., -1:]
 

@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paczero import tasks
 from paczero.binary_channel import ChannelError
 from paczero.engine import Transcript
 from paczero.harness import SchemaError, load_transcript, transcript_lines
@@ -290,13 +291,14 @@ def stepwise_trajectory(transcript, theta0) -> np.ndarray:
 def loop_blobs_sample(task, count: int, split: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` Blobs samples of alternating labels, one draw at a time
     from the split's stream: each sample is redrawn until its projection on
-    the axis clears the margin, a ValueError after 1000 draws or at
-    the first non-finite projection, with ``BlobsTask``'s messages."""
+    the axis clears the margin, a ValueError after ``tasks._MAX_DRAWS`` draws
+    (read at each call) or at the first non-finite projection, with
+    ``BlobsTask``'s messages."""
     rng = np.random.default_rng(np.random.SeedSequence(task.seed, spawn_key=(split,)))
     labels = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
     xs = np.empty((count, task.input_dim))
     for i, label in enumerate(labels):
-        for _ in range(1000):
+        for _ in range(tasks._MAX_DRAWS):
             noise = rng.standard_normal(task.input_dim)
             along = float(noise @ task.axis)
             perp = noise - along * task.axis
@@ -316,7 +318,9 @@ def loop_blobs_sample(task, count: int, split: int) -> tuple[np.ndarray, np.ndar
                 xs[i] = x
                 break
         else:
-            raise ValueError(f"no sample cleared margin {task.margin!r} in 1000 draws")
+            raise ValueError(
+                f"no sample cleared margin {task.margin!r} in {tasks._MAX_DRAWS} draws"
+            )
     return xs, labels
 
 

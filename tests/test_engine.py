@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from paczero import engine
 from paczero import rng as rngmod
+from paczero import tasks
 from paczero.adversary import replay_posterior
 from paczero.engine import (
     TrainConfig,
@@ -228,6 +229,21 @@ class TestBlockLosses:
             [_two_point_all(task, t, z, 1e-3) for t, z in zip(thetas, zs)]
         )
 
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @pytest.mark.parametrize("name", sorted(BLOCK_TASKS))
+    def test_two_point_equals_its_probes_taken_apart(self, name, rows):
+        # both probes of every row go to the task as one block, and each
+        # row's losses are those of its own call
+        task = BLOCK_TASKS[name]()
+        thetas = self.block(task, rows or 1, seed=9)
+        zs = np.random.default_rng(9).standard_normal(thetas.shape)
+        if rows is None:
+            thetas, zs = thetas[0], zs[0]
+        apart = (
+            task.per_sample_losses(thetas + 1e-3 * zs) - task.per_sample_losses(thetas - 1e-3 * zs)
+        ) / (2.0 * 1e-3)
+        assert _int_bits(_two_point_all(task, thetas, zs, 1e-3)) == _int_bits(apart)
+
     @pytest.mark.parametrize("name", sorted(BLOCK_TASKS))
     @pytest.mark.parametrize("shape", [(2, 1), (2, 2, 0)])
     def test_block_shape_mismatch_rejected(self, name, shape):
@@ -293,6 +309,22 @@ class TestApplyUpdate:
         theta = np.array([1.0, 1.0])
         single_step(theta, 0.5, 0.0, 1.0, np.array([1.0, 1.0]))
         assert theta.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("ys, slots", [([1.0, -1.0], 3), ([1.0, -1.0, 1.0], 2)])
+    def test_value_and_direction_counts_must_match(self, ys, slots):
+        config = TrainConfig(steps=1)
+        with pytest.raises(ValueError):
+            step_update(np.zeros(2), config, 1, ys, list(np.ones((slots, 2))))
+
+    def test_no_decay_skips_a_multiply_by_one(self):
+        # 1 - eta * 0 is exactly 1, so skipping it keeps every bit, even
+        # of -0.0, infinities and NaN
+        theta = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-310, 3.0])
+        z = np.array([0.0, -0.0, 1.0, 1.0, 1.0, 0.0, 2.0])
+        expected = (1.0 - 0.25 * 0.0) * theta - 0.25 * ((z * 1.0 + z * -3.0) / 2)
+        config = SimpleNamespace(eta=lambda t: 0.25, weight_decay=0.0)
+        out = step_update(theta, config, 1, [1.0, -3.0], [z, z])
+        assert out.tobytes() == expected.tobytes()
 
     def test_affine_in_theta(self):
         a = np.array([1.0, 2.0])
@@ -721,6 +753,30 @@ class TestBlobsSampler:
         task = self.geometry(0, 10, separation=1.0, margin=0.5, **params)
         assert self.assert_same(task, 16, 1) == message
 
+    def test_draw_limit_is_exact(self, monkeypatch):
+        # axis noise alone decides the side here, so each draw clears the
+        # margin about half the time; the smallest limit under which the loop
+        # takes all 4 samples finds split streams whose slowest sample clears
+        # on exactly draw L, and on exactly draw L + 1
+        limit, count = 4, 4
+        task = self.geometry(0, 3, separation=1.0, margin=0.5, axis_noise=1.0,
+                             perp_noise=0.0)
+
+        def cleared(seed, draws):
+            monkeypatch.setattr(tasks, "_MAX_DRAWS", draws)
+            task.seed = seed
+            return isinstance(self.outcome(helpers.loop_blobs_sample, task, count, 0), tuple)
+
+        def slowest(seed):  # the draws of its slowest sample, or limit + 2 for more
+            return next((d for d in range(1, limit + 2) if cleared(seed, d)), limit + 2)
+
+        seeds = {slowest(seed): seed for seed in reversed(range(200))}
+        monkeypatch.setattr(tasks, "_MAX_DRAWS", limit)
+        task.seed = seeds[limit]
+        assert isinstance(self.assert_same(task, count, 0), tuple)
+        task.seed = seeds[limit + 1]
+        assert self.assert_same(task, count, 0) == f"no sample cleared margin 0.5 in {limit} draws"
+
     def test_wide_inputs_take_one_draw_a_block(self):
         # past 2**16 inputs a block holds one draw
         task = self.geometry(2, 2**16 + 3, separation=3.0, margin=0.5, axis_noise=0.3,
@@ -729,6 +785,21 @@ class TestBlobsSampler:
 
 
 class TestTasks:
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_xor_losses_are_the_out_of_place_expression(self, rows):
+        # the hidden layer is built in place, by the same ufuncs in the same
+        # order as this expression, so every loss keeps its bits
+        task = XorMlpTask(n_records=32, seed=2)
+        d, h = task.input_dim, task.hidden
+        thetas = np.random.default_rng(3).standard_normal((rows or 1, task.dim))
+        if rows is None:
+            thetas = thetas[0]
+        w1 = thetas[..., : d * h].reshape(thetas.shape[:-1] + (d, h))
+        hidden = np.tanh(np.matmul(task.x_train, w1) + thetas[..., None, d * h : d * h + h])
+        out = np.matmul(hidden, thetas[..., d * h + h : d * h + 2 * h, None])[..., 0]
+        expected = np.logaddexp(0.0, -task.y_train * (out + thetas[..., -1:]))
+        assert _int_bits(task.per_sample_losses(thetas)) == _int_bits(expected)
+
     def test_make_task_dispatch(self):
         assert isinstance(make_task("blobs", n_records=16), BlobsTask)
         assert isinstance(make_task("xor_mlp", n_records=16), XorMlpTask)

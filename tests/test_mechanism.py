@@ -80,6 +80,16 @@ def subset_designs(draw, one_size: bool = False) -> SubsetDesign:
     return SubsetDesign(membership=membership, seed=0)
 
 
+class ProductCounter(np.ndarray):
+    """A design's weights that count the products taken with them."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, ProductCounter) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 @st.composite
 def design_and_scalars(draw, one_size: bool = False):
     design = draw(subset_designs(one_size))
@@ -425,6 +435,95 @@ class TestSubsetSigns:
         design, scalars, clip = case
         expected = helpers.loop_subset_signs(scalars, design.membership, clip)
         assert subset_signs(scalars, design, clip).tolist() == expected.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(design=subset_designs(), seed=st.integers(0, 2**32 - 1),
+           powers=st.lists(st.integers(20, 60), min_size=1, max_size=4))
+    def test_dominant_record_equals_per_subset_loop(self, design, seed, powers):
+        # record 0 is 2**k times the largest other record: the subsets it
+        # sits in take its sign, and from k of about 45 on the row's total
+        # no longer certifies the others, so the draws meet both paths
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((len(powers), design.n_records))
+        block[:, 0] = rng.choice([-1.0, 1.0], len(powers)) * np.ldexp(
+            np.abs(block[:, 1:]).max(axis=1), powers
+        )
+        expected = [
+            helpers.loop_subset_signs(row, design.membership, math.inf).tolist()
+            for row in block
+        ]
+        assert [subset_signs(row, design, math.inf).tolist() for row in block] == expected
+        assert subset_signs(block, design, math.inf).tolist() == expected
+
+    def test_huge_row_total_is_certified_subset_by_subset(self, monkeypatch):
+        # every subset's absolute sum is under 1.5 * 2**1019, while each row's
+        # total is at least 2**1020: the row's total certifies nothing, each
+        # subset's own absolute sum certifies it, and none is summed alone
+        design = build_balanced_design(32, 8, seed=5)
+        row = np.full(32, 2.0**1015)
+        mixed = np.where(np.arange(32) % 2, 1.0, -1.0) * (1.0 + np.arange(32) / 64) * row
+        summed = []
+        subset_members = SubsetDesign.subset_members
+        monkeypatch.setattr(
+            SubsetDesign, "subset_members",
+            lambda self, m: summed.append(int(m)) or subset_members(self, m),
+        )
+        block = np.stack([row, -row, mixed])
+        for scalars in [row, *block, block]:
+            expected = [
+                helpers.loop_subset_signs(r, design.membership, math.inf).tolist()
+                for r in np.atleast_2d(scalars)
+            ]
+            signs = subset_signs(scalars, design, math.inf)
+            assert np.atleast_2d(signs).tolist() == expected
+        assert summed == []
+
+    # the rows a row's total certifies throughout, and rows it does not
+    COVERED_ROWS = {
+        "plain": lambda row: row,
+        "negated": lambda row: -row,
+    }
+    UNCOVERED_ROWS = {
+        "dominant": lambda row: np.where(np.arange(row.size) == 0, 2.0**60, row),
+        "huge_total": lambda row: np.full(row.size, 2.0**1015),
+        "nan": lambda row: np.where(np.arange(row.size) == 3, math.nan, row),
+        "inf": lambda row: np.where(np.arange(row.size) == 5, -math.inf, row),
+    }
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(COVERED_ROWS) + sorted(UNCOVERED_ROWS))
+    def test_second_product_only_where_the_row_total_fails(self, case, monkeypatch):
+        design = build_balanced_design(32, 8, seed=5)
+        weights = design.weights.view(ProductCounter)
+        monkeypatch.setitem(vars(design), "weights", weights)
+        base = np.random.default_rng(5).uniform(0.5, 1.0, 32) * np.where(
+            np.arange(32) % 3, 1.0, -1.0
+        )
+        rows = {**self.COVERED_ROWS, **self.UNCOVERED_ROWS}
+        row = rows[case](base)
+        products = 1 if case in self.COVERED_ROWS else 2
+        for scalars in [row, np.stack([base, row, -base])]:
+            weights.products = 0
+            signs = subset_signs(scalars, design, math.inf)
+            assert weights.products == products
+            assert np.atleast_2d(signs).tolist() == [
+                helpers.loop_subset_signs(r, design.membership, math.inf).tolist()
+                for r in np.atleast_2d(scalars)
+            ]
+
+    def test_overflowing_row_total_warns_and_takes_the_second_product(self, monkeypatch):
+        # two records of 1e308 overflow the row's total, while each subset
+        # holds one of them
+        design = halves_design(4)
+        weights = design.weights.view(ProductCounter)
+        monkeypatch.setitem(vars(design), "weights", weights)
+        weights.products = 0
+        row = np.array([1e308, -1e308])
+        with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
+            signs = subset_signs(row, design, math.inf)
+        assert weights.products == 2
+        expected = helpers.loop_subset_signs(row, design.membership, math.inf)
+        assert signs.tolist() == expected.tolist()
 
     # six records, four subsets, each record in two: {0,1,2} {3,4,5} {0,1,3} {2,4,5}
     BLOCK_SUBSETS = [[0, 1, 2], [3, 4, 5], [0, 1, 3], [2, 4, 5]]
