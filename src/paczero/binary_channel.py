@@ -146,7 +146,7 @@ def _channel_mi_sigmas(q_plus: float, sigma: np.ndarray) -> np.ndarray:
     if sigma.ndim != 1:
         raise ChannelError(f"expected a 1-d sigma array, got shape {sigma.shape}")
     # two reductions, which propagate NaN, in place of four elementwise checks
-    low, high = sigma.min(initial=math.inf), sigma.max(initial=0.0)
+    low, high = np.minimum.reduce(sigma, initial=math.inf), np.maximum.reduce(sigma, initial=0.0)
     if not (low >= 0.0 and high < math.inf):
         bad = float(sigma[~((sigma >= 0.0) & (sigma < math.inf))][0])
         raise ChannelError(f"sigma must be finite and nonnegative: {bad!r}")
@@ -247,9 +247,9 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
 
     fence = MI_MATCH_TOL + _MI_JITTER
     log_guess, skip_lo, skip_hi = _skip_interval(4.0 * q_plus * (1.0 - q_plus), beta, fence)
-    lo, hi, skipped, exp, log = BRACKET_LO, BRACKET_HI, 0, math.exp, math.log
+    lo, hi, skipped, exp, log = BRACKET_LO, BRACKET_HI, _SKIP_MAX, math.exp, math.log
     log_lo, log_hi = log(lo), log(hi)
-    while skipped < _SKIP_MAX:
+    for n in range(_SKIP_MAX):
         sigma = exp(0.5 * (log_lo + log_hi))
         log_sigma = log(sigma)
         if log_sigma < skip_lo:
@@ -257,8 +257,8 @@ def invert_channel_mi(q_plus: float, beta: float) -> float:
         elif log_sigma > skip_hi:
             hi, log_hi = sigma, log_sigma
         else:
+            skipped = n
             break
-        skipped += 1
     lookahead = min(_LOOKAHEAD_FIRST, _steps_to_tolerance(2.0 * beta * (log_hi - log_lo)))
     path, logs = _midpoints(log_lo, log_hi, log_guess, lookahead)
     mi_lo, mi_hi, *mis = channel_mi(q_plus, np.array([lo, hi, *path])).tolist()

@@ -90,7 +90,7 @@ def _two_point_all(task: LossTask, theta, z, mu: float) -> np.ndarray:
     losses = task.per_sample_losses(probes.reshape(-1, offset.shape[-1]))
     up, down = losses.reshape(probes.shape[:-1] + losses.shape[-1:])
     values = (up - down) / (2.0 * mu)
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         # (record,) for one theta, (row, record) for a block
         index = np.argwhere(~np.isfinite(values))[0]
         raise TwoPointNumericsError(
@@ -104,14 +104,15 @@ def step_update(
 ) -> np.ndarray:
     """Step t of the trajectory, pure: decay theta and move it against the
     mean of the released values times their directions, one per value.
-    Without decay the factor 1 - eta * 0 is exactly 1, and so is skipped."""
+    Without decay the factor 1 - eta * 0 is exactly 1, and with one value
+    the divisor is 1 (x / 1 is x for every double), so each is skipped."""
     moved = directions[0] * ys[0]
     for y, z in zip(ys[1:], directions[1:], strict=True):
         moved = moved + y * z
     eta, theta = config.eta(t), np.asarray(theta, dtype=float)
     if config.weight_decay:
         theta = (1.0 - eta * config.weight_decay) * theta
-    return theta - eta * (moved / len(ys))
+    return theta - eta * (moved / len(ys) if len(ys) > 1 else moved)
 
 
 def public_trajectory(transcript: Transcript, task: LossTask):

@@ -408,11 +408,13 @@ def subset_signs(scalars: np.ndarray, design: SubsetDesign, clip: float) -> np.n
     absolute sum, s and a per-subset sum share one nonzero sign, and the
     floor keeps that sum over the size from rounding to -0.0.  A row's
     absolute total is such an a for all its subsets at once, so a call it
-    certifies throughout returns the product's signs.  Otherwise a second
-    product gives every subset's own absolute sum a, and each subset still
-    uncertified, NaN and inf included, is summed alone.  The clip is
-    ``minimum(maximum(x, -clip), clip)``, which keeps NaN, signed zeros and
-    infinities as ``np.clip`` does, without its Python-level wrapper."""
+    certifies throughout returns the product's signs: one vector tests its
+    smallest |s| on Python floats, a block every |s| against its row's
+    bound.  Otherwise a second product gives every subset's own absolute sum
+    a, and each subset still uncertified, NaN and inf included, is summed
+    alone.  The clip is ``minimum(maximum(x, -clip), clip)``, which keeps
+    NaN, signed zeros and infinities as ``np.clip`` does, without its
+    Python-level wrapper."""
     scalars = np.asarray(scalars, dtype=float)
     if scalars.ndim not in (1, 2) or scalars.shape[-1] != design.n_records:
         raise ValueError(
@@ -423,12 +425,16 @@ def subset_signs(scalars: np.ndarray, design: SubsetDesign, clip: float) -> np.n
     clipped = np.minimum(np.maximum(scalars, -clip), clip)
     w, margin = design.weights, 2.0**-50 * design.n_records
     s, absolute = clipped @ w, np.abs(clipped)
-    signs = np.where(s >= 0.0, 1, -1)
-    total, low = np.add.reduce(absolute, axis=-1), np.minimum.reduce(np.abs(s), axis=-1)
-    if ((low > margin * total + 1e-300) & (total < 2.0**1020)).all():
+    signs, magnitude = np.where(s >= 0.0, 1, -1), np.abs(s)
+    total = np.add.reduce(absolute, axis=-1)
+    if scalars.ndim == 1:  # the same double arithmetic as on arrays, NaN and inf included
+        total, low = float(total), float(np.minimum.reduce(magnitude))
+        if low > margin * total + 1e-300 and total < 2.0**1020:
+            return signs
+    elif (magnitude > (margin * total + 1e-300)[:, None]).all() and (total < 2.0**1020).all():
         return signs
     a = absolute @ w
-    certain = (np.abs(s) > margin * a + 1e-300) & (a < 2.0**1020)
+    certain = (magnitude > margin * a + 1e-300) & (a < 2.0**1020)
     for index in zip(*(~certain).nonzero()):
         # index is (m,) for a vector and (row, m) for a block
         members = design.subset_members(index[-1])
@@ -442,7 +448,7 @@ def agreement_probability(posterior: Posterior, signs: np.ndarray) -> float:
     if signs.shape[0] != posterior.n_candidates:
         raise ValueError("signs and posterior disagree on candidate count")
     # normalized weights can land an ulp outside [0, 1] after exp-summing
-    return float(min(max(posterior.probabilities()[signs > 0].sum(), 0.0), 1.0))
+    return float(min(max(np.add.reduce(np.exp(posterior.log_weights)[signs > 0]), 0.0), 1.0))
 
 
 def agreed_sign(q_plus: float) -> int:

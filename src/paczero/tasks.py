@@ -176,7 +176,7 @@ class BlobsTask(LossTask):
         theta = self._check_theta(theta)
         scores = xs @ theta[:-1] + theta[-1]
         predicted = np.where(scores >= 0.0, 1.0, -1.0)
-        return float(np.mean(predicted == ys))
+        return float(np.add.reduce(predicted == ys, dtype=float) / ys.size)
 
     def init_params(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -244,7 +244,7 @@ class XorMlpTask(LossTask):
     def eval_metric(self, theta: np.ndarray, split: str = "dev") -> float:
         xs, ys = self._split(split)
         predicted = np.where(self._forward(self._check_theta(theta), xs) >= 0.0, 1.0, -1.0)
-        return float(np.mean(predicted == ys))
+        return float(np.add.reduce(predicted == ys, dtype=float) / ys.size)
 
     def init_params(self) -> np.ndarray:
         rng = substream(self.seed, _INIT_KEY)

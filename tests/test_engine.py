@@ -326,6 +326,26 @@ class TestApplyUpdate:
         out = step_update(theta, config, 1, [1.0, -3.0], [z, z])
         assert out.tobytes() == expected.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.tuples(st.floats(allow_subnormal=True), st.floats(allow_subnormal=True)),
+            min_size=1, max_size=6,
+        ),
+        y=st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats()),
+        eta=st.one_of(st.sampled_from([0.05, 0.0, 1e-310]), st.floats(0.0, 1e3)),
+        weight_decay=st.sampled_from([0.0, 0.4]),
+    )
+    def test_one_slot_skips_the_divide_by_one(self, values, y, eta, weight_decay):
+        # x / 1 is exactly x for every double, -0.0, subnormals, infinities
+        # and NaN included, so one slot's move is not divided
+        theta, z = (np.array(column) for column in zip(*values))
+        with np.errstate(all="ignore"):
+            decayed = (1.0 - eta * weight_decay) * theta if weight_decay else theta
+            expected = decayed - eta * ((z * y) / 1)
+            out = single_step(theta, eta, weight_decay, y, z)
+        assert _int_bits(out) == _int_bits(expected)
+
     def test_affine_in_theta(self):
         a = np.array([1.0, 2.0])
         b = np.array([-3.0, 0.5])
@@ -799,6 +819,24 @@ class TestTasks:
         out = np.matmul(hidden, thetas[..., d * h + h : d * h + 2 * h, None])[..., 0]
         expected = np.logaddexp(0.0, -task.y_train * (out + thetas[..., -1:]))
         assert _int_bits(task.per_sample_losses(thetas)) == _int_bits(expected)
+
+    @pytest.mark.parametrize("name", ["blobs", "xor_mlp"])
+    @pytest.mark.parametrize("n_records", [16, 128])
+    def test_eval_metric_is_the_mean_of_matches(self, name, n_records):
+        # np.add.reduce in float64 and one true divide by the size are the
+        # operations np.mean takes on a boolean array, bit for bit
+        task = make_task(name, n_records=n_records, seed=n_records)
+        rng = np.random.default_rng(n_records)
+        for scale in (0.0, 0.1, 1.0, 10.0):
+            theta = scale * rng.standard_normal(task.dim)
+            for split in ("dev", "test"):
+                xs, ys = task._split(split)
+                if name == "blobs":
+                    scores = xs @ theta[:-1] + theta[-1]
+                else:
+                    scores = task._forward(theta, xs)
+                expected = float(np.mean(np.where(scores >= 0.0, 1.0, -1.0) == ys))
+                assert task.eval_metric(theta, split).hex() == expected.hex()
 
     def test_make_task_dispatch(self):
         assert isinstance(make_task("blobs", n_records=16), BlobsTask)

@@ -90,6 +90,18 @@ class ProductCounter(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
+def at_the_floor() -> float:
+    """The x at which 2 * 2**-49 * x + 1e-300 rounds back to x: the row
+    (x, -x) of ``halves_design`` then sits exactly on the row test's bound,
+    which the 1e-300 floor dominates."""
+    x = 1e-300
+    for _ in range(8):
+        x, before = 2.0**-48 * x + 1e-300, x
+        if x == before:
+            return x
+    raise AssertionError("no fixed point of the floor's bound")
+
+
 @st.composite
 def design_and_scalars(draw, one_size: bool = False):
     design = draw(subset_designs(one_size))
@@ -525,6 +537,59 @@ class TestSubsetSigns:
         expected = helpers.loop_subset_signs(row, design.membership, math.inf)
         assert signs.tolist() == expected.tolist()
 
+    # two records, the first in subsets 0 and 1, the second in 2 and 3, so
+    # every subset sum is one record exactly: (row, whether the row test
+    # certifies it); margin * T + 1e-300 with margin = 2**-49 and T = |x0| + |x1|
+    BOUNDARY_ROWS = {
+        # T = 2**49, so the bound is exactly 1.0, the smallest |s|
+        "at_bound": (lambda: [1.0, 2.0**49 - 1.0], False),
+        "at_bound_negative": (lambda: [-1.0, -(2.0**49 - 1.0)], False),
+        # T still rounds to 2**49, so the smallest |s| is one ulp above 1.0
+        "ulp_above": (lambda: [math.nextafter(1.0, 2.0), 2.0**49 - 1.0], True),
+        "floor_at_bound": (lambda: [x := at_the_floor(), -x], False),
+        "floor_ulp_above": (
+            lambda: [x := math.nextafter(at_the_floor(), 1.0), -x], True
+        ),
+        "nan": (lambda: [math.nan, 1.0], False),
+        "inf": (lambda: [math.inf, 1.0], False),
+        # the total reaches 2**1020 exactly, though each subset holds 2**1019
+        "total_at_2_1020": (lambda: [2.0**1019, -(2.0**1019)], False),
+        # the largest total below it, 2**1020 - 2**967, one ulp short
+        "total_below_2_1020": (lambda: [2.0**1019, -(2.0**1019 - 2.0**967)], True),
+    }
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(BOUNDARY_ROWS))
+    def test_row_test_boundary(self, case, monkeypatch):
+        # the certificate is a strict inequality and a strict total bound,
+        # the same for one vector (Python floats) as for a block row
+        # (broadcast): a row on its bound takes the second product, one ulp
+        # above it does not, and only NaN and inf subsets are summed alone
+        design = halves_design(4)
+        weights = design.weights.view(ProductCounter)
+        monkeypatch.setitem(vars(design), "weights", weights)
+        make_row, certified = self.BOUNDARY_ROWS[case]
+        row = np.array(make_row())
+        total = float(np.add.reduce(np.abs(row)))
+        if math.isfinite(total):  # the case's label agrees with its own arithmetic
+            low = float(np.min(np.abs(row)))
+            assert (low > 2.0**-49 * total + 1e-300 and total < 2.0**1020) == certified
+        summed = []
+        subset_members = SubsetDesign.subset_members
+        monkeypatch.setattr(
+            SubsetDesign, "subset_members",
+            lambda self, m: summed.append(int(m)) or subset_members(self, m),
+        )
+        for scalars in [row, np.stack([np.array([3.0, -5.0]), row])]:
+            weights.products = 0
+            signs = subset_signs(scalars, design, math.inf)
+            assert weights.products == (1 if certified else 2)
+            assert np.atleast_2d(signs).tolist() == [
+                helpers.loop_subset_signs(r, design.membership, math.inf).tolist()
+                for r in np.atleast_2d(scalars)
+            ]
+        assert bool(summed) == (case in ("nan", "inf"))
+
     # six records, four subsets, each record in two: {0,1,2} {3,4,5} {0,1,3} {2,4,5}
     BLOCK_SUBSETS = [[0, 1, 2], [3, 4, 5], [0, 1, 3], [2, 4, 5]]
     BLOCK_ROWS = {
@@ -626,6 +691,23 @@ class TestBranching:
         p = Posterior.uniform(4)
         assert agreement_probability(p, np.array([1, 1, 1, 1])) == 1.0
         assert agreement_probability(p, np.array([1, 1, -1, -1])) == 0.5
+
+    @pytest.mark.parametrize("n", [2, 8, 128, 130])
+    def test_agreement_is_the_masked_sum_of_probabilities(self, n):
+        # np.add.reduce over exp(log_weights)[signs > 0] is the sum the
+        # array method takes, bit for bit, clamped to [0, 1] the same way
+        rng = np.random.default_rng(n)
+        for trial in range(20):
+            p = Posterior(np.log(rng.dirichlet(np.full(n, 0.3 + trial))))
+            if trial % 2:
+                signs = rng.choice([-1, 1], n)
+                p = p.updated_by_observation(float(rng.normal()), signs, 0.5 + trial / 10)
+            signs = rng.choice([-1, 1], n)
+            expected = float(min(max(p.probabilities()[signs > 0].sum(), 0.0), 1.0))
+            assert agreement_probability(p, signs).hex() == expected.hex()
+        assert agreement_probability(p, np.ones(n, dtype=int)).hex() == float(
+            min(max(p.probabilities().sum(), 0.0), 1.0)
+        ).hex()
 
     def test_agreement_shape_mismatch(self):
         with pytest.raises(ValueError):
