@@ -39,6 +39,17 @@ def _default(function, name: str):
     return inspect.signature(function).parameters[name].default
 
 
+# each sweep command: its help, its harness function, and the parameter it
+# sweeps (its flag and keyword) with the type of that parameter's values
+_SWEEPS = {
+    "sweep-mi": ("same recipe across total budgets", harness.sweep_mi_plateau, "budgets", float),
+    "sweep-t": ("horizon ladder on one trajectory", harness.sweep_t_ladder, "rungs", int),
+    "sweep-decomp": ("surrogate ladder plus both private variants",
+                     harness.sweep_decomposition, None, None),
+    "sweep-k": ("directions-per-step ladder", harness.sweep_k, "ks", int),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paczero",
@@ -48,32 +59,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="train per seed, persist artifacts, validate")
     _add_config_args(p)
+    p.set_defaults(handler=_cmd_run)
 
-    p = sub.add_parser("sweep-mi", help="same recipe across total budgets")
-    _add_config_args(p)
-    p.add_argument("--budgets", type=float, nargs="+",
-                   default=_default(harness.sweep_mi_plateau, "budgets"))
-
-    p = sub.add_parser("sweep-t", help="horizon ladder on one trajectory")
-    _add_config_args(p)
-    p.add_argument("--rungs", type=int, nargs="+",
-                   default=_default(harness.sweep_t_ladder, "rungs"))
-
-    p = sub.add_parser("sweep-decomp",
-                       help="surrogate ladder plus both private variants")
-    _add_config_args(p)
-
-    p = sub.add_parser("sweep-k", help="directions-per-step ladder")
-    _add_config_args(p)
-    p.add_argument("--ks", type=int, nargs="+", default=_default(harness.sweep_k, "ks"))
+    for name, (text, function, swept, kind) in _SWEEPS.items():
+        p = sub.add_parser(name, help=text)
+        _add_config_args(p)
+        p.set_defaults(handler=_cmd_sweep)
+        if swept is not None:
+            p.add_argument(f"--{swept}", type=kind, nargs="+", default=_default(function, swept))
 
     p = sub.add_parser("attack", help="Monte-Carlo membership attack vs bound")
     _add_config_args(p)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--attack-seed", type=int, default=0)
+    p.set_defaults(handler=_cmd_attack)
 
     p = sub.add_parser("validate", help="re-derive and check a transcript")
     p.add_argument("transcript", help="path to transcript.jsonl")
+    p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("bounds", help="MI / attack-success / DP reference table")
     p.add_argument("--mi", type=float, nargs="+",
@@ -81,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, nargs="+",
                    default=_default(harness.report_bounds, "eps_values"))
     p.add_argument("--delta", type=float, default=_default(harness.report_bounds, "delta"))
+    p.set_defaults(handler=_cmd_bounds)
 
     return parser
 
@@ -107,23 +111,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _verdict(summary.first_violation())
 
 
+def _report(result: harness.SweepResult) -> int:
+    """Print a table's CSV and then its summary lines; exit as its violation says."""
+    print(result.csv_text(), end="")
+    for line in result.footer:
+        print(line)
+    return _verdict(result.violation)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_yaml(args.config, args.overrides)
-    out = _out_dir(args, config)
-    if args.command == "sweep-mi":
-        result = harness.sweep_mi_plateau(config, budgets=tuple(args.budgets), out_dir=out)
-    elif args.command == "sweep-t":
-        result = harness.sweep_t_ladder(config, rungs=tuple(args.rungs), out_dir=out)
-    elif args.command == "sweep-k":
-        result = harness.sweep_k(config, ks=tuple(args.ks), out_dir=out)
-    else:
-        result = harness.sweep_decomposition(config, out_dir=out)
-    print(result.csv_text(), end="")
-    if args.command == "sweep-mi":
-        print(f"test-metric spread: {result.notes['test_spread']:.6g}")
-    if args.command == "sweep-t" and result.notes["drift_at_4x"] is not None:
-        print(f"test drift at 4x best rung: {result.notes['drift_at_4x']:+.6g}")
-    return _verdict(result.violation)
+    _, function, swept, _ = _SWEEPS[args.command]
+    values = {} if swept is None else {swept: tuple(getattr(args, swept))}
+    return _report(function(config, out_dir=_out_dir(args, config), **values))
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
@@ -151,24 +151,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    result = harness.report_bounds(
+    return _report(harness.report_bounds(
         mi_values=tuple(args.mi), eps_values=tuple(args.eps), delta=args.delta
-    )
-    print(result.csv_text(), end="")
-    print(result.notes["disclaimer"])
-    return 0
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep-mi": _cmd_sweep,
-    "sweep-t": _cmd_sweep,
-    "sweep-decomp": _cmd_sweep,
-    "sweep-k": _cmd_sweep,
-    "attack": _cmd_attack,
-    "validate": _cmd_validate,
-    "bounds": _cmd_bounds,
-}
+    ))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # a fault is reported as one line; NumPy's overflow warnings would print first
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](args)
+            return args.handler(args)
     except (ValueError, TwoPointNumericsError) as exc:  # ConfigError, SchemaError, divergence
         return _verdict(str(exc))
     except OSError as exc:  # a missing file, a directory, a file in a path

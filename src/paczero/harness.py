@@ -534,6 +534,8 @@ class SweepResult:
     notes: dict = field(default_factory=dict)
     # first validation violation among the sweep's runs
     violation: str | None = None
+    # the summary lines the command prints after the CSV
+    footer: tuple[str, ...] = ()
 
     def csv_text(self) -> str:
         return _csv_text(self.columns, self.rows)
@@ -552,17 +554,33 @@ def _require_distinct(labels: list, what: str, where: str) -> None:
             raise ValueError(f"{what} {label} appears twice in the {where}")
 
 
+# each mechanism field that one variant alone takes: that variant, and the
+# value the field holds under every other variant
+_VARIANT_OWNED = {"surrogate_mode": ("surrogate", None), "k": ("k_aggregate", 1)}
+
+
 def _sweep(
     config: ExperimentConfig,
     label_column: str,
-    specs: list[tuple[object, MechanismSpec]],
+    runs: list[tuple[object, dict]],
     csv_name: str,
     out_dir: Path | None,
 ) -> SweepResult:
-    """Run the experiment once per (label, spec) and pool each run's seeds
-    into one row; ``notes`` maps every label to its pooled metrics.  Every
-    run is validated, so an overspent budget surfaces as a violation."""
-    _require_distinct([label for label, _ in specs], label_column, "sweep")
+    """Run the experiment once per (label, mechanism fields), the fields
+    naming the run's variant, and pool each run's seeds into one row;
+    ``notes`` maps every label to its pooled metrics.  A run's spec is the config's with the
+    label's fields set and the ``_VARIANT_OWNED`` fields its variant does not
+    take reset, all built before anything trains; one that cannot be built
+    is a ConfigError naming its label.  Every run is validated, so an
+    overspent budget surfaces as a violation."""
+    _require_distinct([label for label, _ in runs], label_column, "sweep")
+    specs = []
+    for label, fields in runs:
+        reset = {n: v for n, (owner, v) in _VARIANT_OWNED.items() if owner != fields["variant"]}
+        try:
+            specs.append((label, replace(config.mechanism, **(reset | fields))))
+        except ValueError as exc:
+            raise ConfigError(f"{label_column} {label}: {exc}") from exc
     rows, notes, violation = [], {}, None
     for label, spec in specs:
         summary = run_experiment(replace(config, mechanism=spec), out_dir=None)
@@ -586,18 +604,16 @@ def sweep_mi_plateau(
 ) -> SweepResult:
     """Same recipe across total budgets; reports per-budget pooled metrics
     and the spread (max minus min) of the pooled test metric."""
-    specs = [
-        (_format_float(b), replace(config.mechanism, variant="paczero_mi", mi_total=b))
-        for b in budgets
-    ]
-    result = _sweep(config, "budget", specs, "sweep_mi.csv", out_dir)
+    runs = [(_format_float(b), {"variant": "paczero_mi", "mi_total": b}) for b in budgets]
+    result = _sweep(config, "budget", runs, "sweep_mi.csv", out_dir)
     tests = [pooled["test"] for pooled in result.notes.values()]
     result.notes = {
         "test_spread": max(tests) - min(tests),
         "within_budget": all(
-            result.notes[label]["max_cum_mi"] <= spec.mi_total for label, spec in specs
+            result.notes[label]["max_cum_mi"] <= fields["mi_total"] for label, fields in runs
         ),
     }
+    result.footer = (f"test-metric spread: {result.notes['test_spread']:.6g}",)
     return result
 
 
@@ -612,6 +628,8 @@ def sweep_t_ladder(
     rungs = tuple(sorted(rungs))
     if rungs[0] < 0:
         raise ValueError(f"rungs must be nonnegative step counts, got {rungs[0]}")
+    if rungs[-1] < 1:  # the trajectory is as long as the largest rung
+        raise ValueError(f"the largest rung must be at least 1 step, got rung {rungs[-1]}")
     _require_distinct(rungs, "rung", "ladder")
     per_rung: dict[int, list[tuple[float, float]]] = {r: [] for r in rungs}
     long_config = replace(config, train=replace(config.train, steps=rungs[-1]))
@@ -644,26 +662,24 @@ def sweep_t_ladder(
             "test_means": rung_test_means,
         },
         violation=summary.first_violation(),
+        footer=() if drift is None else (f"test drift at 4x best rung: {drift:+.6g}",),
     ).save(out_dir, "sweep_t.csv")
 
 
-_DECOMP_VARIANTS = (
-    ("surrogate", "raw_full"), ("surrogate", "quant_full"),
-    ("surrogate", "raw_half"), ("surrogate", "quant_half"),
-    ("surrogate", "random_sign"), ("paczero_mi", None), ("paczero_zpl", None),
-)
+# the decomposition's rows: the surrogate release ladder, then both private variants
+_DECOMP_RUNS = [
+    (mode, {"variant": "surrogate", "surrogate_mode": mode})
+    for mode in ("raw_full", "quant_full", "raw_half", "quant_half", "random_sign")
+] + [(variant, {"variant": variant}) for variant in ("paczero_mi", "paczero_zpl")]
 
 
 def sweep_decomposition(
     config: ExperimentConfig, out_dir: Path | None = None
 ) -> SweepResult:
     """Private variants against the non-private release ladder on the same
-    task, seeds, and schedule."""
-    specs = [
-        (mode or variant, replace(config.mechanism, variant=variant, surrogate_mode=mode, k=1))
-        for variant, mode in _DECOMP_VARIANTS
-    ]
-    return _sweep(config, "release", specs, "sweep_decomp.csv", out_dir)
+    task, seeds, and schedule; the paczero_mi row spends the config's
+    ``mi_total``, which must be positive."""
+    return _sweep(config, "release", _DECOMP_RUNS, "sweep_decomp.csv", out_dir)
 
 
 def sweep_k(
@@ -679,11 +695,8 @@ def sweep_k(
     )
     if inner not in ("paczero_mi", "paczero_zpl"):
         raise ConfigError("k sweep needs a private variant")
-    specs = [
-        (k, replace(config.mechanism, variant="k_aggregate", inner_variant=inner, k=k))
-        for k in ks
-    ]
-    return _sweep(config, "k", specs, "sweep_k.csv", out_dir)
+    runs = [(k, {"variant": "k_aggregate", "inner_variant": inner, "k": k}) for k in ks]
+    return _sweep(config, "k", runs, "sweep_k.csv", out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -725,4 +738,5 @@ def report_bounds(
         columns=("kind", "value", "param", "mia_bound", "note"),
         rows=rows,
         notes={"disclaimer": BOUNDS_DISCLAIMER, "prior": prior},
+        footer=(BOUNDS_DISCLAIMER,),
     )

@@ -1,5 +1,6 @@
 import copy
 import importlib
+import inspect
 import json
 import math
 import os
@@ -605,6 +606,9 @@ class TestSweeps:
         assert [row[0] for row in sweep_t_ladder(config, rungs=(3, 0)).rows] == [0, 3]
         with pytest.raises(ValueError, match="nonnegative"):
             sweep_t_ladder(config, rungs=(10, -5))
+        # a trajectory of 0 steps once failed naming steps, a field never set
+        with pytest.raises(ValueError, match="^the largest rung must be at least 1 step, got rung 0$"):
+            sweep_t_ladder(config, rungs=(0,))
 
     def test_repeated_label_is_rejected(self):
         # both budgets print as 0.1: one note once stood for the two runs,
@@ -612,6 +616,41 @@ class TestSweeps:
         config = ExperimentConfig.from_dict(base_raw(seeds=[0]))
         with pytest.raises(ValueError, match="^budget 0.1 appears twice in the sweep$"):
             sweep_mi_plateau(config, budgets=(0.1000001, 0.1))
+
+    @pytest.mark.parametrize("mechanism", [
+        {"variant": "k_aggregate", "inner_variant": "paczero_zpl", "k": 2},
+        {"variant": "surrogate", "surrogate_mode": "raw_full"},
+    ], ids=["k_aggregate", "surrogate"])
+    def test_mi_plateau_runs_from_any_variant(self, mechanism):
+        # every run is paczero_mi: a k or surrogate mode that only the config's
+        # variant takes once made each run's spec fail
+        raw = base_raw(seeds=[0])
+        raw["mechanism"].update(mechanism)
+        got = sweep_mi_plateau(ExperimentConfig.from_dict(raw), budgets=(0.01, 0.3))
+        plain = sweep_mi_plateau(ExperimentConfig.from_dict(base_raw(seeds=[0])),
+                                 budgets=(0.01, 0.3))
+        assert (got.csv_text(), got.notes) == (plain.csv_text(), plain.notes)
+
+    def test_decomposition_names_its_unbuildable_row_before_training(self, monkeypatch):
+        # a ZPL config has no budget for the paczero_mi row
+        raw = base_raw(seeds=[0], mechanism={"variant": "paczero_zpl", "n_subsets": 8})
+        trained = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *a, **kw: trained.append(a))
+        with pytest.raises(ConfigError, match="^release paczero_mi: mi_total must be positive"):
+            sweep_decomposition(ExperimentConfig.from_dict(raw))
+        assert trained == []
+
+    @pytest.mark.parametrize("sweep, named", [
+        (lambda config: sweep_mi_plateau(config, budgets=(0.1, 0.0)),
+         "^budget 0: mi_total must be positive for an MI variant, got 0.0$"),
+        (lambda config: sweep_k(config, ks=(2, 0)), "^k 0: k must be positive, got 0$"),
+    ], ids=["budget-0", "k-0"])
+    def test_rejected_value_names_its_label_before_training(self, monkeypatch, sweep, named):
+        trained = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *a, **kw: trained.append(a))
+        with pytest.raises(ConfigError, match=named):
+            sweep(ExperimentConfig.from_dict(base_raw(seeds=[0])))
+        assert trained == []
 
     def test_decomposition_ladder(self):
         config = ExperimentConfig.from_dict(base_raw(seeds=[0, 1]))
@@ -911,8 +950,8 @@ class TestCli:
         "argv, named",
         [
             (["attack", "--trials", "5"], None),
-            (["sweep-k", "--ks", "0"], None),
-            (["sweep-t", "--rungs", "0"], None),
+            (["sweep-k", "--ks", "0"], "k 0: k must be positive, got 0"),
+            (["sweep-t", "--rungs", "0"], "the largest rung must be at least 1 step, got rung 0"),
             (["sweep-t", "--rungs", "-5", "10"], None),
             (["bounds", "--mi", "-1"], None),
             # NumPy's own text once named neither the flag nor the value
@@ -1120,6 +1159,19 @@ class TestCli:
             "FAILED invariant: empirical attack rate exceeded the posterior bound + 3 SE\n"
         )
 
+    @pytest.mark.parametrize("command, function", [
+        ("sweep-mi", sweep_mi_plateau), ("sweep-t", sweep_t_ladder),
+        ("sweep-decomp", sweep_decomposition), ("sweep-k", sweep_k),
+    ])
+    def test_sweep_flags_are_the_harness_parameters(self, command, function):
+        # each swept parameter is a flag of the same name and the same default
+        args = vars(cli.build_parser().parse_args([command, "--config", "config.yaml"]))
+        flags = {name: args[name] for name in args.keys() - {
+            "command", "config", "overrides", "out", "handler"}}
+        assert flags == {name: parameter.default for name, parameter in
+                         inspect.signature(function).parameters.items()
+                         if name not in ("config", "out_dir")}
+
     def test_sweep_t_command_prints_the_drift(self, tmp_path, capsys):
         # rungs 3 and 12 tie on test accuracy here, so 3 is the best rung and
         # 12 its 4x rung
@@ -1224,6 +1276,9 @@ class TestCli:
             ["run", "--config", str(config), "--out", str(runs)],
             ["validate", str(runs / "unit" / "seed_0" / "transcript.jsonl")],
             ["sweep-t", "--config", str(config), "--out", str(runs), "--rungs", "6", "12"],
+            *([command, "--config", str(config), "--out", str(runs), "--set", "train.steps=4",
+               *values] for command, *values in (
+                ["sweep-mi", "--budgets", "0.1"], ["sweep-decomp"], ["sweep-k", "--ks", "1", "2"])),
         ):
             done = python_process(tmp_path, "-m", "paczero.cli", *argv)
             assert done.returncode == 0, done.stderr
