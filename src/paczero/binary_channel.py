@@ -17,10 +17,12 @@ most 128 rows, each row both branches of one (q_plus, sigma) in a
 (2, GH_ORDER) block, in arrays the call allocates, so the module holds no
 state and threads may call it at once.  A float q_plus with a 1-d array of
 sigma, as the calibration walk calls it, gives the kernel that q_plus's
-logs, and a float sigma is its one-row case, with the same checks and
-rules; equal-length arrays of q_plus and sigma, as the validator checks
-every recorded noise level at once, give the logs of each q_plus per row,
-taken with ``math``.  Each row is reduced by ``np.vecdot(s, weights)``,
+logs and weights in one array; a float64 array of at most 128 sigma, which
+every calibration call passes, is one kernel call on the array itself, and
+a float sigma is its one-row case, with the same checks and rules.
+Equal-length arrays of q_plus and sigma, as the validator checks every
+recorded noise level at once, give the logs of each q_plus per row, taken
+with ``math``.  Each row is reduced by ``np.vecdot(s, weights)``,
 which takes the dot of each row alone, as ``np.dot(weights, row)`` does,
 so every value is the two-branch form's bit for bit: no node is zero, so
 (x + 0)^2 = x^2, and logaddexp is symmetric.  On 5,000 rows (2,500 pairs,
@@ -107,6 +109,7 @@ _NEG_X2 = -_GH_NODES * _GH_NODES
 _SQRT2_SIGNS = np.array([[math.sqrt(2.0)], [-math.sqrt(2.0)]])
 # Rows per pass of the array forms: a bound on each pass's temporaries.
 _CHUNK_ROWS = 128
+_FLOAT64 = np.dtype(float)
 
 
 class ChannelError(ValueError):
@@ -142,7 +145,12 @@ def channel_mi(q_plus, sigma):
 
 
 def _channel_mi_sigmas(q_plus: float, sigma: np.ndarray) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float)
+    """The MI at each sigma of a 1-d array.  A float64 array of at most
+    ``_CHUNK_ROWS`` rows, as every calibration call and the scalar form
+    pass, is one ``_mi_rows`` call on the array itself; any other dtype is
+    converted first and a longer array runs in passes of that many rows."""
+    if type(sigma) is not np.ndarray or sigma.dtype != _FLOAT64:
+        sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1:
         raise ChannelError(f"expected a 1-d sigma array, got shape {sigma.shape}")
     # two reductions, which propagate NaN, in place of four elementwise checks
@@ -155,11 +163,13 @@ def _channel_mi_sigmas(q_plus: float, sigma: np.ndarray) -> np.ndarray:
     if low < NOISELESS_SIGMA:  # evaluated at the clamp, then given the entropy
         clamped = _channel_mi_sigmas(q_plus, np.maximum(sigma, NOISELESS_SIGMA))
         return np.where(sigma < NOISELESS_SIGMA, binary_entropy(q_plus), clamped)
-    logs = np.array(((math.log(q_plus),), (math.log1p(-q_plus),)))
-    weights, out = np.array((q_plus, 1.0 - q_plus)), np.empty(sigma.shape)
+    consts = np.array(((math.log(q_plus), q_plus), (math.log1p(-q_plus), 1.0 - q_plus)))
+    if sigma.size <= _CHUNK_ROWS:
+        return _mi_rows(consts, sigma)
+    out = np.empty(sigma.shape)
     for start in range(0, sigma.size, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        _mi_rows(logs, weights, sigma[rows], out[rows])
+        out[rows] = _mi_rows(consts, sigma[rows])
     return out
 
 
@@ -183,17 +193,16 @@ def _channel_mi_array(q_plus: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(~noiseless & (q > 0.0) & (q < 1.0))
     for start in range(0, rows.size, _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
-        qc, mi = q[chunk], np.empty(chunk.size)
-        logs = np.array([(math.log(v), math.log1p(-v)) for v in qc.tolist()])[:, :, None]
-        _mi_rows(logs, np.stack((qc, 1.0 - qc), axis=1), sigma[chunk], mi)
-        out[chunk] = mi
+        consts = [((math.log(v), v), (math.log1p(-v), 1.0 - v)) for v in q[chunk].tolist()]
+        out[chunk] = _mi_rows(np.array(consts), sigma[chunk])
     return out
 
 
-def _mi_rows(logs, weights, sigma: np.ndarray, out: np.ndarray) -> None:
-    """Writes the MI of each of at most ``_CHUNK_ROWS`` rows into out: logs are
-    (log q, log 1-q) as (2, 1) for one q_plus or (R, 2, 1) per row, weights
-    (q, 1-q) as (2,) or (R, 2).  Row 0 of a pair conditions on xi = +1, row 1 on -1."""
+def _mi_rows(consts: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The MI of each of at most ``_CHUNK_ROWS`` rows: consts are
+    ((log q, q), (log 1-q, 1-q)) as (2, 2) for one q_plus or (R, 2, 2) per row.
+    Row 0 of a pair conditions on xi = +1, row 1 on -1."""
+    logs, weights = consts[..., :1], consts[..., 1]
     k1 = logs + _NEG_X2  # (log q, log 1-q) - x^2
     s = np.add(_GH_NODES, _SQRT2_SIGNS / sigma[:, None, None])
     np.square(s, out=s)
@@ -202,10 +211,11 @@ def _mi_rows(logs, weights, sigma: np.ndarray, out: np.ndarray) -> None:
     np.subtract(_NEG_X2, s, out=s)
     sums = np.vecdot(s, _GH_WEIGHTS)
     np.multiply(sums, weights, out=sums)
-    np.add(sums[:, 0], sums[:, 1], out=out)  # q * plus + (1 - q) * minus
+    out = np.add(sums[:, 0], sums[:, 1])  # q * plus + (1 - q) * minus
     # Quadrature noise can land an exact-zero integral a few ulp negative;
     # a -0.0 stays, as max(mi, 0.0) keeps it.
     np.copyto(out, 0.0, where=out < 0.0)
+    return out
 
 
 def invert_channel_mi(q_plus: float, beta: float) -> float:

@@ -105,13 +105,19 @@ def step_update(
     """Step t of the trajectory, pure: decay theta and move it against the
     mean of the released values times their directions, one per value.
     Without decay the factor 1 - eta * 0 is exactly 1, and with one value
-    the divisor is 1 (x / 1 is x for every double), so each is skipped."""
-    moved = directions[0] * ys[0]
-    for y, z in zip(ys[1:], directions[1:], strict=True):
-        moved = moved + y * z
+    the divisor is 1 (x / 1 is x for every double), so each is skipped.  A
+    single released +1.0 moves by z itself (z * 1 is z) and a single -1.0
+    by theta + eta * z, which is theta - eta * (z * -1) bit for bit, since
+    negation is exact and x - (-y) is x + y; neither forms z * y."""
     eta, theta = config.eta(t), np.asarray(theta, dtype=float)
     if config.weight_decay:
         theta = (1.0 - eta * config.weight_decay) * theta
+    if len(ys) == 1 == len(directions) and ys[0] in (1.0, -1.0):
+        step = eta * directions[0]
+        return theta - step if ys[0] == 1.0 else theta + step
+    moved = directions[0] * ys[0]
+    for y, z in zip(ys[1:], directions[1:], strict=True):
+        moved = moved + y * z
     return theta - eta * (moved / len(ys) if len(ys) > 1 else moved)
 
 

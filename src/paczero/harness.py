@@ -18,6 +18,7 @@ import json
 import math
 import operator
 import os
+import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -39,7 +40,16 @@ from .engine import (
     public_trajectory,
     train,
 )
-from .mechanism import MechanismSpec, StepRecord, SubsetDesign, build_balanced_design
+from .mechanism import (
+    BRANCH_COIN,
+    BRANCH_DISAGREEMENT,
+    BRANCH_SURROGATE,
+    BRANCH_UNANIMITY,
+    MechanismSpec,
+    StepRecord,
+    SubsetDesign,
+    build_balanced_design,
+)
 from .tasks import LossTask, make_task
 
 __all__ = [
@@ -191,11 +201,23 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-# A release line's keys in sorted order and a record's values (with its type) in that
-# order, so the line's dict is dumped as built: ``_dump_line``'s text without its sort.
+# A release line is one template, its keys in sorted order and its type written in,
+# filled with a record's values in ``StepRecord``'s field order, each spelled as
+# ``_dump_line`` (``json``) spells it: a float by float.__repr__, None as null, an
+# int by its repr (``Transcript`` admits no other int type) and a branch name
+# quoted in advance.  So the line is ``_dump_line``'s text of the record's dict.
 _RELEASE_KEYS = tuple(sorted(_RELEASE_FIELDS))
-_release_values = operator.itemgetter(*map(list(_RELEASE_FIELDS).index, _RELEASE_KEYS))
-_dump_release = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+_RELEASE_LINE = "{{" + ",".join(
+    f'"{key}":' + ('"release"' if key == "type" else f"{{{StepRecord._fields.index(key)}}}")
+    for key in _RELEASE_KEYS
+) + "}}"
+_QUOTED_BRANCHES = {
+    branch: json.dumps(branch)
+    for branch in (BRANCH_UNANIMITY, BRANCH_COIN, BRANCH_DISAGREEMENT, BRANCH_SURROGATE)
+}
+# Keys and branch names are quoted, so an unquoted value starts right after a
+# colon; float.__repr__ spells a value that is not finite inf, -inf or nan.
+_NON_FINITE = re.compile(r":(-?inf|nan)[,}]")
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -246,11 +268,31 @@ def _summary_line(transcript: Transcript) -> dict:
     }
 
 
+def _release_lines(records) -> list[str]:
+    """Each record's release line; a float that is not finite is a
+    ValueError, as ``_dump_line`` (``allow_nan=False``) raises."""
+    line, text, quoted = _RELEASE_LINE.format, float.__repr__, _QUOTED_BRANCHES
+    lines = [
+        line(t, slot, quoted[branch], "null" if q_plus is None else text(q_plus),
+             "null" if sigma is None else text(sigma), text(y),
+             "null" if y_tilde is None else text(y_tilde), text(beta_t), text(beta_used),
+             text(cum_mi), count)
+        for t, slot, branch, q_plus, sigma, y, y_tilde, beta_t, beta_used, cum_mi, count
+        in records
+    ]
+    joined = "\n".join(lines)
+    bad = _NON_FINITE.search(joined)
+    if bad:
+        n = joined.count("\n", 0, bad.start())
+        raise ValueError(f"release record {n}: out of range float {bad[1]} is not JSON compliant")
+    return lines
+
+
 def transcript_lines(transcript: Transcript) -> list[str]:
-    lines = [_dump_line(_header_line(transcript.header))]
-    for rec in transcript.records:
-        lines.append(_dump_release(dict(zip(_RELEASE_KEYS, _release_values(rec + ("release",))))))
-    return lines + [_dump_line(_summary_line(transcript))]
+    return [
+        _dump_line(_header_line(transcript.header)), *_release_lines(transcript.records),
+        _dump_line(_summary_line(transcript)),
+    ]
 
 
 def write_transcript(path: str | Path, transcript: Transcript) -> None:
@@ -571,8 +613,10 @@ def _sweep(
     ``notes`` maps every label to its pooled metrics.  A run's spec is the config's with the
     label's fields set and the ``_VARIANT_OWNED`` fields its variant does not
     take reset, all built before anything trains; one that cannot be built
-    is a ConfigError naming its label.  Every run is validated, so an
-    overspent budget surfaces as a violation."""
+    is a ConfigError naming its label, and no run at all a ValueError.
+    Every run is validated, so an overspent budget surfaces as a violation."""
+    if not runs:
+        raise ValueError(f"empty {label_column} list: a sweep needs at least one {label_column}")
     _require_distinct([label for label, _ in runs], label_column, "sweep")
     specs = []
     for label, fields in runs:
@@ -626,6 +670,8 @@ def sweep_t_ladder(
     parameters held at each rung (no checkpoint selection), as rebuilt from
     the run's transcript."""
     rungs = tuple(sorted(rungs))
+    if not rungs:
+        raise ValueError("empty rung list: a ladder needs at least one rung")
     if rungs[0] < 0:
         raise ValueError(f"rungs must be nonnegative step counts, got {rungs[0]}")
     if rungs[-1] < 1:  # the trajectory is as long as the largest rung

@@ -356,6 +356,40 @@ class TestSigmaArrayForm:
             assert sum(v == 0.0 for v in scalar[25:145]) >= 10  # the clamp is exercised
         assert _bits(channel_mi(q, sigma)) == _bits(scalar)
 
+    @pytest.mark.parametrize("clamped", [False, True], ids=["noisy", "clamped"])
+    @pytest.mark.parametrize(
+        "rows", [1, 2, binary_channel._CHUNK_ROWS, binary_channel._CHUNK_ROWS + 1]
+    )
+    def test_one_kernel_call_up_to_a_chunk(self, monkeypatch, rows, clamped):
+        # a float64 array of at most _CHUNK_ROWS rows, as every calibration
+        # call and the scalar form pass, is one kernel call on the array
+        # itself (on its clamp when a sigma lies below NOISELESS_SIGMA); a
+        # longer one runs in passes
+        rng = np.random.default_rng(rows)
+        sigma = 10.0 ** rng.uniform(-2.0, 3.0, rows)
+        if clamped:
+            sigma[::3] = rng.uniform(0.0, binary_channel.NOISELESS_SIGMA, sigma[::3].size)
+        scalar = [channel_mi(0.3, float(s)) for s in sigma]
+        passes, kernel = [], binary_channel._mi_rows
+        monkeypatch.setattr(binary_channel, "_mi_rows",
+                            lambda consts, s: passes.append(s) or kernel(consts, s))
+        assert _bits(channel_mi(0.3, sigma)) == _bits(scalar)
+        assert len(passes) == -(-rows // binary_channel._CHUNK_ROWS)
+        if rows <= binary_channel._CHUNK_ROWS and not clamped:
+            assert passes[0] is sigma
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32, np.float16, ">f8"])
+    def test_other_dtypes_are_converted(self, monkeypatch, dtype):
+        # the kernel sees native float64 alone
+        sigma = np.array([2.0, 1.3, 7.0, 250.0]).astype(dtype)
+        scalar = [channel_mi(0.3, float(s)) for s in sigma]
+        passes, kernel = [], binary_channel._mi_rows
+        monkeypatch.setattr(binary_channel, "_mi_rows",
+                            lambda consts, s: passes.append(s.dtype) or kernel(consts, s))
+        got = channel_mi(0.3, sigma)
+        assert got.dtype == np.float64 and passes == [np.dtype(float)]
+        assert _bits(got) == _bits(scalar)
+
     def test_degenerate_q_gives_zeros(self):
         for q in (0.0, 1.0):
             assert _bits(channel_mi(q, np.array([0.0, 1.0, 1e12]))) == _bits([0.0] * 3)

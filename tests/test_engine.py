@@ -279,6 +279,16 @@ class TestBlockLosses:
         assert block_error.value.theta_norm == float(np.linalg.norm(thetas[1]))
 
 
+class _CountsMultiplies(np.ndarray):
+    """A direction that records in ``scalars`` the floats it is multiplied by."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.multiply:
+            self.scalars.extend(v for v in inputs if isinstance(v, float))
+        plain = (v.view(np.ndarray) if isinstance(v, np.ndarray) else v for v in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
 def single_step(theta, eta, weight_decay, y, z):
     """One single-direction ``step_update`` at step size eta.  step_update
     reads only ``eta(t)`` and ``weight_decay`` from its config, so a stub
@@ -310,7 +320,37 @@ class TestApplyUpdate:
         single_step(theta, 0.5, 0.0, 1.0, np.array([1.0, 1.0]))
         assert theta.tolist() == [1.0, 1.0]
 
-    @pytest.mark.parametrize("ys, slots", [([1.0, -1.0], 3), ([1.0, -1.0, 1.0], 2)])
+    @pytest.mark.parametrize("eta", [0.25, 0.0])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.4])
+    @pytest.mark.parametrize("y", [1.0, -1.0])
+    def test_unit_release_is_the_generic_step(self, y, weight_decay, eta):
+        # theta - eta * (z * y) bit for bit, signed zeros and underflow to
+        # zero included, without forming z * y: a multiply by y is counted
+        theta = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.0, 1e-310, 3.0, 0.0, -0.0, -0.0, 0.0])
+        z = np.array([0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -1e-310, 0.7, 1e-320, -1e-320,
+                      5e-324, -5e-324])
+        decayed = (1.0 - eta * weight_decay) * theta if weight_decay else theta
+        expected = decayed - eta * (z * y)
+        counted = z.view(_CountsMultiplies)
+        counted.scalars = []
+        out = single_step(theta, eta, weight_decay, y, counted)
+        assert out.tobytes() == expected.tobytes()
+        assert counted.scalars == [eta]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.4])
+    def test_two_slot_unit_releases_take_the_generic_step(self, weight_decay):
+        theta = np.array([0.0, -0.0, 1.5, -2.0, 1e-310])
+        z1 = np.array([0.0, -0.0, 0.3, -0.9, 1e-310])
+        z2 = np.array([-0.0, 0.0, 0.3, 0.4, -1e-310])
+        decayed = (1.0 - 0.25 * weight_decay) * theta if weight_decay else theta
+        expected = decayed - 0.25 * ((z1 * 1.0 + -1.0 * z2) / 2)
+        config = SimpleNamespace(eta=lambda t: 0.25, weight_decay=weight_decay)
+        out = step_update(theta, config, 1, [1.0, -1.0], [z1, z2])
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("ys, slots", [
+        ([1.0, -1.0], 3), ([1.0, -1.0, 1.0], 2), ([1.0], 2), ([-1.0], 2),
+    ])
     def test_value_and_direction_counts_must_match(self, ys, slots):
         config = TrainConfig(steps=1)
         with pytest.raises(ValueError):
@@ -598,6 +638,9 @@ class TestTrainLoop:
         task = QuadraticTask(n_records=8, dim=4)
         cfg = TrainConfig(steps=10, seed=3, dev_eval_interval=5)
         result, trained = train_capturing_iterates(monkeypatch, task, cfg, mi_spec(n_subsets=4))
+        # training moves by theta - eta * z and theta + eta * z, the replay by
+        # the product with each y
+        assert {rec.y for rec in result.transcript.records} == {-1.0, 1.0}
         thetas, directions = public_trajectory(result.transcript, task)
         assert thetas.shape == (len(trained) + 1, task.dim) == (11, task.dim)
         assert directions.shape == (10, 1, task.dim)
@@ -639,6 +682,7 @@ class TestTrainLoop:
             # an MI run's noisy releases are replayed; a ZPL run releases none
             noisy = [rec.branch == "disagreement" for rec in result.transcript.records]
             assert any(noisy) == (spec.bit_rule() == "mi")
+            assert {rec.y for rec in result.transcript.records} == {-1.0, 1.0}
             probs = replay_posterior(result.transcript, result.design, task)
             assert probs.tobytes() == result.final_posterior.tobytes()
 

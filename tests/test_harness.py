@@ -19,7 +19,15 @@ from paczero import _fields, cli, harness
 from paczero.accounting import validate_transcript
 from paczero.adversary import MiaExperimentResult
 from paczero.engine import TrainConfig, Transcript, train
-from paczero.mechanism import BRANCH_UNANIMITY, BudgetLedger, MechanismSpec, StepRecord
+from paczero.mechanism import (
+    BRANCH_COIN,
+    BRANCH_DISAGREEMENT,
+    BRANCH_SURROGATE,
+    BRANCH_UNANIMITY,
+    BudgetLedger,
+    MechanismSpec,
+    StepRecord,
+)
 from paczero.tasks import BlobsTask, QuadraticTask, XorMlpTask, make_task
 from paczero.harness import (
     BOUNDS_DISCLAIMER,
@@ -79,6 +87,36 @@ def reordered(line: str) -> str:
 
 # a header or line edit's value that deletes its key
 DELETED = object()
+
+# release-line values: floats at the edges of float.__repr__'s spellings
+# (signed zeros, the smallest subnormal and normal, the switch to an exponent
+# at 1e-05 and 1e16, the largest double) and ints past 64 bits
+EDGE_FLOAT = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-05, 9999999999999998.0,
+        1e16, 1.7976931348623157e308, -1.7976931348623157e308,
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+LARGE_INT = st.one_of(st.integers(0, 10**6), st.integers(-(2**200), 2**200))
+
+
+def release_records(branch: str):
+    """Records shaped as a release of ``branch``: a surrogate release has no
+    agreement probability, and only a disagreement carries noise fields."""
+    private, noisy = branch != BRANCH_SURROGATE, branch == BRANCH_DISAGREEMENT
+    return st.builds(
+        StepRecord, t=LARGE_INT, slot=LARGE_INT, branch=st.just(branch),
+        q_plus=EDGE_FLOAT if private else st.none(), sigma=EDGE_FLOAT if noisy else st.none(),
+        y=EDGE_FLOAT, y_tilde=EDGE_FLOAT if noisy else st.none(), beta_t=EDGE_FLOAT,
+        beta_used=EDGE_FLOAT, cum_mi=EDGE_FLOAT, unanimity_count=LARGE_INT,
+    )
+
+
+def json_release_line(rec: StepRecord) -> str:
+    """A release line as ``json`` writes the record's dict with its type."""
+    return json.dumps(rec._asdict() | {"type": "release"}, sort_keys=True,
+                      separators=(",", ":"), allow_nan=False)
 
 # a Blobs geometry no sample can clear: without noise each sample sits on the
 # axis at the margin, and at task seed 0 axis @ axis rounds below 1
@@ -508,6 +546,30 @@ class TestTranscriptIO:
         for rec in (charged, *loaded):
             assert isinstance(rec, StepRecord) and not hasattr(rec, "__dict__")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(*map(release_records, (
+        BRANCH_UNANIMITY, BRANCH_COIN, BRANCH_DISAGREEMENT, BRANCH_SURROGATE,
+    ))), min_size=1, max_size=4))
+    def test_release_template_is_the_json_text(self, records):
+        # the template spells every value as json does, so a release line
+        # is json's text of the record's dict, keys sorted
+        assert harness._release_lines(records) == [json_release_line(rec) for rec in records]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["q_plus", "sigma", "y", "y_tilde", "beta_t", "beta_used", "cum_mi"]
+    )
+    def test_release_template_refuses_non_finite_floats(self, field, value):
+        # as json's allow_nan=False does, naming the record
+        good = StepRecord(2, 0, BRANCH_DISAGREEMENT, 0.75, 1.5, 1.0, 0.25, 0.01, 0.01, 0.02, 3)
+        bad = good._replace(**{field: value})
+        with pytest.raises(ValueError):
+            json_release_line(bad)
+        with pytest.raises(ValueError, match=(
+            f"^release record 1: out of range float {value!r} is not JSON compliant$"
+        )):
+            harness._release_lines([good, bad, good])
+
     def test_empty_file_rejected(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -649,6 +711,22 @@ class TestSweeps:
         trained = []
         monkeypatch.setattr(harness, "run_experiment", lambda *a, **kw: trained.append(a))
         with pytest.raises(ConfigError, match=named):
+            sweep(ExperimentConfig.from_dict(base_raw(seeds=[0])))
+        assert trained == []
+
+    @pytest.mark.parametrize("sweep, named", [
+        (lambda config: sweep_mi_plateau(config, budgets=()),
+         "^empty budget list: a sweep needs at least one budget$"),
+        (lambda config: sweep_t_ladder(config, rungs=()),
+         "^empty rung list: a ladder needs at least one rung$"),
+        (lambda config: sweep_k(config, ks=()), "^empty k list: a sweep needs at least one k$"),
+    ], ids=["budgets", "rungs", "ks"])
+    def test_empty_value_list_is_refused_before_training(self, monkeypatch, sweep, named):
+        # no budgets once trained nothing and failed in max(), no rungs
+        # indexed an empty tuple, and no ks wrote a CSV of its header alone
+        trained = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *a, **kw: trained.append(a))
+        with pytest.raises(ValueError, match=named):
             sweep(ExperimentConfig.from_dict(base_raw(seeds=[0])))
         assert trained == []
 
