@@ -21,14 +21,16 @@ logs and weights in one array; a float64 array of at most 128 sigma, which
 every calibration call passes, is one kernel call on the array itself, and
 a float sigma is its one-row case, with the same checks and rules.
 Equal-length arrays of q_plus and sigma, as the validator checks every
-recorded noise level at once, give the logs of each q_plus per row, taken
-with ``math``.  Each row is reduced by ``np.vecdot(s, weights)``,
-which takes the dot of each row alone, as ``np.dot(weights, row)`` does,
-so every value is the two-branch form's bit for bit: no node is zero, so
-(x + 0)^2 = x^2, and logaddexp is symmetric.  On 5,000 rows (2,500 pairs,
-q_plus uniform, sigma log-uniform on [1e-2, 1e3]) vecdot differed from
-that dot in none, while ``rows @ weights`` differed in 3,667 and
-``einsum`` in 3,902.
+recorded noise level at once, fill each pass's (rows, 2, 2) constants in
+place: the logs of each q_plus by ``math`` over the pass's ``tolist()``
+(not ``np.log``, whose SIMD loops vary by CPU), q_plus itself and
+``1.0 - q_plus`` by ``np.subtract``, each the scalar form's value.  Each
+row is reduced by ``np.vecdot(s, weights)``, which takes the dot of each
+row alone, as ``np.dot(weights, row)`` does, so every value is the
+two-branch form's bit for bit: no node is zero, so (x + 0)^2 = x^2, and
+logaddexp is symmetric.  On 5,000 rows (2,500 pairs, q_plus uniform,
+sigma log-uniform on [1e-2, 1e3]) vecdot differed from that dot in none,
+while ``rows @ weights`` differed in 3,667 and ``einsum`` in 3,902.
 
 ``invert_channel_mi`` bisects in log sigma, one decision per midpoint, but
 decides those far from a guess at the root (from the binary input's low-SNR
@@ -46,6 +48,7 @@ bit for bit, and the walk against the one-at-a-time bisection.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -193,8 +196,14 @@ def _channel_mi_array(q_plus: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(~noiseless & (q > 0.0) & (q < 1.0))
     for start in range(0, rows.size, _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
-        consts = [((math.log(v), v), (math.log1p(-v), 1.0 - v)) for v in q[chunk].tolist()]
-        out[chunk] = _mi_rows(np.array(consts), sigma[chunk])
+        q_rows = q[chunk]
+        values = q_rows.tolist()
+        consts = np.empty((chunk.size, 2, 2))  # per row ((log q, q), (log 1-q, 1-q))
+        consts[:, 0, 0] = list(map(math.log, values))
+        consts[:, 1, 0] = list(map(math.log1p, map(operator.neg, values)))
+        consts[:, 0, 1] = q_rows
+        np.subtract(1.0, q_rows, out=consts[:, 1, 1])
+        out[chunk] = _mi_rows(consts, sigma[chunk])
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import operator
@@ -159,7 +160,7 @@ class ExperimentConfig:
     def from_yaml(
         cls, path: str | Path, overrides: list[str] | None = None
     ) -> "ExperimentConfig":
-        raw = _parse_yaml(Path(path).read_text(), str(path))
+        raw = _parse_yaml(Path(path).read_text(encoding="utf-8"), str(path))
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):
@@ -221,7 +222,7 @@ _NON_FINITE = re.compile(r":(-?inf|nan)[,}]")
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(_dump_line(obj) + "\n")
+    path.write_text(_dump_line(obj) + "\n", encoding="utf-8")
 
 
 def _csv_text(columns, rows) -> str:
@@ -296,15 +297,32 @@ def transcript_lines(transcript: Transcript) -> list[str]:
 
 
 def write_transcript(path: str | Path, transcript: Transcript) -> None:
-    Path(path).write_text("\n".join(transcript_lines(transcript)) + "\n")
+    Path(path).write_text("\n".join(transcript_lines(transcript)) + "\n", encoding="utf-8")
 
 
-# A release line's float fields, and its values in ``StepRecord``'s field order.
-_release_floats = operator.itemgetter(
-    "q_plus", "sigma", "y", "y_tilde", "beta_t", "beta_used", "cum_mi"
-)
+# A release line's float fields (q_plus to cum_mi), its values in ``StepRecord``'s
+# field order and its type; ``load_transcript`` decodes release lines a block at a time.
+_FLOATS = slice(StepRecord._fields.index("q_plus"), StepRecord._fields.index("cum_mi") + 1)
+_release_floats = operator.itemgetter(*StepRecord._fields[_FLOATS])
 _record_values = operator.itemgetter(*StepRecord._fields)
-_raw_decode = json.JSONDecoder().raw_decode
+_record_type = operator.itemgetter("type")
+_BLOCK_LINES = 256
+
+
+def _read_lines(path: str | Path) -> list[str]:
+    """A file's lines as ``str.splitlines`` splits its UTF-8 text; a byte
+    that is not UTF-8 is a SchemaError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the text before the fault decodes; "x" stands in for the fault on its line
+        before = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        offset = len(before[-1].encode("utf-8")) - 1
+        bad = " ".join(f"{byte:#04x}" for byte in data[exc.start:exc.end])
+        raise SchemaError(
+            f"line {len(before)}: not UTF-8 text: {exc.reason} at byte offset {offset} ({bad})"
+        ) from None
 
 
 def _parse_line(line: str, n: int) -> dict:
@@ -320,18 +338,55 @@ def _parse_line(line: str, n: int) -> dict:
     return obj
 
 
-def _parse_release(line: str, n: int) -> dict:
-    """A release line's object, decoded directly when the line is one JSON
-    object from its first character to its last; any other line loads or
-    fails through ``_parse_line``."""
-    if line.startswith("{"):
-        try:
-            obj, end = _raw_decode(line)
-            if end == len(line):
-                return obj
-        except (ValueError, RecursionError):
-            pass
-    return _parse_line(line, n)
+def _release_record(line: str, n: int) -> StepRecord:
+    """File line n's record, its fault named: the line must decode to one
+    release object with the release fields and finite floats."""
+    obj = _parse_line(line, n)
+    if obj.get("type") != "release":
+        raise SchemaError(f"line {n}: expected a release record")
+    if obj.keys() != _RELEASE_FIELDS.keys():
+        _require_fields(obj, _RELEASE_FIELDS, f"line {n}")
+    for value in _release_floats(obj):
+        if type(value) is float and not math.isfinite(value):
+            raise SchemaError(f"line {n}: non-finite number {value!r} in transcript")
+    # positional: passing obj as keywords costs about 1.5 us more a line;
+    # the Transcript checks shapes
+    return StepRecord(*_record_values(obj))
+
+
+def _decode_block(block: list[str]) -> list[StepRecord] | None:
+    """The records of a block of release lines decoded as one JSON array, or
+    None where that decode could differ from ``_release_record``'s, line by line.
+
+    The lines are joined by ",\n": every line starts with "{" and ends with
+    "}" when the text does and each join reads "},\n{".  No string holds a
+    newline, an object's comma is followed by a key, and with no "[" in the
+    text no value is an array, so each join separates two items of the
+    array, and a decode to one item per line gives each line its own object.
+    The objects are then held to ``_release_record``'s checks at once: twelve
+    keys, the eleven fields and the type among them; the type "release"; and
+    a finite sum of the float fields' truthy values, which a NaN, an infinity
+    or an overflowing literal makes non-finite (a sum that overflows from
+    finite values only sends the block line by line)."""
+    body = ",\n".join(block)
+    if not (body[:1] == "{" and body[-1:] == "}" and "[" not in body
+            and body.count("},\n{") == len(block) - 1):
+        return None
+    try:
+        objs = json.loads("[" + body + "]")
+        rows = list(map(_record_values, objs))
+        types = list(map(_record_type, objs))
+        floats = list(zip(*rows))[_FLOATS]
+        total = sum(filter(None, itertools.chain.from_iterable(floats)))
+        finite = math.isfinite(total)
+    # bad JSON; a missing key; an item not an object, or text or an object
+    # summed; an int too large for a float
+    except (ValueError, RecursionError, KeyError, TypeError, OverflowError):
+        return None
+    if not (finite and len(objs) == len(block) and types.count("release") == len(objs)
+            and set(map(len, objs)) == {len(_RELEASE_FIELDS)}):
+        return None
+    return list(map(StepRecord._make, rows))
 
 
 def _canonical(obj: dict, where: str) -> str:
@@ -384,12 +439,15 @@ def load_transcript(path: str | Path) -> Transcript:
     canonical JSON text: a NaN or infinity, a key missing or unknown at any
     depth, a copy that disagrees or a value spelled otherwise fails.  Release
     lines are held to their field set and finite numbers, and the records'
-    layout and shapes are checked as the ``Transcript`` is built.  A release
-    line is decoded directly when it is one JSON object from its first
-    character to its last, and any other takes ``json.loads``; a decode
+    layout and shapes are checked as the ``Transcript`` is built.  The file
+    is read as UTF-8 text, and a byte that is not UTF-8 fails naming its
+    line.  Release lines are decoded ``_BLOCK_LINES`` at a time as one JSON
+    array when ``_decode_block`` finds that decode exact and every record
+    sound; any other block is read line by line (``_release_record``), so a
     fault of any line reads ``line N:``, its file line, then the decoder's
-    message.  Checked release fields build each ``StepRecord`` positionally."""
-    lines = Path(path).read_text().splitlines()
+    message or the failed check.  Checked release fields build each
+    ``StepRecord`` positionally."""
+    lines = _read_lines(path)
     if not lines:
         raise SchemaError("empty transcript file")
     header_obj = _parse_line(lines[0], 1)
@@ -421,19 +479,13 @@ def load_transcript(path: str | Path) -> Transcript:
     ):
         raise SchemaError("summary: dev_evals must be [step, metric] pairs")
 
-    records = []
-    for n, line in enumerate(lines[1:-1], start=2):
-        obj = _parse_release(line, n)
-        if obj.get("type") != "release":
-            raise SchemaError(f"line {n}: expected a release record")
-        if obj.keys() != _RELEASE_FIELDS.keys():
-            _require_fields(obj, _RELEASE_FIELDS, f"line {n}")
-        for value in _release_floats(obj):
-            if type(value) is float and not math.isfinite(value):
-                raise SchemaError(f"line {n}: non-finite number {value!r} in transcript")
-        # positional: passing obj as keywords costs about 1.5 us more a line;
-        # the Transcript checks shapes
-        records.append(StepRecord(*_record_values(obj)))
+    records, release = [], lines[1:-1]
+    for start in range(0, len(release), _BLOCK_LINES):
+        block = release[start:start + _BLOCK_LINES]
+        decoded = _decode_block(block)
+        if decoded is None:
+            decoded = [_release_record(line, n) for n, line in enumerate(block, start + 2)]
+        records += decoded
     try:
         transcript = Transcript(header, records, [(t, m) for t, m in dev_evals])
     except ValueError as exc:
@@ -561,7 +613,7 @@ def run_experiment(
             _write_json(seed_dir / "validation.json", dataclasses.asdict(report))
     summary = ExperimentSummary(config=config, rows=rows, results=results)
     if out_dir is not None:
-        (Path(out_dir) / "summary.csv").write_text(summary.csv_text())
+        (Path(out_dir) / "summary.csv").write_text(summary.csv_text(), encoding="utf-8")
     return summary
 
 
@@ -585,7 +637,7 @@ class SweepResult:
     def save(self, out_dir: Path | None, filename: str) -> "SweepResult":
         if out_dir is not None:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
-            (Path(out_dir) / filename).write_text(self.csv_text())
+            (Path(out_dir) / filename).write_text(self.csv_text(), encoding="utf-8")
         return self
 
 

@@ -312,6 +312,36 @@ class TestArrayForm:
         assert _bits(channel_mi(q, sigma)) == _bits(scalar)
 
     @pytest.mark.parametrize(
+        "noisy", [binary_channel._CHUNK_ROWS, binary_channel._CHUNK_ROWS + 1]
+    )
+    def test_constants_filled_in_place_are_the_scalar_forms(self, monkeypatch, noisy):
+        # each pass's (rows, 2, 2) constants, and every value, are the scalar
+        # form's bit for bit at the edges of q: the smallest subnormal, a tiny
+        # normal, the centre and the largest double below 1; among the noisy
+        # rows sit rows of q 0 or 1 and of noiseless sigma, which take no pass
+        noiseless = binary_channel.NOISELESS_SIGMA
+        edges = [5e-324, 1e-300, 0.5, math.nextafter(1.0, 0.0)]
+        q = [edges[i % 4] for i in range(noisy)]
+        sigma = np.geomspace(1e-2, 1e3, noisy).tolist()
+        for i, (extra_q, extra_sigma) in enumerate([
+            (0.0, 1.0), (1.0, 1.0), (0.5, 0.0), (0.3, 1e-12),
+            (0.0, 0.0), (math.nextafter(1.0, 0.0), noiseless / 2),
+        ]):
+            q.insert(20 * i + 3, extra_q)
+            sigma.insert(20 * i + 3, extra_sigma)
+        scalar_mi = [channel_mi(a, b) for a, b in zip(q, sigma)]
+        consts, kernel = [], binary_channel._mi_rows
+        monkeypatch.setattr(binary_channel, "_mi_rows",
+                            lambda c, s: consts.append(c) or kernel(c, s))
+        assert _bits(channel_mi(np.array(q), np.array(sigma))) == _bits(scalar_mi)
+        assert [len(c) for c in consts] == [binary_channel._CHUNK_ROWS] + [1] * (
+            noisy > binary_channel._CHUNK_ROWS
+        )
+        kept = [v for v, s in zip(q, sigma) if 0.0 < v < 1.0 and s >= noiseless]
+        scalar = [((math.log(v), v), (math.log1p(-v), 1.0 - v)) for v in kept]
+        assert np.concatenate(consts).tobytes() == np.array(scalar).tobytes()
+
+    @pytest.mark.parametrize(
         "q, sigma, match",
         [
             ([0.5, 1.5], [1.0, 1.0], "q_plus out of range: 1.5"),

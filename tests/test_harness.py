@@ -85,6 +85,38 @@ def reordered(line: str) -> str:
     return " " + json.dumps(reverse(json.loads(line)), separators=(" , ", " : "))
 
 
+def split_before_a_comma(lines: list[str]) -> list[str]:
+    """Release record 1 cut at a comma, the comma dropped, and records 3 and
+    4 joined by a comma: the same line count, and the release lines joined
+    by commas decode to the records unedited."""
+    cut = lines[1].index(",", 40)
+    return [lines[0], lines[1][:cut], lines[1][cut + 1:], lines[2],
+            lines[3] + "," + lines[4], *lines[5:]]
+
+
+def array_across_lines(lines: list[str]) -> list[str]:
+    """Release record 1's branch made an array of two objects whose join
+    is a line break, and records 3 and 4 joined by a comma: each line starts
+    with "{" and ends with "}", and the release lines joined by ",\\n"
+    decode to one object per line."""
+    head, tail = lines[1].split('"branch":', 1)
+    tail = tail.split(",", 1)[1]
+    return [lines[0], head + '"branch":[{"a":1}', '{"b":2}],' + tail, lines[2],
+            lines[3] + "," + lines[4], *lines[5:]]
+
+
+def load_outcome(path: Path, per_line: bool = False):
+    """``load_transcript(path)``, or its fault's message; ``per_line`` reads
+    every release line through the per-line path."""
+    with pytest.MonkeyPatch.context() as patch:
+        if per_line:
+            patch.setattr(harness, "_decode_block", lambda block: None)
+        try:
+            return load_transcript(path)
+        except SchemaError as exc:
+            return str(exc)
+
+
 # a header or line edit's value that deletes its key
 DELETED = object()
 
@@ -290,6 +322,16 @@ def small_summary(tmp_path_factory):
     return config, out, run_experiment(config, out_dir=out)
 
 
+@pytest.fixture(scope="module")
+def long_transcript(tmp_path_factory):
+    """A transcript file of more release lines than one block, and its lines."""
+    spec = MechanismSpec(variant="paczero_mi", mi_total=0.25, n_subsets=8, clip=1.0)
+    config = TrainConfig(steps=harness._BLOCK_LINES + 60, dev_eval_interval=100)
+    path = tmp_path_factory.mktemp("long") / "transcript.jsonl"
+    write_transcript(path, train(BlobsTask(n_records=16), config, spec).transcript)
+    return path, path.read_text().splitlines()
+
+
 class TestTranscriptIO:
     def test_roundtrip_is_byte_identical(self, small_summary):
         _, out, summary = small_summary
@@ -297,6 +339,7 @@ class TestTranscriptIO:
         original = path.read_text()
         reloaded = load_transcript(path)
         assert "\n".join(transcript_lines(reloaded)) + "\n" == original
+        assert path.read_bytes().isascii()
         assert reloaded.cum_mi == summary.rows[0].cum_mi
 
     def test_design_regenerates_and_verifies(self, small_summary):
@@ -471,54 +514,142 @@ class TestTranscriptIO:
                      id="unedited-reordered-header-and-summary"),
         pytest.param(lambda ls: [ls[0], " \t" + ls[1], *ls[2:]], None, id="leading-whitespace"),
         pytest.param(lambda ls: [ls[0], ls[1] + " \t", *ls[2:]], None, id="trailing-whitespace"),
-        pytest.param(lambda ls: [ls[0], "\ufeff" + ls[1], *ls[2:]], "Unexpected UTF-8 BOM",
-                     id="bom"),
+        pytest.param(lambda ls: [ls[0], "\ufeff" + ls[1], *ls[2:]],
+                     "line 2: invalid JSON line: Unexpected UTF-8 BOM", id="bom"),
         # a decoder fault names the file line, then the decoder's own position
         pytest.param(lambda ls: [ls[0], ls[1] + ls[2], *ls[3:]],
                      "line 2: invalid JSON line: Extra data: line 1 column ",
                      id="two-objects-on-a-line"),
+        pytest.param(lambda ls: [ls[0], ls[1] + "," + ls[2], *ls[3:]],
+                     "line 2: invalid JSON line: Extra data: line 1 column ",
+                     id="comma-joined-records"),
         # line count unchanged: record 1 over two lines, records 3 and 4 on one
         pytest.param(lambda ls: [ls[0], ls[1][:40], ls[1][40:], ls[2], ls[3] + ls[4], *ls[5:]],
                      "line 2: invalid JSON line", id="split-and-joined-records"),
+        # as above, but the release lines joined by commas decode to the records
+        pytest.param(split_before_a_comma, "line 2: invalid JSON line",
+                     id="split-before-a-comma-and-comma-joined-records"),
+        pytest.param(array_across_lines, "line 2: invalid JSON line", id="array-across-lines"),
+        pytest.param(lambda ls: [ls[0], ls[1].replace('"branch":"', '"branch":"},{'), *ls[2:]],
+                     "record at step 1 slot 0: branch '},{", id="brace-comma-brace-in-a-string"),
+        pytest.param(lambda ls: [ls[0], ls[1].replace('"branch":"', '"branch":"},\\n{'), *ls[2:]],
+                     "record at step 1 slot 0: branch '},\\n{", id="escaped-newline-in-a-string"),
+        pytest.param(lambda ls: [ls[0], "[" + ls[1] + "]", *ls[2:]],
+                     "line 2: every transcript line must be a JSON object", id="array-line"),
         pytest.param(lambda ls: [ls[0], ls[1][:-1] + ',"type":"release"}', *ls[2:]], None,
                      id="duplicate-key"),
         pytest.param(lambda ls: [ls[0], ls[1][:-1] + ',"type":"summary"}', *ls[2:]],
-                     "expected a release record", id="duplicate-key-last-wins"),
-        *(pytest.param(beta_t_spelled(token), "non-finite number", id=token)
+                     "line 2: expected a release record", id="duplicate-key-last-wins"),
+        *(pytest.param(beta_t_spelled(token), "line 2: non-finite number", id=token)
           for token in ("NaN", "Infinity", "-Infinity", "1e999")),
         pytest.param(lambda ls: [ls[0], ls[1].replace('"slot":0', '"slot":' + "1" * 5000),
-                                 *ls[2:]], "integer string conversion", id="5000-digit-integer"),
+                                 *ls[2:]],
+                     "line 2: invalid JSON line: Exceeds the limit (4300 digits) for integer "
+                     "string conversion", id="5000-digit-integer"),
         pytest.param(lambda ls: [ls[0], '{"a":' * 100_000 + "1" + "}" * 100_000, *ls[2:]],
-                     "nested too deeply", id="deeply-nested-object"),
+                     "line 2: JSON line nested too deeply", id="deeply-nested-object"),
     ])
-    def test_fast_release_path_matches_per_line_load(self, small_summary, tmp_path,
-                                                     monkeypatch, edit, expected):
-        # release lines that are one JSON object, first character to last,
-        # skip json.loads; every other line must read, or fail, exactly as
-        # the per-line path (every release line through _parse_line) reads it
+    def test_fast_release_path_matches_per_line_load(self, small_summary, tmp_path, edit,
+                                                     expected):
+        # release lines decoded a block at a time must read, or fail, exactly
+        # as the per-line path (every release line through _release_record)
+        # reads them
         _, out, _ = small_summary
         lines = (out / "seed_0" / "transcript.jsonl").read_text().splitlines()
         path = tmp_path / "edited.jsonl"
-        path.write_text("\n".join(edit(lines)) + "\n")
-
-        def outcome(load):
-            try:
-                return load(path)
-            except SchemaError as exc:
-                return str(exc)
-
-        got = outcome(load_transcript)
-        monkeypatch.setattr(harness, "_parse_release", harness._parse_line)
-        reference = outcome(load_transcript)
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        got, reference = load_outcome(path), load_outcome(path, per_line=True)
         if expected is None:
             assert isinstance(got, Transcript) and got == reference
             assert transcript_lines(got) == transcript_lines(reference)
             assert got.records == tuple(StepRecord(*rec) for rec in got.records)
             assert got.records == reference.records
         else:
-            # every fault of a release line names its file line first
-            assert isinstance(got, str) and got.startswith("line 2: ") and expected in got
+            # a fault of a release line names its file line first; one the
+            # lines pass names its record
+            assert isinstance(got, str) and got.startswith(expected)
             assert got == reference
+
+    @pytest.mark.parametrize("edit", [split_before_a_comma, array_across_lines])
+    def test_joined_lines_alone_would_decode(self, small_summary, edit):
+        # what the block decode checks besides the count: each file line
+        # starts with "{" and ends with "}", and no value is an array.  Without
+        # them these edits would decode to one release object per line
+        _, out, _ = small_summary
+        lines = edit((out / "seed_0" / "transcript.jsonl").read_text().splitlines())
+        objs = json.loads("[" + ",\n".join(lines[1:-1]) + "]")
+        assert len(objs) == len(lines) - 2
+        assert all(obj.keys() == harness._RELEASE_FIELDS.keys() for obj in objs)
+        assert harness._decode_block(lines[1:-1]) is None
+
+    @pytest.mark.parametrize("edit, expected", [
+        pytest.param(lambda line: " " + line + "\t", None, id="whitespace-padded"),
+        pytest.param(lambda line: line + "x", "invalid JSON line: Extra data: line 1 column ",
+                     id="stray-text"),
+        pytest.param(lambda line: line.replace('"type":"release"', '"type":"summary"'),
+                     "expected a release record", id="not-a-release"),
+    ])
+    @pytest.mark.parametrize("offset", [0, 40], ids=["block-start", "block-middle"])
+    def test_second_block_names_its_own_lines(self, long_transcript, tmp_path, edit, expected,
+                                              offset):
+        # a transcript longer than one block: a line of the second block loads,
+        # or names its own file line, as the per-line path reads it
+        path, lines = long_transcript
+        n = harness._BLOCK_LINES + 2 + offset  # file line; the block starts at line 2
+        lines = [*lines[:n - 1], edit(lines[n - 1]), *lines[n:]]
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(lines) + "\n")
+        got = load_outcome(edited)
+        assert got == load_outcome(edited, per_line=True)
+        if expected is None:
+            assert got == load_transcript(path)
+        else:
+            assert got.startswith(f"line {n}: {expected}")
+
+    @pytest.mark.parametrize("index, inserted, newline, per_line, offset", [
+        pytest.param(0, b"\xff", b"\n", False, 1, id="header"),
+        pytest.param(3, b"\xff", b"\n", False, 1, id="release-block"),
+        pytest.param(3, b"\xff", b"\n", True, 1, id="release-per-line"),
+        pytest.param(-1, b"\xff", b"\n", False, 1, id="summary"),
+        # lines as splitlines numbers them; the offset counts the line's bytes
+        pytest.param(3, b"\xff", b"\r\n", False, 1, id="release-crlf"),
+        pytest.param(3, "\u00e9".encode() + b"\xff", b"\n", False, 3, id="after-a-two-byte-letter"),
+    ])
+    def test_byte_not_utf8_names_its_line(self, small_summary, tmp_path, index, inserted,
+                                          newline, per_line, offset):
+        _, out, _ = small_summary
+        lines = (out / "seed_0" / "transcript.jsonl").read_bytes().splitlines()
+        lines[index] = lines[index][:1] + inserted + lines[index][1:]
+        path = tmp_path / "not-utf8.jsonl"
+        path.write_bytes(newline.join(lines) + newline)
+        n = index % len(lines) + 1
+        assert load_outcome(path, per_line) == (
+            f"line {n}: not UTF-8 text: invalid start byte at byte offset {offset} (0xff)"
+        )
+
+    def test_non_ascii_text_reads_alike_in_any_locale(self, small_summary, tmp_path):
+        # the file is UTF-8 whatever the locale: a branch name with an e-acute
+        # fails on its record, not on the locale's codec
+        _, out, _ = small_summary
+        lines = (out / "seed_0" / "transcript.jsonl").read_text().splitlines()
+        branch = json.loads(lines[3])["branch"]
+        renamed = branch[:6] + "\u00e9" + branch[6:]
+        lines[3] = lines[3].replace(f'"branch":"{branch}"', f'"branch":"{renamed}"')
+        path = tmp_path / "accented.jsonl"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        expected = f"record at step 3 slot 0: branch {renamed!r} is not a private release"
+        assert load_outcome(path) == expected
+        script = (
+            "import json, sys\n"
+            "from paczero.harness import SchemaError, load_transcript\n"
+            "try:\n    load_transcript(sys.argv[1])\n"
+            "except SchemaError as exc:\n    print(json.dumps(str(exc)))\n"
+        )
+        c_locale = {**src_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=c_locale,
+                              timeout=30, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == expected
 
     @pytest.mark.parametrize("index", [0, 1, -1], ids=["header", "release", "summary"])
     def test_decode_fault_names_its_file_line(self, small_summary, tmp_path, index):
